@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distance import DegenerateCentroidError, coefficient_and_distance
+from .distance import own_distances
 from .model import Membership, ModelSpec
-from .scalar_prox import _weighted_reg_median
+from .scalar_prox import _weighted_reg_medians
 
 EMPTY_CLUSTER_POLICIES = ("reseed_farthest", "keep_previous")
 
@@ -37,16 +37,18 @@ def centroid_l2(X_k, u_k, lambda_v: float = 0.0, mu_v: float = 0.0) -> np.ndarra
 
 
 def centroid_l1(X_k, u_k, lambda_v: float = 0.0, mu_v: float = 0.0) -> np.ndarray:
-    """Centroid row for the l1 discrepancy: weighted regularized medians."""
+    """Centroid row for the l1 discrepancy: weighted regularized medians.
+
+    Component n is the weighted regularized median of the targets X_k[:, n]
+    with weights u_k; all components are solved in one batched sweep.
+    """
     X_k = np.atleast_2d(np.asarray(X_k, dtype=float))
     u_k = np.asarray(u_k, dtype=float).ravel()
     if X_k.shape[0] != u_k.size or u_k.size < 1:
         raise ValueError("X_k rows and u_k must have equal positive length")
     if lambda_v < 0 or mu_v < 0:
         raise ValueError("lambda_v and mu_v must be nonnegative")
-    return np.array(
-        [_weighted_reg_median(X_k[:, n], u_k, lambda_v, mu_v)[0] for n in range(X_k.shape[1])]
-    )
+    return _weighted_reg_medians(X_k.T, u_k, lambda_v, mu_v)
 
 
 def _block_cost(X_k: np.ndarray, u_k: np.ndarray, v: np.ndarray, spec: ModelSpec) -> float:
@@ -57,15 +59,6 @@ def _block_cost(X_k: np.ndarray, u_k: np.ndarray, v: np.ndarray, spec: ModelSpec
     else:
         fit = float(np.abs(R).sum())
     return fit + spec.reg.lambda_v * float(np.abs(v).sum()) + spec.reg.mu_v * float(v @ v)
-
-
-def _own_distance(x: np.ndarray, v: np.ndarray, spec: ModelSpec) -> float:
-    try:
-        return coefficient_and_distance(x, v, spec)[1]
-    except DegenerateCentroidError:
-        if spec.discrepancy == "l2":
-            return float(x @ x)
-        return float(np.abs(x).sum())
 
 
 def update_centroids(
@@ -125,14 +118,7 @@ def update_centroids(
         V[k] = row
 
     if empty and empty_cluster_policy == "reseed_farthest":
-        dist = np.empty(X.shape[0])
-        for m in range(X.shape[0]):
-            if labels[m] >= 0:
-                dist[m] = _own_distance(X[m], previous[labels[m]], spec)
-            elif spec.discrepancy == "l2":
-                dist[m] = float(X[m] @ X[m])
-            else:
-                dist[m] = float(np.abs(X[m]).sum())
+        dist = own_distances(X, previous, labels, spec)
         for k in empty:
             m = int(np.argmax(dist))
             row = X[m]

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distance import DegenerateCentroidError, NoValidCentroidError, coefficient_and_distance
+from .distance import DegenerateCentroidError, NoValidCentroidError, own_distances
 from .model import ModelSpec, RegularizationParams
 from .solver import DuplicateRowsError, SolverConfig, fit
 
@@ -152,24 +152,16 @@ def run(manifest: RunManifest) -> int:
 
     out = Path(manifest.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    membership = result.membership
+    labels, coeffs = result.membership.labels, result.membership.coefficients
     V = result.centroids
+    dist = own_distances(X, V, labels, manifest.spec)
 
     with open(out / "assignments.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row_index", "cluster", "coefficient", "distance", "unassigned"])
         for m in range(X.shape[0]):
-            k = int(membership.labels[m])
-            if k >= 0:
-                try:
-                    _, dist = coefficient_and_distance(X[m], V[k], manifest.spec)
-                except DegenerateCentroidError:
-                    dist = _full_norm(X[m], manifest.spec)
-            else:
-                dist = _full_norm(X[m], manifest.spec)
-            writer.writerow(
-                [m, k, _fmt(membership.coefficients[m]), _fmt(dist), int(m in result.unassigned_rows)]
-            )
+            unassigned = int(m in result.unassigned_rows)
+            writer.writerow([m, int(labels[m]), _fmt(coeffs[m]), _fmt(dist[m]), unassigned])
 
     with open(out / "centroids.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -194,12 +186,6 @@ def run(manifest: RunManifest) -> int:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0
-
-
-def _full_norm(x: np.ndarray, spec: ModelSpec) -> float:
-    if spec.discrepancy == "l2":
-        return float(x @ x)
-    return float(np.abs(x).sum())
 
 
 _MODE_FLAGS = {"c1-free": "c1_free", "normalized": "normalized", "binary": "binary"}

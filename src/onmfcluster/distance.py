@@ -3,8 +3,14 @@
 For a data point x and a centroid v, the coefficient is the exact minimizer
 of the scalar subproblem ``D(x, t v) + mu_u t^2 + lambda_u |t|`` over t >= 0
 and the distance is the attained minimum (squared units for the l2
-discrepancy, plain units for l1). The closed-form and angle-form variants of
-the l2 distance are provided for cross-validation; all three agree.
+discrepancy, plain units for l1).
+
+``pair_costs`` is the one batched cost kernel: it returns the coefficient and
+distance of every (row, centroid) pair as two M x K matrices, and assignment,
+``plusplus`` seeding, empty-cluster reseeding and the CLI's reported
+distances all read from it. The scalar functions remain the paper-level
+definitions and the oracles the kernel is tested against; the closed-form and
+angle-form variants of the l2 distance cross-validate the direct one.
 
 These distances are generally not metrics: with a sparsity penalty,
 dist(x, x) can be strictly positive.
@@ -15,7 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ModelSpec
-from .scalar_prox import _weighted_reg_median, soft_threshold, weighted_reg_median
+from .scalar_prox import (
+    _weighted_reg_median,
+    _weighted_reg_medians,
+    soft_threshold,
+    weighted_reg_median,
+)
 
 
 class DegenerateCentroidError(ValueError):
@@ -107,7 +118,6 @@ def coefficient_and_distance(x, v, spec: ModelSpec) -> tuple[float, float]:
     coefficient 0 with the full-norm distance.
     """
     x, v = _pair(x, v)
-    reg = spec.reg
     mode = spec.constraint_mode
 
     if mode == "binary":
@@ -116,41 +126,107 @@ def coefficient_and_distance(x, v, spec: ModelSpec) -> tuple[float, float]:
             return 1.0, float(r @ r)
         return 1.0, float(np.abs(r).sum())
 
+    lam, mu = (spec.reg.lambda_u, spec.reg.mu_u) if mode == "c1_free" else (0.0, 0.0)
     if spec.discrepancy == "l2":
-        lam = reg.lambda_u if mode == "c1_free" else 0.0
-        mu = reg.mu_u if mode == "c1_free" else 0.0
-        denom = float(v @ v) + mu
-        if denom <= 0.0:
+        if float(v @ v) + mu <= 0.0:
             if lam > 0.0:
                 raise DegenerateCentroidError("zero centroid under an l1 penalty")
             return 0.0, float(x @ x)
-        t = soft_threshold(lam / (2.0 * denom), float(x @ v) / denom)
-        r = x - t * v
-        return t, float(r @ r) + mu * t * t + lam * t
+        return coefficient_l2(x, v, lam, mu), distance_l2(x, v, lam, mu)
 
-    lam = reg.lambda_u if mode == "c1_free" else 0.0
-    mu = reg.mu_u if mode == "c1_free" else 0.0
     t, _ = _weighted_reg_median(x, v, lam, mu)
     return t, float(np.abs(x - t * v).sum()) + mu * t * t + lam * t
+
+
+# Row chunks keep every M x K x N temporary of the binary and l1 kernels near
+# this many elements, so the kernel's peak memory stays close to its two
+# M x K results.
+_CHUNK_ELEMENTS = 4096
+
+
+def _l2_costs(X: np.ndarray, V: np.ndarray, lam: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    # With a = <x, v> - lam/2 and t = max(a / denom, 0), the distance
+    # ||x - t v||^2 + mu t^2 + lam t rearranges to ||x||^2 - t a. Unlike the
+    # expanded ||x||^2 - (lam - 2 <x, v>)^2 / (4 denom), this form never
+    # squares <x, v> (which overflows once ||x||^2 passes about 1e154), and
+    # the clamp at 0 absorbs the rounding of exact fits. The M x K arithmetic
+    # runs in place, A's buffer becoming D, to keep the peak memory low.
+    denom = np.einsum("kn,kn->k", V, V) + mu
+    degenerate = denom <= 0.0
+    A = X @ V.T
+    A -= lam / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = np.divide(A, denom)
+    np.maximum(T, 0.0, out=T)
+    T[:, degenerate] = 0.0
+    xx = np.einsum("mn,mn->m", X, X)[:, None]
+    D = np.multiply(T, A, out=A)
+    np.subtract(xx, D, out=D)
+    np.maximum(D, 0.0, out=D)
+    D[:, degenerate] = np.inf if lam > 0.0 else xx
+    return T, D
+
+
+def pair_costs(X, V, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient and distance of every (row, centroid) pair as M x K matrices.
+
+    Entry (m, k) equals ``coefficient_and_distance(X[m], V[k], spec)`` up to
+    rounding. A degenerate centroid row (see :func:`coefficient_and_distance`)
+    gets coefficient 0 and distance +inf in its whole column. Binary mode sums
+    the broadcast differences exactly as the Lloyd / K-median references do,
+    so its distances, and the labels chosen from them, match theirs bit for
+    bit.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    if X.ndim != 2 or X.shape[1] != V.shape[1]:
+        raise ValueError(f"X has shape {X.shape}, centroids have shape {V.shape}")
+    mode = spec.constraint_mode
+    lam, mu = (spec.reg.lambda_u, spec.reg.mu_u) if mode == "c1_free" else (0.0, 0.0)
+    if spec.discrepancy == "l2" and mode != "binary":
+        return _l2_costs(X, V, lam, mu)
+
+    M, K = X.shape[0], V.shape[0]
+    T = np.ones((M, K)) if mode == "binary" else np.empty((M, K))
+    D = np.empty((M, K))
+    W = V[None, :, :]
+    step = max(1, _CHUNK_ELEMENTS // (K * X.shape[1]))
+    for lo in range(0, M, step):
+        x = X[lo:lo + step, None, :]
+        if mode == "binary":
+            R = x - W
+            D[lo:lo + step] = (R * R if spec.discrepancy == "l2" else np.abs(R)).sum(axis=2)
+            continue
+        t = _weighted_reg_medians(x, W, lam, mu)
+        T[lo:lo + step] = t
+        D[lo:lo + step] = np.abs(x - t[:, :, None] * W).sum(axis=2) + mu * t * t + lam * t
+    return T, D
+
+
+def own_distances(X, V, labels, spec: ModelSpec) -> np.ndarray:
+    """Distance of every row to its own centroid row ``V[labels[m]]``.
+
+    A row without a label (-1) or whose centroid is degenerate gets the
+    distance of coefficient 0: ||x||^2 for l2, ||x||_1 for l1.
+    """
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(labels)
+    _, D = pair_costs(X, V, spec)
+    own = np.where(labels >= 0, D[np.arange(X.shape[0]), labels], np.inf)
+    full = np.einsum("mn,mn->m", X, X) if spec.discrepancy == "l2" else np.abs(X).sum(axis=1)
+    return np.where(np.isinf(own), full, own)
 
 
 def assign(x, V, spec: ModelSpec) -> tuple[int, float, float]:
     """Best cluster for a data point: (index, coefficient, distance).
 
-    Evaluates the mode-appropriate distance against every centroid row and
-    returns the argmin; ties break toward the lowest index. Degenerate rows
-    are skipped; if every row is degenerate, :class:`NoValidCentroidError`
-    is raised.
+    A one-row view of :func:`pair_costs`: returns the argmin over the
+    centroid rows; ties break toward the lowest index. Degenerate rows are
+    skipped; if every row is degenerate, :class:`NoValidCentroidError` is
+    raised.
     """
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    best: tuple[int, float, float] | None = None
-    for k in range(V.shape[0]):
-        try:
-            coeff, dist = coefficient_and_distance(x, V[k], spec)
-        except DegenerateCentroidError:
-            continue
-        if best is None or dist < best[2]:
-            best = (k, coeff, dist)
-    if best is None:
+    T, D = pair_costs(np.asarray(x, dtype=float).reshape(1, -1), V, spec)
+    k = int(D[0].argmin())
+    if np.isinf(D[0, k]):
         raise NoValidCentroidError("all centroid rows are degenerate for this model")
-    return best
+    return k, float(T[0, k]), float(D[0, k])

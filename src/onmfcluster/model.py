@@ -29,6 +29,14 @@ def as_data_matrix(values) -> np.ndarray:
     if (X < 0).any():
         m, n = np.argwhere(X < 0)[0]
         raise ValueError(f"data matrix must be nonnegative; entry ({m}, {n}) is {X[m, n]}")
+    # Every distance and objective term is bounded by squared row norms, so a
+    # row whose squared norm overflows would turn the run into inf and NaN.
+    with np.errstate(over="ignore"):
+        overflow = np.flatnonzero(~np.isfinite(np.einsum("mn,mn->m", X, X)))
+    if overflow.size:
+        raise ValueError(
+            f"squared norm of data row {overflow[0]} (0-based) overflows float64; rescale the data"
+        )
     return X
 
 
@@ -181,7 +189,8 @@ def objective(X: np.ndarray, membership: Membership, V: np.ndarray, spec: ModelS
     The data-fit term is the entrywise absolute sum of X - UV for the l1
     discrepancy and the squared Frobenius norm for l2. Rows without an
     assignment (or with a zero coefficient) contribute their full-norm
-    residual.
+    residual. Penalty terms with weight zero are skipped, never evaluated as
+    0 * inf. Raises ``ValueError`` if the objective is not finite.
     """
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -205,10 +214,16 @@ def objective(X: np.ndarray, membership: Membership, V: np.ndarray, spec: ModelS
         fit = float(np.abs(R).sum())
 
     reg = spec.reg
-    penalty = (
-        reg.lambda_u * float(coeffs.sum())
-        + reg.mu_u * float((coeffs * coeffs).sum())
-        + reg.lambda_v * float(np.abs(V).sum())
-        + reg.mu_v * float((V * V).sum())
-    )
-    return fit + penalty
+    penalty = 0.0
+    if reg.lambda_u:
+        penalty += reg.lambda_u * float(coeffs.sum())
+    if reg.mu_u:
+        penalty += reg.mu_u * float((coeffs * coeffs).sum())
+    if reg.lambda_v:
+        penalty += reg.lambda_v * float(np.abs(V).sum())
+    if reg.mu_v:
+        penalty += reg.mu_v * float((V * V).sum())
+    value = fit + penalty
+    if not np.isfinite(value):
+        raise ValueError(f"objective is {value}: the data or penalty weights overflow float64")
+    return value

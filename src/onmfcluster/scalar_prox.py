@@ -99,6 +99,49 @@ def _weighted_reg_median(v: np.ndarray, w: np.ndarray, lam: float, mu: float) ->
     return float(bp[int(np.argmax(g_right >= 0.0))]), False
 
 
+def _at(a: np.ndarray, j: np.ndarray) -> np.ndarray:
+    return np.take_along_axis(a, j[..., None], axis=-1)[..., 0]
+
+
+def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
+    """``_weighted_reg_median`` batched over the last axis of v and w.
+
+    v and w broadcast against each other; the result has their broadcast
+    shape without the last axis. Inactive weights become +inf breakpoints of
+    zero weight, which sort behind every active one and leave the slopes of
+    the active pieces unchanged, so each slice takes the scalar sweep's
+    arithmetic step for step.
+    """
+    v, w = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(w, dtype=float))
+    active = w > 0
+    bp = np.divide(v, w, out=np.full(v.shape, np.inf), where=active)
+    order = np.argsort(bp, axis=-1, kind="stable")
+    bp = np.take_along_axis(bp, order, axis=-1)
+    csum = np.cumsum(np.take_along_axis(np.where(active, w, 0.0), order, axis=-1), axis=-1)
+    zero = np.zeros(bp.shape[:-1] + (1,))
+    slopes = lam + 2.0 * np.concatenate((zero, csum), axis=-1) - csum[..., -1:]
+    lo = np.concatenate((zero, bp), axis=-1)
+    hi = np.concatenate((bp, zero + np.inf), axis=-1)
+
+    if mu == 0.0:
+        # Slopes are nondecreasing, so counting those below the band is the
+        # scalar searchsorted.
+        j = (slopes <= -_FLAT_SLOPE_TOL).sum(axis=-1)
+        flat = (np.abs(_at(slopes, j)) <= _FLAT_SLOPE_TOL) & (j < active.sum(axis=-1))
+        lo_j = _at(lo, j)
+        return np.where(flat, 0.5 * (lo_j + _at(hi, j)), lo_j)
+
+    roots = -slopes / (2.0 * mu)
+    inside = (roots >= lo) & (roots <= hi)
+    g_right = 2.0 * mu * bp + slopes[..., 1:]
+    t = np.where(
+        inside.any(axis=-1),
+        _at(roots, inside.argmax(axis=-1)),
+        _at(bp, (g_right >= 0.0).argmax(axis=-1)),
+    )
+    return np.where(slopes[..., 0] >= 0.0, 0.0, t)
+
+
 def weighted_reg_median(v, w, lam: float = 0.0, mu: float = 0.0) -> float:
     """Weighted, elastic-net-regularized median of the targets v.
 

@@ -5,6 +5,11 @@ minimization of the membership coefficient), recomputes the centroids from
 the new memberships, and records the objective. Both block updates are exact
 minimizers of their subproblems, so the recorded objective trace is
 non-increasing.
+
+Assignment and ``plusplus`` seeding read every (row, centroid) cost from the
+batched kernel ``distance.pair_costs``: an assignment is the argmin of its
+M x K distance matrix. The scalar ``assign`` and ``coefficient_and_distance``
+remain the paper-level definitions the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .centroid import EMPTY_CLUSTER_POLICIES, update_centroids
-from .distance import assign, coefficient_and_distance
+from .distance import DegenerateCentroidError, NoValidCentroidError, pair_costs
 from .model import FactorizationResult, Membership, ModelSpec, as_data_matrix, objective
 
 INIT_METHODS = ("random_rows", "plusplus")
@@ -88,18 +93,21 @@ def init_centroids(X, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
             raise DuplicateRowsError(f"only {len(chosen)} distinct rows for {K} centroids")
         return X[chosen].copy()
 
+    def distances_to(m: int) -> np.ndarray:
+        dist = pair_costs(X, X[m:m + 1], spec)[1][:, 0]
+        if np.isinf(dist[0]):
+            raise DegenerateCentroidError("zero centroid under an l1 penalty")
+        return dist
+
     chosen = [int(rng.integers(M))]
-    nearest = np.array([coefficient_and_distance(X[m], X[chosen[0]], spec)[1] for m in range(M)])
+    nearest = distances_to(chosen[0])
     for _ in range(K - 1):
         total = float(nearest.sum())
         if total <= 0.0:
             raise DuplicateRowsError("remaining rows coincide with chosen centroids")
         nxt = int(rng.choice(M, p=nearest / total))
         chosen.append(nxt)
-        dist_new = np.array(
-            [coefficient_and_distance(X[m], X[nxt], spec)[1] for m in range(M)]
-        )
-        nearest = np.minimum(nearest, dist_new)
+        nearest = np.minimum(nearest, distances_to(nxt))
     return X[chosen].copy()
 
 
@@ -111,23 +119,32 @@ class FitStep(NamedTuple):
     objective: float
 
 
+def _nearest(X: np.ndarray, V: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best centroid (lowest index on ties) and its coefficient.
+
+    A function of its own so the M x K cost matrices are freed before the
+    centroid update and the objective allocate theirs.
+    """
+    T, D = pair_costs(X, V, spec)
+    rows = np.arange(X.shape[0])
+    labels = D.argmin(axis=1)
+    if np.isinf(D[rows, labels]).any():
+        raise NoValidCentroidError("all centroid rows are degenerate for this model")
+    return labels, T[rows, labels]
+
+
 def _iterations(X: np.ndarray, spec: ModelSpec, config: SolverConfig) -> Iterator[FitStep]:
     K = config.n_clusters
-    M = X.shape[0]
     V = init_centroids(X, config, spec)
-    prev_labels = np.full(M, -1, dtype=np.int64)
+    prev_labels = np.full(X.shape[0], -1, dtype=np.int64)
 
     for _ in range(config.max_iter):
-        labels = np.empty(M, dtype=np.int64)
-        coeffs = np.empty(M)
-        for m in range(M):
-            k, coeff, _ = assign(X[m], V, spec)
-            if coeff == 0.0 and config.zero_row_policy == "keep_last_cluster":
-                k = int(prev_labels[m]) if prev_labels[m] >= 0 else k
-            elif coeff == 0.0:
-                k = -1
-            labels[m] = k
-            coeffs[m] = coeff
+        labels, coeffs = _nearest(X, V, spec)
+        zero = coeffs == 0.0
+        if config.zero_row_policy == "keep_last_cluster":
+            labels = np.where(zero & (prev_labels >= 0), prev_labels, labels)
+        else:
+            labels = np.where(zero, -1, labels)
         membership = Membership(labels, coeffs, K)
         V = update_centroids(X, membership, K, spec, V, config.empty_cluster_policy)
         yield FitStep(membership, V, objective(X, membership, V, spec))
@@ -145,11 +162,13 @@ def _run(X: np.ndarray, spec: ModelSpec, config: SolverConfig) -> tuple[list[Fit
         )
     steps: list[FitStep] = []
     for step in _iterations(X, spec, config):
-        if not steps:
-            steps.append(step)
-            continue
-        prev = steps[-1]
         steps.append(step)
+        if len(steps) < 2:
+            continue
+        prev = steps[-2]
+        # A rise is never convergence, whatever else repeats.
+        if step.objective > prev.objective:
+            continue
         if _same_assignments(prev.membership, step.membership):
             return steps, True
         rel = 0.0 if prev.objective <= 0.0 else (prev.objective - step.objective) / prev.objective
@@ -163,7 +182,8 @@ def fit_history(X, spec: ModelSpec, config: SolverConfig) -> list[FitStep]:
 
     The trajectory ends when assignments repeat exactly, when the relative
     objective decrease drops below ``config.tol``, or after ``max_iter``
-    iterations, whichever comes first.
+    iterations, whichever comes first. An iteration that raises the
+    objective never ends it as converged.
     """
     return _run(as_data_matrix(X), spec, config)[0]
 

@@ -1,0 +1,180 @@
+"""The batched pair-cost kernel against the scalar oracles.
+
+``pair_costs`` computes every (row, centroid) coefficient and distance at
+once; these properties check it pair by pair against
+``coefficient_and_distance``, the batched weighted median against the scalar
+sweep, and the vectorized ``centroid_l1`` against its per-column definition,
+in all six (discrepancy, mode) cells. Entries are 0 or in [1e-3, 10], so
+zero rows, sparse rows and zero centroids all occur.
+"""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.testing import assert_array_equal
+
+from onmfcluster import (
+    DegenerateCentroidError,
+    ModelSpec,
+    NoValidCentroidError,
+    RegularizationParams,
+    assign,
+    centroid_l1,
+    coefficient_and_distance,
+)
+from onmfcluster.distance import pair_costs
+from onmfcluster.scalar_prox import _weighted_reg_median, _weighted_reg_medians
+
+CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
+ENTRIES = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+WEIGHTS = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 10.0))
+PENALTIES = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 5.0))
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+def _with_zero_rows(draw, shape):
+    A = draw(arrays(float, shape, elements=ENTRIES))
+    A[draw(arrays(bool, shape[0]))] = 0.0
+    return A
+
+
+@st.composite
+def problems(draw):
+    discrepancy, mode = draw(st.sampled_from(CELLS))
+    n = draw(st.integers(1, 6))
+    X = _with_zero_rows(draw, (draw(st.integers(1, 6)), n))
+    V = _with_zero_rows(draw, (draw(st.integers(1, 4)), n))
+    if mode == "c1_free":
+        reg = RegularizationParams(lambda_u=draw(PENALTIES), mu_u=draw(PENALTIES))
+    else:
+        reg = RegularizationParams()
+    return X, V, ModelSpec(discrepancy, mode, reg)
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+@PROPERTY
+@given(problems())
+def test_pair_costs_match_the_scalar_oracle(problem):
+    X, V, spec = problem
+    T, D = pair_costs(X, V, spec)
+    assert T.shape == D.shape == (X.shape[0], V.shape[0])
+    # plusplus seeding draws rows with probability proportional to D.
+    assert (D >= 0.0).all() and (T >= 0.0).all()
+    for m, k in np.ndindex(*D.shape):
+        try:
+            t, d = coefficient_and_distance(X[m], V[k], spec)
+        except DegenerateCentroidError:
+            assert D[m, k] == np.inf and T[m, k] == 0.0
+            continue
+        assert _close(D[m, k], d), (m, k, D[m, k], d)
+        assert _close(T[m, k], t), (m, k, T[m, k], t)
+
+
+def _full_norm(x, spec):
+    return float(x @ x) if spec.discrepancy == "l2" else float(np.abs(x).sum())
+
+
+@PROPERTY
+@given(problems())
+def test_argmin_matches_the_scalar_assignment_up_to_ties(problem):
+    X, V, spec = problem
+    _, D = pair_costs(X, V, spec)
+    for m in range(X.shape[0]):
+        costs = []
+        for k in range(V.shape[0]):
+            try:
+                costs.append(coefficient_and_distance(X[m], V[k], spec)[1])
+            except DegenerateCentroidError:
+                costs.append(np.inf)
+        costs = np.array(costs)
+        if np.isinf(costs).all():
+            with pytest.raises(NoValidCentroidError):
+                assign(X[m], V, spec)
+            continue
+        label = int(D[m].argmin())
+        assert assign(X[m], V, spec)[0] == label
+        best = int(costs.argmin())
+        if label != best:
+            second = np.sort(costs)[1]
+            assert second - costs[best] <= 1e-12 * max(1.0, _full_norm(X[m], spec))
+
+
+@st.composite
+def median_slices(draw):
+    n = draw(st.integers(1, 7))
+    s = draw(st.integers(1, 5))
+    # Small integer targets and unit-ish weights make ties and flat
+    # minimizer intervals common.
+    targets = st.one_of(st.integers(0, 4).map(float), ENTRIES)
+    v = draw(arrays(float, (s, n), elements=targets))
+    w = draw(arrays(float, (s, n), elements=WEIGHTS))
+    return v, w, draw(PENALTIES), draw(PENALTIES)
+
+
+@PROPERTY
+@given(median_slices())
+def test_batched_medians_equal_the_scalar_sweep(case):
+    v, w, lam, mu = case
+    expected = [_weighted_reg_median(vi, wi, lam, mu)[0] for vi, wi in zip(v, w)]
+    assert_array_equal(_weighted_reg_medians(v, w, lam, mu), expected)
+
+
+def test_batched_medians_flat_midpoints_and_ridge():
+    v = np.array([[1.0, 2.0], [3.0, 5.0], [2.0, 0.0]])
+    w = np.ones_like(v)
+    assert_array_equal(_weighted_reg_medians(v, w, 0.0, 0.0), [1.5, 4.0, 1.0])
+    assert_array_equal(
+        _weighted_reg_medians([[2.0], [0.0]], [[1.0], [0.0]], 0.0, 1.0),
+        [_weighted_reg_median(np.array([2.0]), np.array([1.0]), 0.0, 1.0)[0], 0.0],
+    )
+
+
+@PROPERTY
+@given(median_slices())
+def test_centroid_l1_matches_its_per_column_definition(case):
+    X_k, u, lam, mu = case
+    u_k = u[:, 0]
+    if not (u_k > 0).any():
+        u_k = np.ones_like(u_k)
+    expected = [_weighted_reg_median(X_k[:, n], u_k, lam, mu)[0] for n in range(X_k.shape[1])]
+    assert_array_equal(centroid_l1(X_k, u_k, lam, mu), expected)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100])
+@pytest.mark.parametrize("reg", [RegularizationParams(), RegularizationParams(lambda_u=1.0)])
+def test_l2_distances_never_round_negative_or_overflow(scale, reg):
+    # Rows that are exact multiples of a centroid have distance 0, where the
+    # expanded ||x||^2 - (lam - 2 <x, v>)^2 / (4 denom) rounds below zero; at
+    # 1e100 it squares <x, v> past the float range, though ||x||^2 is finite.
+    rng = np.random.default_rng(0)
+    V = rng.uniform(0.1, 10, (6, 5)) * scale
+    X = np.vstack([c * V for c in rng.uniform(0.1, 10, 40)])
+    for mode in ("c1_free", "normalized"):
+        spec = ModelSpec("l2", mode, reg if mode == "c1_free" else RegularizationParams())
+        _, D = pair_costs(X, V, spec)
+        assert np.isfinite(D).all() and (D >= 0.0).all()
+
+
+def test_pair_costs_peak_memory_stays_near_its_results():
+    # Row chunking bounds every M x K x N temporary; without it the l1 sweep
+    # holds several 4000 x 8 x 8 arrays of 2 MB each.
+    rng = np.random.default_rng(5)
+    M, K = 4000, 8
+    X = rng.uniform(0, 10, (M, 8))
+    V = rng.uniform(0, 10, (K, 8))
+    spec = ModelSpec("l1", "c1_free", RegularizationParams(lambda_u=1.0, mu_u=0.5))
+    tracemalloc.start()
+    try:
+        pair_costs(X, V, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * M * K * 8 + 2**20

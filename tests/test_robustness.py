@@ -1,0 +1,68 @@
+"""Loud failure on float overflow, and termination that never hides a rise."""
+
+import numpy as np
+import pytest
+
+from onmfcluster import (
+    Membership,
+    ModelSpec,
+    RegularizationParams,
+    SolverConfig,
+    fit,
+    objective,
+)
+from onmfcluster.cli import main
+
+# Row 0's squared norm, 1e400, overflows float64; before it was rejected the
+# fit returned the trace [nan, nan] with converged=True.
+OVERFLOW = [[1e200, 1.0], [2.0, 3.0], [5.0, 5.0]]
+
+
+def test_fit_rejects_rows_whose_squared_norm_overflows():
+    with pytest.raises(ValueError, match="row 0"):
+        fit(OVERFLOW, ModelSpec("l2", "binary"), SolverConfig(n_clusters=2))
+
+
+def test_cli_exits_2_on_rows_whose_squared_norm_overflows(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(",".join(repr(v) for v in row) for row in OVERFLOW) + "\n")
+    argv = ["--input", str(path), "--out", str(tmp_path / "o"), "--k", "2",
+            "--discrepancy", "l2", "--mode", "binary"]
+    assert main(argv) == 2
+    assert "row 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_objective_skips_zero_weight_penalties():
+    # V * V overflows, but its weight mu_v is 0 and no row uses the centroid.
+    X = np.array([[1.0, 2.0]])
+    membership = Membership([-1], [0.0], 1)
+    V = np.array([[1e200, 1e200]])
+    assert objective(X, membership, V, ModelSpec("l2", "c1_free")) == 5.0
+
+
+def test_objective_raises_when_not_finite():
+    X = np.array([[1.0, 2.0]])
+    membership = Membership([-1], [0.0], 1)
+    V = np.array([[1e200, 1e200]])
+    spec = ModelSpec("l2", "c1_free", RegularizationParams(mu_v=1.0))
+    with pytest.raises(ValueError, match="inf"), np.errstate(over="ignore"):
+        objective(X, membership, V, spec)
+
+
+def test_a_rising_step_never_reports_convergence():
+    # Reseeding an empty cluster with a data row under active centroid
+    # penalties can raise the objective; such a step must not end the run as
+    # converged, through the tolerance test or through repeated assignments.
+    rng = np.random.default_rng(11)
+    rising = 0
+    for trial in range(60):
+        X = rng.uniform(0, 10, (int(rng.integers(6, 30)), int(rng.integers(1, 5))))
+        reg = RegularizationParams(lambda_v=float(rng.uniform(0, 3)), mu_v=float(rng.uniform(0, 3)))
+        spec = ModelSpec(("l1", "l2")[trial % 2], "binary", reg)
+        config = SolverConfig(n_clusters=int(rng.integers(2, 6)), seed=trial, max_iter=40)
+        res = fit(X, spec, config)
+        rises = np.diff(res.objective_trace) > 0.0
+        rising += bool(rises.any())
+        assert not (rises.size and rises[-1] and res.converged), trial
+    assert rising > 0
