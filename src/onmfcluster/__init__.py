@@ -31,7 +31,6 @@ from .model import (
     dense_u,
     objective,
 )
-from .reference import kmedian, kmedian_history, lloyd_kmeans, lloyd_kmeans_history
 from .scalar_prox import (
     DegenerateObjectiveWarning,
     ScalarProxProblem,
@@ -72,10 +71,6 @@ __all__ = [
     "fit",
     "fit_history",
     "init_centroids",
-    "kmedian",
-    "kmedian_history",
-    "lloyd_kmeans",
-    "lloyd_kmeans_history",
     "objective",
     "soft_threshold",
     "solve_closed_form",

@@ -1,18 +1,21 @@
 """Centroid updates: exact minimizers of the per-cluster subproblems.
 
 ``centroid_l2`` soft-thresholds the weighted component means, ``centroid_l1``
-takes weighted regularized medians. ``update_centroids`` applies the
-discrepancy-appropriate update to every cluster, resolves empty clusters by
-the configured policy, and in normalized mode projects rows back to the unit
-sphere.
+takes weighted regularized medians; they are the paper-level definitions and
+the oracles ``update_centroids`` is tested against. ``update_centroids``
+updates every cluster in one batched pass: under l2 all thresholded means
+come from one product U^T X, under l1 the rows are grouped by label once and
+each cluster takes one batched median sweep. Empty clusters are resolved by
+the configured policy, and in normalized mode every row is projected onto
+the unit sphere once. Reseeding and the normalized-mode guard read each
+row's cost from ``model.row_costs``, the cost the objective sums.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distance import own_distances
-from .model import Membership, ModelSpec
+from .model import Membership, ModelSpec, dense_u, row_costs
 from .scalar_prox import _weighted_reg_medians
 
 EMPTY_CLUSTER_POLICIES = ("reseed_farthest", "keep_previous")
@@ -51,16 +54,6 @@ def centroid_l1(X_k, u_k, lambda_v: float = 0.0, mu_v: float = 0.0) -> np.ndarra
     return _weighted_reg_medians(X_k.T, u_k, lambda_v, mu_v)
 
 
-def _block_cost(X_k: np.ndarray, u_k: np.ndarray, v: np.ndarray, spec: ModelSpec) -> float:
-    """Objective contribution of one cluster for a candidate centroid row."""
-    R = X_k - u_k[:, None] * v[None, :]
-    if spec.discrepancy == "l2":
-        fit = float((R * R).sum())
-    else:
-        fit = float(np.abs(R).sum())
-    return fit + spec.reg.lambda_v * float(np.abs(v).sum()) + spec.reg.mu_v * float(v @ v)
-
-
 def update_centroids(
     X,
     membership: Membership,
@@ -71,15 +64,16 @@ def update_centroids(
 ) -> np.ndarray:
     """Recompute every centroid row from its cluster's rows and coefficients.
 
-    Rows with coefficient 0 do not contribute. Empty clusters either retain
-    the previous row (``keep_previous``) or are reseeded with the data point
-    farthest from its own current centroid (``reseed_farthest``; ties and
-    multiple empty clusters resolve toward lower indices, each data point
-    reseeding at most one cluster). In normalized mode every updated row with
-    positive norm (reseeded rows included) is rescaled to unit norm; because
-    that projection is not an exact minimizer under the l1 discrepancy or
-    with active centroid penalties, a feasible previous row is kept whenever
-    the candidate would increase the cluster's objective contribution.
+    Row k equals ``centroid_l2``/``centroid_l1`` of the rows labelled k with a
+    positive coefficient. Empty clusters either retain the previous row
+    (``keep_previous``) or take the data points of largest ``row_costs``
+    against ``previous`` (``reseed_farthest``; ties and multiple empty
+    clusters resolve toward lower indices, one cluster per data point). In
+    normalized mode every row is projected onto the unit sphere; a zero row
+    becomes e_j for the largest component j of X^T u_k - lambda_v / 2, the
+    exact l2 minimizer over nonnegative unit vectors when none is positive.
+    The projection is not exact under l1, so a unit-norm previous row is kept
+    whenever the candidate would increase its cluster's cost.
     """
     if empty_cluster_policy not in EMPTY_CLUSTER_POLICIES:
         raise ValueError(f"empty_cluster_policy must be one of {EMPTY_CLUSTER_POLICIES}")
@@ -87,45 +81,47 @@ def update_centroids(
     previous = np.asarray(previous, dtype=float)
     if previous.shape != (n_clusters, X.shape[1]):
         raise ValueError("previous centroid matrix has inconsistent shape")
+    if membership.n_clusters != n_clusters:
+        raise ValueError(f"membership has {membership.n_clusters} clusters, expected {n_clusters}")
 
-    labels = membership.labels
-    coeffs = membership.coefficients
+    reg = spec.reg
+    labels, coeffs = membership.labels, membership.coefficients
+    members = coeffs > 0
+    sizes = np.bincount(labels[members], minlength=n_clusters)
+    full = sizes > 0
+    normalized = spec.constraint_mode == "normalized"
     V = previous.copy()
-    empty = []
-    for k in range(n_clusters):
-        mask = (labels == k) & (coeffs > 0)
-        if not mask.any():
-            empty.append(k)
-            continue
-        X_k = X[mask]
-        u_k = coeffs[mask]
-        if spec.discrepancy == "l2":
-            row = centroid_l2(X_k, u_k, spec.reg.lambda_v, spec.reg.mu_v)
-        else:
-            row = centroid_l1(X_k, u_k, spec.reg.lambda_v, spec.reg.mu_v)
-        if spec.constraint_mode == "normalized":
-            norm = float(np.sqrt(row @ row))
-            if norm > 0.0:
-                row = row / norm
-            # Keep the previous row if the candidate would be worse, but only
-            # when the previous row is itself feasible (unit norm): the very
-            # first update starts from raw data rows, which must be replaced.
-            prev = previous[k]
-            if abs(float(prev @ prev) - 1.0) <= 1e-9 and _block_cost(
-                X_k, u_k, row, spec
-            ) > _block_cost(X_k, u_k, prev, spec):
-                row = prev
-        V[k] = row
+    if spec.discrepancy == "l2" or normalized:
+        U = dense_u(membership)
+        A = U.T @ X
+        A -= reg.lambda_v / 2.0
+    if spec.discrepancy == "l2":
+        d = np.einsum("mk,mk->k", U, U)[full] + reg.mu_v
+        V[full] = np.maximum(A[full] / d[:, None], 0.0)
+    else:
+        rows = np.flatnonzero(members)
+        rows = rows[np.argsort(labels[rows], kind="stable")]
+        groups = np.split(rows, np.cumsum(sizes[full])[:-1])
+        for k, group in zip(np.flatnonzero(full), groups):
+            V[k] = _weighted_reg_medians(X[group].T, coeffs[group], reg.lambda_v, reg.mu_v)
 
-    if empty and empty_cluster_policy == "reseed_farthest":
-        dist = own_distances(X, previous, labels, spec)
-        for k in empty:
-            m = int(np.argmax(dist))
-            row = X[m]
-            if spec.constraint_mode == "normalized":
-                norm = float(np.sqrt(row @ row))
-                if norm > 0.0:
-                    row = row / norm
-            V[k] = row
-            dist[m] = -np.inf
+    empty = np.flatnonzero(~full)
+    if empty.size and empty_cluster_policy == "reseed_farthest":
+        farthest = np.argsort(-row_costs(X, membership, previous, spec), kind="stable")[: empty.size]
+        V[empty[: farthest.size]] = X[farthest]
+
+    if normalized:
+        norms = np.sqrt(np.einsum("kn,kn->k", V, V))
+        zero = norms == 0.0
+        V[~zero] /= norms[~zero, None]
+        V[zero, A[zero].argmax(axis=1)] = 1.0
+
+        def block_costs(W):
+            fit = np.bincount(labels[members], row_costs(X, membership, W, spec)[members], n_clusters)
+            return fit + reg.lambda_v * np.abs(W).sum(axis=1) + reg.mu_v * np.einsum("kn,kn->k", W, W)
+
+        # The very first update starts from raw data rows, which are never kept.
+        feasible = full & (np.abs(np.einsum("kn,kn->k", previous, previous) - 1.0) <= 1e-9)
+        keep = feasible & (block_costs(V) > block_costs(previous))
+        V[keep] = previous[keep]
     return V

@@ -44,10 +44,14 @@ def load_csv(path) -> np.ndarray:
 
     A single header row is auto-detected: if any cell of the first row fails
     to parse as a number, the row is treated as a header. Error coordinates
-    are 1-based file positions (a header counts as row 1).
+    are 1-based file positions (a header counts as row 1). The file is read
+    as UTF-8; a leading byte-order mark is skipped.
     """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
 

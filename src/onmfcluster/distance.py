@@ -7,10 +7,10 @@ discrepancy, plain units for l1).
 
 ``pair_costs`` is the one batched cost kernel: it returns the coefficient and
 distance of every (row, centroid) pair as two M x K matrices, and assignment,
-``plusplus`` seeding, empty-cluster reseeding and the CLI's reported
-distances all read from it. The scalar functions remain the paper-level
-definitions and the oracles the kernel is tested against; the closed-form and
-angle-form variants of the l2 distance cross-validate the direct one.
+``plusplus`` seeding and the CLI's reported distances read from it. The
+scalar functions remain the paper-level definitions and the oracles the
+kernel is tested against; the closed-form and angle-form variants of the l2
+distance cross-validate the direct one.
 
 These distances are generally not metrics: with a sparsity penalty,
 dist(x, x) can be strictly positive.

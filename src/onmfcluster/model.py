@@ -4,6 +4,9 @@ Cluster membership is stored sparsely as one optional (cluster, coefficient)
 pair per data row, so the pairwise-orthogonality constraint on the membership
 matrix (at most one nonzero per row) holds by construction and cannot be
 violated at runtime.
+
+``row_costs`` is each row's share of the objective; ``objective`` and the
+centroid update's guard and reseeding read it.
 """
 
 from __future__ import annotations
@@ -183,47 +186,49 @@ class FactorizationResult:
         object.__setattr__(self, "objective_trace", _frozen_array(self.objective_trace, float))
 
 
-def objective(X: np.ndarray, membership: Membership, V: np.ndarray, spec: ModelSpec) -> float:
-    """Evaluate the full model objective: data fit plus elastic net penalties.
+def row_costs(X, membership: Membership, V, spec: ModelSpec) -> np.ndarray:
+    """Each row's residual plus its membership penalty.
 
-    The data-fit term is the entrywise absolute sum of X - UV for the l1
-    discrepancy and the squared Frobenius norm for l2. Rows without an
-    assignment (or with a zero coefficient) contribute their full-norm
-    residual. Penalty terms with weight zero are skipped, never evaluated as
-    0 * inf. Raises ``ValueError`` if the objective is not finite.
+    Row m with label k and coefficient u costs D(x_m, u v_k) + lambda_u u +
+    mu_u u^2 (squared norm for l2, absolute sum for l1); a row without an
+    assignment, or with coefficient 0, costs its full norm. For a membership
+    the solver assigned against V this is the distance the assignment chose.
+    Zero-weight penalty terms are skipped, never evaluated as 0 * inf.
     """
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
     if X.ndim != 2 or V.ndim != 2:
         raise ValueError("X and V must be 2-D")
-    if membership.n_rows != X.shape[0]:
-        raise ValueError(f"membership has {membership.n_rows} rows, X has {X.shape[0]}")
-    if membership.n_clusters != V.shape[0]:
-        raise ValueError(f"membership has {membership.n_clusters} clusters, V has {V.shape[0]} rows")
-    if X.shape[1] != V.shape[1]:
-        raise ValueError(f"X has {X.shape[1]} columns, V has {V.shape[1]}")
-
-    # Reconstruction residual; label -1 maps to row 0 with coefficient 0.
+    if (X.shape[0], V.shape[0], X.shape[1]) != (membership.n_rows, membership.n_clusters, V.shape[1]):
+        raise ValueError(
+            f"X {X.shape} and V {V.shape} do not fit a membership of "
+            f"{membership.n_rows} rows and {membership.n_clusters} clusters"
+        )
     coeffs = membership.coefficients
-    rows = np.where(membership.labels >= 0, membership.labels, 0)
-    R = X - coeffs[:, None] * V[rows]
+    R = V[np.maximum(membership.labels, 0)]  # label -1 has coefficient 0
+    R *= coeffs[:, None]
+    np.subtract(X, R, out=R)
+    cost = (np.multiply(R, R, out=R) if spec.discrepancy == "l2" else np.abs(R, out=R)).sum(axis=1)
+    if spec.reg.lambda_u:
+        cost += spec.reg.lambda_u * coeffs
+    if spec.reg.mu_u:
+        cost += spec.reg.mu_u * coeffs * coeffs
+    return cost
 
-    if spec.discrepancy == "l2":
-        fit = float((R * R).sum())
-    else:
-        fit = float(np.abs(R).sum())
 
-    reg = spec.reg
-    penalty = 0.0
-    if reg.lambda_u:
-        penalty += reg.lambda_u * float(coeffs.sum())
-    if reg.mu_u:
-        penalty += reg.mu_u * float((coeffs * coeffs).sum())
-    if reg.lambda_v:
-        penalty += reg.lambda_v * float(np.abs(V).sum())
-    if reg.mu_v:
-        penalty += reg.mu_v * float((V * V).sum())
-    value = fit + penalty
+def objective(X, membership: Membership, V, spec: ModelSpec) -> float:
+    """Evaluate the full model objective: data fit plus elastic net penalties.
+
+    The sum of :func:`row_costs` plus the centroid penalties
+    lambda_v ||V||_1 + mu_v ||V||_F^2, whose zero-weight terms are skipped.
+    Raises ``ValueError`` if the objective is not finite.
+    """
+    V = np.asarray(V, dtype=float)
+    value = float(row_costs(X, membership, V, spec).sum())
+    if spec.reg.lambda_v:
+        value += spec.reg.lambda_v * float(np.abs(V).sum())
+    if spec.reg.mu_v:
+        value += spec.reg.mu_v * float((V * V).sum())
     if not np.isfinite(value):
         raise ValueError(f"objective is {value}: the data or penalty weights overflow float64")
     return value

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 PROBLEM_KINDS = ("quadratic", "weighted_l1")
-DOMAINS = ("nonneg", "strictly_pos")
 
 # Slopes of adjacent affine pieces closer than this are treated as a flat
 # minimizer interval (possible only for mu = 0).
@@ -174,12 +173,10 @@ def weighted_reg_median(v, w, lam: float = 0.0, mu: float = 0.0) -> float:
 
 @dataclass(frozen=True)
 class ScalarProxProblem:
-    """One scalar subproblem instance.
+    """One scalar subproblem instance, minimized over t >= 0.
 
-    ``domain`` records the constraint of the originating subproblem
-    (centroid components use t >= 0, membership coefficients t > 0); both are
-    solved over t >= 0, whose minimum equals the infimum over t > 0 for these
-    convex objectives.
+    Membership coefficients are constrained to t > 0; for these convex
+    objectives the minimum over t >= 0 equals the infimum over t > 0.
     """
 
     kind: str
@@ -187,13 +184,10 @@ class ScalarProxProblem:
     weights: np.ndarray
     l1_weight: float = 0.0
     l2_weight: float = 0.0
-    domain: str = "nonneg"
 
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
             raise ValueError(f"kind must be one of {PROBLEM_KINDS}")
-        if self.domain not in DOMAINS:
-            raise ValueError(f"domain must be one of {DOMAINS}")
         targets, weights = _check_pair(self.targets, self.weights)
         targets.setflags(write=False)
         weights.setflags(write=False)

@@ -8,8 +8,10 @@ non-increasing.
 
 Assignment and ``plusplus`` seeding read every (row, centroid) cost from the
 batched kernel ``distance.pair_costs``: an assignment is the argmin of its
-M x K distance matrix. The scalar ``assign`` and ``coefficient_and_distance``
-remain the paper-level definitions the kernel is tested against.
+M x K distance matrix. The centroid update and the objective read each row's
+cost from ``model.row_costs``. The scalar ``assign`` and
+``coefficient_and_distance`` remain the paper-level definitions the kernel is
+tested against.
 """
 
 from __future__ import annotations

@@ -27,10 +27,9 @@ from onmfcluster import (
     fit,
     fit_history,
     init_centroids,
-    kmedian_history,
-    lloyd_kmeans_history,
     solve_closed_form,
 )
+from reference import kmedian_history, lloyd_kmeans_history
 
 
 @contextlib.contextmanager

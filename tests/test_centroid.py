@@ -120,6 +120,24 @@ class TestUpdateCentroids:
         assert_array_equal(V[1], X[2])  # farthest first
         assert_array_equal(V[2], X[1])
 
+    def test_reseed_ties_go_to_the_lower_row(self):
+        # Rows 0 and 1 both cost 9 against the zero centroid.
+        X = np.array([[3.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
+        m = Membership(np.zeros(3, dtype=int), np.ones(3), 2)
+        V = update_centroids(X, m, 2, ModelSpec("l2", "binary"), previous=np.zeros((2, 2)))
+        assert_array_equal(V[1], X[0])
+
+    @pytest.mark.parametrize("discrepancy", ["l1", "l2"])
+    def test_normalized_zero_candidate_becomes_the_best_unit_vector(self, discrepancy):
+        # lambda_v / 2 = 5 exceeds every component of X^T u = (1, 2, 0.5), so
+        # the thresholded row is zero; e_j of the least negative component of
+        # X^T u - lambda_v / 2 is the exact l2 minimizer on the unit sphere.
+        X = np.array([[1.0, 2.0, 0.5]])
+        m = Membership(np.zeros(1, dtype=int), np.ones(1), 1)
+        spec = ModelSpec(discrepancy, "normalized", RegularizationParams(lambda_v=10.0))
+        V = update_centroids(X, m, 1, spec, previous=np.ones((1, 3)))
+        assert_array_equal(V, [[0.0, 1.0, 0.0]])
+
     def test_zero_coefficient_rows_excluded(self):
         X = np.array([[1.0], [100.0]])
         m = Membership(np.array([0, 0]), np.array([1.0, 0.0]), 1)
@@ -153,3 +171,9 @@ class TestUpdateCentroids:
         m = Membership(np.zeros(1, dtype=int), np.ones(1), 1)
         with pytest.raises(ValueError):
             update_centroids(X, m, 1, ModelSpec(), np.zeros((1, 1)), "explode")
+
+    def test_membership_cluster_count_must_match(self):
+        X = np.array([[1.0], [2.0]])
+        m = Membership(np.zeros(2, dtype=int), np.ones(2), 1)
+        with pytest.raises(ValueError, match="clusters"):
+            update_centroids(X, m, 2, ModelSpec(), np.zeros((2, 1)))

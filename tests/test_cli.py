@@ -68,6 +68,18 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError):
             load_csv(path)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Read with the mark, "\ufeff1" failed to parse and row 1 became a header.
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        assert_array_equal(load_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_non_utf8_bytes_rejected(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"1,2\n3,\xff\n")
+        with pytest.raises(CsvFormatError, match="UTF-8"):
+            load_csv(path)
+
 
 @pytest.fixture
 def toy_csv(tmp_path):
@@ -147,6 +159,19 @@ class TestRun:
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n-3,4\n")
         assert main(["--input", str(path), "--out", str(tmp_path / "o"), "--k", "1"]) == 2
+
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        assert main(["--input", str(path), "--out", str(tmp_path / "o"), "--k", "1"]) == 0
+        assert len((tmp_path / "o" / "assignments.csv").read_text().splitlines()) == 3
+
+    def test_non_utf8_bytes_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1,2\n3,\xff\n")
+        assert main(["--input", str(path), "--out", str(tmp_path / "o"), "--k", "1"]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_duplicate_rows_exit_3(self, tmp_path):
         path = tmp_path / "dup.csv"

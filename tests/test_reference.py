@@ -3,7 +3,7 @@
 import numpy as np
 from numpy.testing import assert_allclose, assert_array_equal
 
-from onmfcluster import kmedian, lloyd_kmeans
+from reference import kmedian, lloyd_kmeans
 
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
 

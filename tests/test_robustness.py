@@ -9,6 +9,7 @@ from onmfcluster import (
     RegularizationParams,
     SolverConfig,
     fit,
+    fit_history,
     objective,
 )
 from onmfcluster.cli import main
@@ -66,3 +67,32 @@ def test_a_rising_step_never_reports_convergence():
         rising += bool(rises.any())
         assert not (rises.size and rises[-1] and res.converged), trial
     assert rising > 0
+
+
+def _normalized_runs():
+    # The fixed reproducer first: at lambda_v = 50 every thresholded mean is zero.
+    yield np.random.default_rng(0).uniform(0, 1, (50, 4)), 3, 1, 50.0, 0.0
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        X = rng.uniform(0, 1, (int(rng.integers(6, 30)), int(rng.integers(1, 5))))
+        lambda_v = float(rng.choice([0.5, 5.0, 50.0]) * rng.uniform(0.5, 2.0))
+        yield X, int(rng.integers(2, 5)), trial, lambda_v, float(rng.uniform(0, 2))
+
+
+@pytest.mark.parametrize("policy", ["reseed_farthest", "keep_previous"])
+@pytest.mark.parametrize("discrepancy", ["l1", "l2"])
+def test_normalized_centroids_stay_on_the_sphere_under_large_lambda_v(discrepancy, policy):
+    # Under a large lambda_v the thresholded candidate row can be all zero;
+    # the update then takes the unit vector e_j of the least negative
+    # component of X^T u - lambda_v / 2, the exact l2 minimizer over
+    # nonnegative unit vectors. Rises under reseed_farthest with lambda_v > 0
+    # are a separate defect, so only keep_previous checks descent.
+    for X, K, seed, lambda_v, mu_v in _normalized_runs():
+        spec = ModelSpec(discrepancy, "normalized", RegularizationParams(lambda_v=lambda_v, mu_v=mu_v))
+        config = SolverConfig(n_clusters=K, seed=seed, max_iter=30, empty_cluster_policy=policy)
+        steps = fit_history(X, spec, config)
+        for step in steps:
+            assert np.allclose(np.linalg.norm(step.centroids, axis=1), 1.0, atol=1e-12), (seed, lambda_v)
+        if policy == "keep_previous":
+            trace = np.array([s.objective for s in steps])
+            assert (np.diff(trace) <= 1e-10 * trace[:-1]).all(), (seed, lambda_v, trace)

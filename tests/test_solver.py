@@ -15,9 +15,8 @@ from onmfcluster import (
     fit,
     fit_history,
     init_centroids,
-    kmedian_history,
-    lloyd_kmeans_history,
 )
+from reference import kmedian_history, lloyd_kmeans_history
 
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
 

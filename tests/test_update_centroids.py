@@ -1,0 +1,178 @@
+"""The batched centroid update and the shared per-row cost against their oracles.
+
+``update_centroids`` updates all clusters in one pass; these properties check
+it cluster by cluster against ``centroid_l2``/``centroid_l1`` (projected onto
+the unit sphere in normalized mode), check the normalized-mode guard and the
+reseeding of empty clusters, and check ``row_costs`` against a per-row
+residual and against the distances the assignment chose, in all six
+(discrepancy, mode) cells. Memberships include unlabelled rows and labelled
+rows with coefficient 0.
+"""
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.testing import assert_allclose, assert_array_equal
+
+from onmfcluster import (
+    Membership,
+    ModelSpec,
+    RegularizationParams,
+    centroid_l1,
+    centroid_l2,
+    update_centroids,
+)
+from onmfcluster.centroid import EMPTY_CLUSTER_POLICIES
+from onmfcluster.distance import pair_costs
+from onmfcluster.model import row_costs
+
+CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
+ENTRIES = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+COEFFICIENTS = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-2, 5.0))
+PENALTIES = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 5.0))
+# Large centroid penalties threshold whole rows to zero, which in normalized
+# mode exercises the e_j fallback.
+LAMBDA_V = st.one_of(PENALTIES, st.floats(5.0, 100.0))
+PROPERTY = settings(max_examples=150, deadline=None)
+TOL = 1e-9
+
+
+def _with_zero_rows(draw, shape):
+    A = draw(arrays(float, shape, elements=ENTRIES))
+    A[draw(arrays(bool, shape[0]))] = 0.0
+    return A
+
+
+def _spec(draw, discrepancy, mode, lambda_v=0.0, mu_v=0.0):
+    lambda_u = mu_u = 0.0
+    if mode == "c1_free":
+        lambda_u, mu_u = draw(PENALTIES), draw(PENALTIES)
+    return ModelSpec(discrepancy, mode, RegularizationParams(lambda_u, lambda_v, mu_u, mu_v))
+
+
+@st.composite
+def updates(draw):
+    discrepancy, mode = draw(st.sampled_from(CELLS))
+    M, N, K = draw(st.integers(1, 10)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    spec = _spec(draw, discrepancy, mode, draw(LAMBDA_V), draw(PENALTIES))
+    X = _with_zero_rows(draw, (M, N))
+    labels = draw(arrays(np.int64, M, elements=st.integers(-1, K - 1)))
+    elements = st.sampled_from([0.0, 1.0]) if mode == "binary" else COEFFICIENTS
+    coeffs = draw(arrays(float, M, elements=elements))
+    coeffs[labels < 0] = 0.0
+    previous = _with_zero_rows(draw, (K, N))
+    if mode == "normalized":
+        # Some previous rows feasible (unit norm), some raw, as after seeding.
+        norms = np.linalg.norm(previous, axis=1)
+        unit = draw(arrays(bool, K)) & (norms > 0)
+        previous[unit] /= norms[unit, None]
+    policy = draw(st.sampled_from(EMPTY_CLUSTER_POLICIES))
+    return X, Membership(labels, coeffs, K), spec, previous, policy
+
+
+def _row_cost(x, u, v, spec):
+    r = x - u * v
+    fit = float(r @ r) if spec.discrepancy == "l2" else float(np.abs(r).sum())
+    return fit + spec.reg.lambda_u * u + spec.reg.mu_u * u * u
+
+
+def _block_cost(X_k, u_k, v, spec):
+    fit = sum(_row_cost(x, u, v, spec) for x, u in zip(X_k, u_k))
+    return fit + spec.reg.lambda_v * float(np.abs(v).sum()) + spec.reg.mu_v * float(v @ v)
+
+
+def _on_sphere(row, a):
+    """Every unit-sphere image of ``row`` that the update may return.
+
+    A positive row has one, its projection. A zero row maps to e_j for a
+    maximal a_j; near-ties of a may resolve either way under rounding.
+    """
+    norm = float(np.linalg.norm(row))
+    if norm > 0.0:
+        return [row / norm]
+    eye = np.eye(a.size)
+    return [eye[j] for j in np.flatnonzero(a >= a.max() - TOL * max(1.0, abs(a).max()))]
+
+
+def _assert_one_of(v, options):
+    assert any(np.allclose(v, o, rtol=TOL, atol=TOL) for o in options), (v, options)
+
+
+@PROPERTY
+@given(updates())
+def test_update_matches_the_per_cluster_definitions(update):
+    X, membership, spec, previous, policy = update
+    K, N = previous.shape
+    V = update_centroids(X, membership, K, spec, previous, policy)
+    labels, coeffs = membership.labels, membership.coefficients
+    normalized = spec.constraint_mode == "normalized"
+    centroid = centroid_l2 if spec.discrepancy == "l2" else centroid_l1
+    lambda_v, mu_v = spec.reg.lambda_v, spec.reg.mu_v
+    members = coeffs > 0
+    empty = [k for k in range(K) if not (members & (labels == k)).any()]
+
+    for k in sorted(set(range(K)) - set(empty)):
+        rows = members & (labels == k)
+        X_k, u_k = X[rows], coeffs[rows]
+        candidate = centroid(X_k, u_k, lambda_v, mu_v)
+        if not normalized:
+            assert_allclose(V[k], candidate, rtol=TOL, atol=TOL)
+            continue
+        options = _on_sphere(candidate, X_k.T @ u_k - lambda_v / 2.0)
+        prev_cost = _block_cost(X_k, u_k, previous[k], spec)
+        feasible = abs(float(previous[k] @ previous[k]) - 1.0) <= 1e-9
+        if feasible and np.array_equal(V[k], previous[k]):
+            # The guard kept the previous row: the candidate was no better.
+            cost = max(_block_cost(X_k, u_k, o, spec) for o in options)
+            assert cost >= prev_cost - TOL * max(1.0, cost)
+            continue
+        _assert_one_of(V[k], options)
+        if feasible:
+            cost = _block_cost(X_k, u_k, V[k], spec)
+            assert cost <= prev_cost + TOL * max(1.0, cost)
+
+    # Empty clusters: the rows of largest cost against previous, lower index
+    # first on ties, one per cluster; the remaining ones keep previous.
+    order = []
+    if policy == "reseed_farthest":
+        costs = row_costs(X, membership, previous, spec)
+        order = sorted(range(X.shape[0]), key=lambda m: (-costs[m], m))
+    sources = [X[m] for m in order[: len(empty)]] + [previous[k] for k in empty[len(order):]]
+    no_members = np.full(N, -lambda_v / 2.0)
+    for k, source in zip(empty, sources):
+        if normalized:
+            _assert_one_of(V[k], _on_sphere(source, no_members))
+        else:
+            assert_array_equal(V[k], source)
+
+
+@st.composite
+def assignments(draw):
+    discrepancy, mode = draw(st.sampled_from(CELLS))
+    N = draw(st.integers(1, 4))
+    X = _with_zero_rows(draw, (draw(st.integers(1, 10)), N))
+    V = _with_zero_rows(draw, (draw(st.integers(1, 4)), N))
+    return X, V, _spec(draw, discrepancy, mode)
+
+
+@PROPERTY
+@given(assignments())
+def test_row_costs_are_the_residuals_the_assignment_chose(problem):
+    X, V, spec = problem
+    T, D = pair_costs(X, V, spec)
+    rows = np.arange(X.shape[0])
+    labels = D.argmin(axis=1)
+    assigned = np.isfinite(D[rows, labels])
+    labels = np.where(assigned, labels, -1)
+    coeffs = np.where(assigned, T[rows, np.maximum(labels, 0)], 0.0)
+    membership = Membership(labels, coeffs, V.shape[0])
+    costs = row_costs(X, membership, V, spec)
+    for m in rows:
+        v = V[labels[m]] if labels[m] >= 0 else np.zeros(X.shape[1])
+        assert abs(costs[m] - _row_cost(X[m], coeffs[m], v, spec)) <= 1e-12 * max(1.0, costs[m])
+        if assigned[m]:
+            full = float(X[m] @ X[m]) if spec.discrepancy == "l2" else float(X[m].sum())
+            assert abs(costs[m] - D[m, labels[m]]) <= 1e-12 * max(1.0, full)
