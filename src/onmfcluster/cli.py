@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .distance import DegenerateCentroidError, NoValidCentroidError, own_distances
-from .model import ModelSpec, RegularizationParams
+from .distance import DegenerateCentroidError, NoValidCentroidError
+from .model import ModelSpec, RegularizationParams, row_costs
 from .solver import DuplicateRowsError, SolverConfig, fit
 
 FORMAT_VERSION = 1
@@ -95,15 +95,10 @@ class RunManifest:
     output_dir: str
     spec: ModelSpec
     config: SolverConfig
-    format_version: int = FORMAT_VERSION
-
-    def __post_init__(self):
-        if self.format_version != FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {self.format_version}")
 
     def to_dict(self) -> dict:
         return {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "input": self.input_path,
             "out": self.output_dir,
             "k": self.config.n_clusters,
@@ -131,15 +126,14 @@ def run(manifest: RunManifest) -> int:
     """Execute one clustering run and write the result files.
 
     Writes assignments.csv, centroids.csv, trace.csv, and run.json into the
-    output directory. Reported distances are computed against the returned
-    centroids; at convergence they equal the final assignment distances.
+    output directory. Each row's reported distance is its share of the final
+    objective, ``model.row_costs`` at the reported cluster, coefficient and
+    centroids: the column sums, with the centroid penalties, to the last
+    trace value.
     """
     try:
         X = load_csv(manifest.input_path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CsvFormatError as exc:
+    except (OSError, CsvFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -158,7 +152,7 @@ def run(manifest: RunManifest) -> int:
     out.mkdir(parents=True, exist_ok=True)
     labels, coeffs = result.membership.labels, result.membership.coefficients
     V = result.centroids
-    dist = own_distances(X, V, labels, manifest.spec)
+    dist = row_costs(X, result.membership, V, manifest.spec)
 
     with open(out / "assignments.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -6,11 +6,11 @@ and the distance is the attained minimum (squared units for the l2
 discrepancy, plain units for l1).
 
 ``pair_costs`` is the one batched cost kernel: it returns the coefficient and
-distance of every (row, centroid) pair as two M x K matrices, and assignment,
-``plusplus`` seeding and the CLI's reported distances read from it. The
-scalar functions remain the paper-level definitions and the oracles the
-kernel is tested against; the closed-form and angle-form variants of the l2
-distance cross-validate the direct one.
+distance of every (row, centroid) pair as two M x K matrices, and assignment
+and ``plusplus`` seeding read from it. The scalar functions remain the
+paper-level definitions and the oracles the kernel is tested against; the
+closed-form and angle-form variants of the l2 distance cross-validate the
+direct one.
 
 These distances are generally not metrics: with a sparsity penalty,
 dist(x, x) can be strictly positive.
@@ -201,20 +201,6 @@ def pair_costs(X, V, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
         T[lo:lo + step] = t
         D[lo:lo + step] = np.abs(x - t[:, :, None] * W).sum(axis=2) + mu * t * t + lam * t
     return T, D
-
-
-def own_distances(X, V, labels, spec: ModelSpec) -> np.ndarray:
-    """Distance of every row to its own centroid row ``V[labels[m]]``.
-
-    A row without a label (-1) or whose centroid is degenerate gets the
-    distance of coefficient 0: ||x||^2 for l2, ||x||_1 for l1.
-    """
-    X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels)
-    _, D = pair_costs(X, V, spec)
-    own = np.where(labels >= 0, D[np.arange(X.shape[0]), labels], np.inf)
-    full = np.einsum("mn,mn->m", X, X) if spec.discrepancy == "l2" else np.abs(X).sum(axis=1)
-    return np.where(np.isinf(own), full, own)
 
 
 def assign(x, V, spec: ModelSpec) -> tuple[int, float, float]:

@@ -5,12 +5,13 @@ pair per data row, so the pairwise-orthogonality constraint on the membership
 matrix (at most one nonzero per row) holds by construction and cannot be
 violated at runtime.
 
-``row_costs`` is each row's share of the objective; ``objective`` and the
-centroid update's guard and reseeding read it.
+``row_costs`` is each row's share of the objective; ``objective``, the
+centroid update's guard and reseeding, and the CLI's distance column read it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -129,8 +130,9 @@ class RegularizationParams:
 
     def __post_init__(self):
         for name in ("lambda_u", "lambda_v", "mu_u", "mu_v"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)

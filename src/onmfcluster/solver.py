@@ -4,7 +4,8 @@ Each iteration assigns every data row to its best centroid (exact scalar
 minimization of the membership coefficient), recomputes the centroids from
 the new memberships, and records the objective. Both block updates are exact
 minimizers of their subproblems, so the recorded objective trace is
-non-increasing.
+non-increasing. The iterations are streamed: ``fit`` keeps only the previous
+step and the objective trace, and ``fit_history`` alone keeps every step.
 
 Assignment and ``plusplus`` seeding read every (row, centroid) cost from the
 batched kernel ``distance.pair_costs``: an assignment is the argmin of its
@@ -16,6 +17,7 @@ tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -56,8 +58,8 @@ class SolverConfig:
             raise ValueError("n_clusters must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not math.isfinite(self.tol) or self.tol < 0:
+            raise ValueError(f"tol must be finite and nonnegative, got {self.tol}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.init not in INIT_METHODS:
@@ -135,48 +137,37 @@ def _nearest(X: np.ndarray, V: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray,
     return labels, T[rows, labels]
 
 
-def _iterations(X: np.ndarray, spec: ModelSpec, config: SolverConfig) -> Iterator[FitStep]:
+def _steps(X: np.ndarray, spec: ModelSpec, config: SolverConfig) -> Iterator[tuple[FitStep, bool]]:
+    """Each iteration's step and whether it ends the run as converged.
+
+    Only the previous step is kept, so a run's memory does not grow with its
+    iteration count.
+    """
     K = config.n_clusters
     V = init_centroids(X, config, spec)
-    prev_labels = np.full(X.shape[0], -1, dtype=np.int64)
-
+    prev = None
     for _ in range(config.max_iter):
         labels, coeffs = _nearest(X, V, spec)
         zero = coeffs == 0.0
-        if config.zero_row_policy == "keep_last_cluster":
-            labels = np.where(zero & (prev_labels >= 0), prev_labels, labels)
-        else:
+        if config.zero_row_policy == "exclude":
             labels = np.where(zero, -1, labels)
+        elif prev is not None:
+            labels = np.where(zero & (prev.membership.labels >= 0), prev.membership.labels, labels)
         membership = Membership(labels, coeffs, K)
         V = update_centroids(X, membership, K, spec, V, config.empty_cluster_policy)
-        yield FitStep(membership, V, objective(X, membership, V, spec))
-        prev_labels = labels
-
-
-def _same_assignments(a: Membership, b: Membership) -> bool:
-    return np.array_equal(a.labels, b.labels) and np.array_equal(a.coefficients, b.coefficients)
-
-
-def _run(X: np.ndarray, spec: ModelSpec, config: SolverConfig) -> tuple[list[FitStep], bool]:
-    if config.n_clusters > X.shape[0]:
-        raise ValueError(
-            f"n_clusters = {config.n_clusters} exceeds the {X.shape[0]} data rows"
-        )
-    steps: list[FitStep] = []
-    for step in _iterations(X, spec, config):
-        steps.append(step)
-        if len(steps) < 2:
-            continue
-        prev = steps[-2]
+        step = FitStep(membership, V, objective(X, membership, V, spec))
+        converged = False
         # A rise is never convergence, whatever else repeats.
-        if step.objective > prev.objective:
-            continue
-        if _same_assignments(prev.membership, step.membership):
-            return steps, True
-        rel = 0.0 if prev.objective <= 0.0 else (prev.objective - step.objective) / prev.objective
-        if rel < config.tol:
-            return steps, True
-    return steps, False
+        if prev is not None and step.objective <= prev.objective:
+            repeated = np.array_equal(membership.labels, prev.membership.labels) and np.array_equal(
+                coeffs, prev.membership.coefficients
+            )
+            rel = 0.0 if prev.objective <= 0.0 else (prev.objective - step.objective) / prev.objective
+            converged = repeated or rel < config.tol
+        yield step, converged
+        if converged:
+            return
+        prev = step
 
 
 def fit_history(X, spec: ModelSpec, config: SolverConfig) -> list[FitStep]:
@@ -187,7 +178,7 @@ def fit_history(X, spec: ModelSpec, config: SolverConfig) -> list[FitStep]:
     iterations, whichever comes first. An iteration that raises the
     objective never ends it as converged.
     """
-    return _run(as_data_matrix(X), spec, config)[0]
+    return [step for step, _ in _steps(as_data_matrix(X), spec, config)]
 
 
 def fit(X, spec: ModelSpec, config: SolverConfig) -> FactorizationResult:
@@ -203,14 +194,15 @@ def fit(X, spec: ModelSpec, config: SolverConfig) -> FactorizationResult:
         matrix, per-iteration objective trace, and convergence metadata.
         Hitting ``max_iter`` is reported via ``converged=False``, not raised.
     """
-    steps, converged = _run(as_data_matrix(X), spec, config)
-    last = steps[-1]
+    trace = []
+    for last, converged in _steps(as_data_matrix(X), spec, config):
+        trace.append(last.objective)
     unassigned = frozenset(int(m) for m in np.nonzero(last.membership.coefficients == 0.0)[0])
     return FactorizationResult(
         membership=last.membership,
         centroids=last.centroids,
-        objective_trace=np.array([s.objective for s in steps]),
-        iterations=len(steps),
+        objective_trace=np.array(trace),
+        iterations=len(trace),
         converged=converged,
         unassigned_rows=unassigned,
     )

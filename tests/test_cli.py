@@ -14,7 +14,7 @@ from onmfcluster.cli import (
     main,
     run,
 )
-from onmfcluster.model import ModelSpec
+from onmfcluster.model import Membership, ModelSpec, RegularizationParams, row_costs
 from onmfcluster.solver import SolverConfig
 
 TOY = "0,0\n0,1\n10,10\n10,11\n"
@@ -182,12 +182,48 @@ class TestRun:
         code = main(_toy_args(toy_csv, tmp_path / "o", "--lambda-u", "1.0"))
         assert code == 2
 
-    def test_unsupported_format_version(self, toy_csv, tmp_path):
-        with pytest.raises(ValueError):
-            RunManifest(
-                input_path=str(toy_csv),
-                output_dir=str(tmp_path),
-                spec=ModelSpec(),
-                config=SolverConfig(n_clusters=1),
-                format_version=2,
-            )
+
+def _distance_cases():
+    penalized = ["--lambda-v", "0.3", "--mu-v", "0.2"]
+    for discrepancy in ("l1", "l2"):
+        for mode in ("c1-free", "normalized", "binary"):
+            yield discrepancy, mode, ["--max-iter", "1", *penalized]
+            yield discrepancy, mode, penalized
+        membership_penalty = ["--lambda-u", "4", "--mu-u", "0.5", *penalized]
+        for extra in (["--max-iter", "1"], [], ["--zero-row", "exclude"]):
+            yield discrepancy, "c1-free", [*membership_penalty, *extra]
+
+
+@pytest.mark.parametrize("discrepancy, mode, extra", list(_distance_cases()))
+def test_distance_column_is_each_rows_share_of_the_objective(tmp_path, discrepancy, mode, extra):
+    rng = np.random.default_rng(5)
+    # Two tiny rows, which lambda_u = 4 thresholds to coefficient 0 under
+    # both discrepancies.
+    X = np.vstack([rng.uniform(0, 10, (40, 3)), [[0.01, 0.0, 0.0], [0.0, 0.02, 0.0]]])
+    path = tmp_path / "x.csv"
+    np.savetxt(path, X, fmt="%.17g", delimiter=",")
+    out = tmp_path / "out"
+    argv = ["--input", str(path), "--out", str(out), "--k", "3", "--seed", "2",
+            "--discrepancy", discrepancy, "--mode", mode, *extra]
+    assert main(argv) == 0
+
+    table = np.loadtxt(out / "assignments.csv", delimiter=",", skiprows=1, ndmin=2)
+    V = load_csv(out / "centroids.csv")
+    trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1, ndmin=2)[:, 1]
+    report = json.loads((out / "run.json").read_text())
+    spec = ModelSpec(
+        discrepancy, report["mode"],
+        RegularizationParams(report["lambda_u"], report["lambda_v"], report["mu_u"], report["mu_v"]),
+    )
+    membership = Membership(table[:, 1].astype(np.int64), table[:, 2], V.shape[0])
+    dist = table[:, 3]
+
+    assert_array_equal(dist, row_costs(X, membership, V, spec))
+    penalty_v = spec.reg.lambda_v * np.abs(V).sum() + spec.reg.mu_v * (V * V).sum()
+    assert_allclose(dist.sum() + penalty_v, trace[-1], rtol=1e-12, atol=0)
+    zero = membership.coefficients == 0.0
+    full = (X * X).sum(axis=1) if discrepancy == "l2" else X.sum(axis=1)
+    assert_allclose(dist[zero], full[zero], rtol=1e-15, atol=0)
+    assert_array_equal(table[:, 4], zero)
+    if "--lambda-u" in extra:
+        assert zero[-2:].all()

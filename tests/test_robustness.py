@@ -96,3 +96,27 @@ def test_normalized_centroids_stay_on_the_sphere_under_large_lambda_v(discrepanc
         if policy == "keep_previous":
             trace = np.array([s.objective for s in steps])
             assert (np.diff(trace) <= 1e-10 * trace[:-1]).all(), (seed, lambda_v, trace)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_tol_and_penalty_weights_are_rejected(value):
+    # A NaN tol used to pass the "< 0" check and silently disable the
+    # tolerance; an infinite weight ran a whole fit before overflowing.
+    with pytest.raises(ValueError, match="tol must be finite"):
+        SolverConfig(n_clusters=2, tol=value)
+    for name in ("lambda_u", "lambda_v", "mu_u", "mu_v"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RegularizationParams(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "nan"), ("--tol", "inf"), ("--mu-u", "inf"), ("--lambda-v", "nan")],
+)
+def test_cli_exits_2_on_non_finite_tol_and_penalty_weights(tmp_path, capsys, flag, value):
+    path = tmp_path / "x.csv"
+    path.write_text("1,2\n3,4\n5,7\n")
+    argv = ["--input", str(path), "--out", str(tmp_path / "o"), "--k", "2", flag, value]
+    assert main(argv) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

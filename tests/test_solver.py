@@ -1,6 +1,7 @@
 """Unit tests for initialization and the alternating-minimization driver."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,3 +236,47 @@ class TestZeroRows:
         X, spec = self._sparse_setup()
         res = fit(X, spec, SolverConfig(n_clusters=2, seed=1))
         assert res.unassigned_rows == {4}
+
+
+class TestStreamedRun:
+    @pytest.mark.parametrize(
+        "stop, spec, config",
+        [
+            ("assignments_repeated", ModelSpec("l2", "binary"), SolverConfig(n_clusters=4, seed=3, tol=0.0)),
+            ("tol", ModelSpec("l2", "c1_free", RegularizationParams(lambda_u=1.0, mu_v=0.5)),
+             SolverConfig(n_clusters=4, seed=3, tol=1e-4)),
+            ("max_iter", ModelSpec("l1", "c1_free", RegularizationParams(0.5, 0.2, 0.1, 0.3)),
+             SolverConfig(n_clusters=4, seed=3, max_iter=3, tol=0.0)),
+        ],
+    )
+    def test_fit_is_the_last_step_of_fit_history(self, stop, spec, config):
+        X = np.random.default_rng(30).uniform(0, 10, (200, 3))
+        res = fit(X, spec, config)
+        steps = fit_history(X, spec, config)
+        last, before = steps[-1], steps[-2]
+        repeated = np.array_equal(last.membership.labels, before.membership.labels) and np.array_equal(
+            last.membership.coefficients, before.membership.coefficients
+        )
+        assert repeated == (stop == "assignments_repeated")
+        assert (len(steps) == config.max_iter) == (stop == "max_iter")
+        assert res.converged == (stop != "max_iter")
+
+        assert res.iterations == len(steps)
+        assert_array_equal(res.objective_trace, [s.objective for s in steps])
+        assert_array_equal(res.membership.labels, last.membership.labels)
+        assert_array_equal(res.membership.coefficients, last.membership.coefficients)
+        assert_array_equal(res.centroids, last.centroids)
+
+    def test_peak_memory_does_not_grow_with_iterations(self):
+        X = np.random.default_rng(0).uniform(0, 1, (5000, 4))
+        spec = ModelSpec("l2", "c1_free", RegularizationParams(lambda_u=1.0, mu_v=0.5))
+        peaks = []
+        for max_iter in (20, 200):
+            tracemalloc.start()
+            try:
+                res = fit(X, spec, SolverConfig(n_clusters=3, max_iter=max_iter, tol=0.0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert res.iterations == max_iter
+        assert peaks[1] - peaks[0] < 2**20, peaks
