@@ -1,14 +1,15 @@
 """Command-line front end: CSV in, clustering run, CSV/JSON out.
 
 Exit codes: 0 on success, 2 for input errors (unreadable or malformed CSV,
-invalid parameters), 3 for solver degeneracy (duplicate rows at seeding, no
-valid centroid).
+invalid parameters, an output path that cannot be written), 3 for solver
+degeneracy (duplicate rows at seeding, no valid centroid).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .distance import DegenerateCentroidError, NoValidCentroidError
-from .model import ModelSpec, RegularizationParams, row_costs
+from .model import FactorizationResult, ModelSpec, RegularizationParams, row_costs
 from .solver import DuplicateRowsError, SolverConfig, fit
 
 FORMAT_VERSION = 1
@@ -42,11 +43,76 @@ class NegativeEntryError(CsvFormatError):
 def load_csv(path) -> np.ndarray:
     """Read a rectangular nonnegative numeric CSV into an M x N matrix.
 
-    A single header row is auto-detected: if any cell of the first row fails
-    to parse as a number, the row is treated as a header. Error coordinates
-    are 1-based file positions (a header counts as row 1). The file is read
-    as UTF-8; a leading byte-order mark is skipped.
+    Values are read as Python's ``float()`` reads them. A single header row
+    is auto-detected: if any cell of the first row fails to parse as a
+    number, the row is treated as a header. Error coordinates are 1-based
+    file positions (a header counts as row 1). The file is read as UTF-8; a
+    leading byte-order mark is skipped.
+
+    The file is parsed in one streaming ``np.loadtxt`` pass, which agrees
+    with ``float()`` on every file it accepts. A file it rejects, or whose
+    values are not all finite and nonnegative, is read again by a
+    cell-by-cell scan. The scan builds one Python string per cell, which
+    takes several times as long and about nine times the array's memory, so
+    it runs only to name the faulty cell, or to accept what ``float()``
+    takes but numpy does not (``1_0``, non-ASCII digits). Only the scan
+    applies the csv module's field size limit; a longer field is a
+    :class:`CsvFormatError`.
     """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            data = _parse(fh)
+        return _scan(path) if data is None else data
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: {exc}") from None
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse(fh) -> np.ndarray | None:
+    """The matrix of an open CSV file, or None where the scan must judge it.
+
+    The header test is the scan's. The file lines of the first data record,
+    which that test has already read, go to ``np.loadtxt`` ahead of the rest
+    of the file.
+    """
+    lines = []  # the file lines of the record read last
+    records = csv.reader(lines.append(line) or line for line in fh)
+
+    def next_row():
+        while True:
+            lines.clear()
+            row = next(records, None)
+            if row != []:
+                return row
+
+    try:
+        row = next_row()
+        if row is not None and not all(_is_number(c) for c in row):
+            row = next_row()
+        # Empty and header-only files go to the scan, which names them;
+        # loadtxt would only warn that it found no data.
+        if row is None:
+            return None
+        data = np.loadtxt(
+            itertools.chain(lines, fh), dtype=np.float64, delimiter=",",
+            comments=None, quotechar='"', ndmin=2,
+        )
+    except (ValueError, csv.Error):
+        return None
+    if not np.isfinite(data).all() or (data < 0).any():
+        return None
+    return data
+
+
+def _scan(path) -> np.ndarray:
+    """Read the file cell by cell, naming the first faulty cell."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
@@ -117,9 +183,12 @@ class RunManifest:
         }
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trip every float64 exactly.
-    return format(float(x), ".17g")
+def _write_csv(path: Path, header: str | None, fmt: str, rows) -> None:
+    """Write ``fmt % row`` per row below an optional header, CRLF-terminated."""
+    lines = [] if header is None else [header]
+    lines += [fmt % tuple(row) for row in rows]
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(line + "\r\n" for line in lines))
 
 
 def run(manifest: RunManifest) -> int:
@@ -148,29 +217,36 @@ def run(manifest: RunManifest) -> int:
         return 2
     elapsed = time.perf_counter() - started
 
-    out = Path(manifest.output_dir)
+    try:
+        _write_results(Path(manifest.output_dir), X, result, manifest, elapsed)
+    except OSError as exc:
+        print(f"error: cannot write the results: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _write_results(
+    out: Path, X: np.ndarray, result: FactorizationResult, manifest: RunManifest, elapsed: float
+) -> None:
     out.mkdir(parents=True, exist_ok=True)
     labels, coeffs = result.membership.labels, result.membership.coefficients
     V = result.centroids
     dist = row_costs(X, result.membership, V, manifest.spec)
+    unassigned = np.zeros(X.shape[0], dtype=np.int64)
+    unassigned[list(result.unassigned_rows)] = 1
 
-    with open(out / "assignments.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_index", "cluster", "coefficient", "distance", "unassigned"])
-        for m in range(X.shape[0]):
-            unassigned = int(m in result.unassigned_rows)
-            writer.writerow([m, int(labels[m]), _fmt(coeffs[m]), _fmt(dist[m]), unassigned])
-
-    with open(out / "centroids.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for k in range(V.shape[0]):
-            writer.writerow([_fmt(v) for v in V[k]])
-
-    with open(out / "trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "objective"])
-        for i, value in enumerate(result.objective_trace, start=1):
-            writer.writerow([i, _fmt(value)])
+    # 17 significant digits round-trip every float64 exactly.
+    _write_csv(
+        out / "assignments.csv",
+        "row_index,cluster,coefficient,distance,unassigned",
+        "%d,%d,%.17g,%.17g,%d",
+        zip(range(X.shape[0]), labels.tolist(), coeffs.tolist(), dist.tolist(), unassigned.tolist()),
+    )
+    _write_csv(out / "centroids.csv", None, ",".join(["%.17g"] * V.shape[1]), V.tolist())
+    _write_csv(
+        out / "trace.csv", "iteration,objective", "%d,%.17g",
+        enumerate(result.objective_trace.tolist(), start=1),
+    )
 
     report = manifest.to_dict()
     report.update(
@@ -183,7 +259,6 @@ def run(manifest: RunManifest) -> int:
     with open(out / "run.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return 0
 
 
 _MODE_FLAGS = {"c1-free": "c1_free", "normalized": "normalized", "binary": "binary"}

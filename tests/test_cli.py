@@ -80,6 +80,12 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="UTF-8"):
             load_csv(path)
 
+    def test_field_over_the_csv_size_limit_rejected(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("0" * 200000 + "1,3\n")
+        with pytest.raises(CsvFormatError, match="field larger than field limit"):
+            load_csv(path)
+
 
 @pytest.fixture
 def toy_csv(tmp_path):
@@ -172,6 +178,55 @@ class TestRun:
         assert main(["--input", str(path), "--out", str(tmp_path / "o"), "--k", "1"]) == 2
         assert "UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_field_over_the_csv_size_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("0" * 200000 + "1,3\n")
+        assert main(["--input", str(path), "--out", str(tmp_path / "o"), "--k", "1"]) == 2
+        assert "field limit" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_naming_a_file_exits_2(self, toy_csv, tmp_path, capsys, under):
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        out = afile / "sub" if under else afile
+        assert main(["--input", str(toy_csv), "--out", str(out), "--k", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert afile.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "toy.csv"]
+
+    def test_unwritable_result_file_exits_2(self, toy_csv, tmp_path, capsys):
+        (tmp_path / "o" / "trace.csv").mkdir(parents=True)
+        assert main(["--input", str(toy_csv), "--out", str(tmp_path / "o"), "--k", "2"]) == 2
+        assert "trace.csv" in capsys.readouterr().err
+
+    def test_result_files_are_byte_stable(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("0,0\n0,1\n10,10\n10,11.5\n0.25,0\n")
+        out = tmp_path / "out"
+        argv = ["--input", str(path), "--out", str(out), "--k", "2", "--seed", "7",
+                "--lambda-u", "1", "--lambda-v", "0.5", "--mu-v", "0.25", "--max-iter", "4"]
+        assert main(argv) == 0
+        assert (out / "assignments.csv").read_bytes() == (
+            b"row_index,cluster,coefficient,distance,unassigned\r\n"
+            b"0,0,0,0,1\r\n"
+            b"1,1,0.069493128942890919,0.5133584247055436,0\r\n"
+            b"2,0,1.5755569370501636,3.8173905664360115,0\r\n"
+            b"3,1,1.4916504762310603,4.5441938462845402,0\r\n"
+            b"4,0,0.013519616977113414,0.049426645486097237,0\r\n"
+        )
+        assert (out / "centroids.csv").read_bytes() == (
+            b"5.6756065430627158,5.6743696438825122\r\n"
+            b"5.9142698835069529,6.844555358688317\r\n"
+        )
+        assert (out / "trace.csv").read_bytes() == (
+            b"iteration,objective\r\n"
+            b"1,125.96423156178395\r\n"
+            b"2,98.298249060506677\r\n"
+            b"3,71.329697563551065\r\n"
+            b"4,57.538146897526936\r\n"
+        )
 
     def test_duplicate_rows_exit_3(self, tmp_path):
         path = tmp_path / "dup.csv"
