@@ -5,10 +5,14 @@ takes weighted regularized medians; they are the paper-level definitions and
 the oracles ``update_centroids`` is tested against. ``update_centroids``
 updates every cluster in one batched pass: under l2 all thresholded means
 come from one product U^T X, under l1 the rows are grouped by label once and
-each cluster takes one batched median sweep. Empty clusters are resolved by
-the configured policy, and in normalized mode every row is projected onto
-the unit sphere once. Reseeding and the normalized-mode guard read each
-row's cost from ``model.row_costs``, the cost the objective sums.
+each cluster takes one batched median sweep. With unit weights and no
+centroid penalties, as in K-median, the sweep's value is the plain column
+median, read off one stable sort of the cluster's rows instead. Empty
+clusters are resolved by the configured policy, and in normalized mode every
+row is projected onto the unit sphere once. Under l2 that projection is the
+exact minimizer; under l1 a guard keeps the previous row where it is not.
+Reseeding and the guard read each row's cost from ``model.row_costs``, the
+cost the objective sums.
 """
 
 from __future__ import annotations
@@ -54,6 +58,19 @@ def centroid_l1(X_k, u_k, lambda_v: float = 0.0, mu_v: float = 0.0) -> np.ndarra
     return _weighted_reg_medians(X_k.T, u_k, lambda_v, mu_v)
 
 
+def _median(X_k: np.ndarray) -> np.ndarray:
+    """Column medians of X_k, the two middle values' midpoint for even counts.
+
+    A stable sort puts equal values, 0.0 and -0.0 included, in row order as
+    the sweep's stable argsort does, so these are the unit-weight,
+    unpenalized ``_weighted_reg_medians`` values bit for bit.
+    """
+    n = X_k.shape[0]
+    h = n // 2
+    S = np.sort(X_k, axis=0, kind="stable")
+    return S[h] if n % 2 else 0.5 * (S[h - 1] + S[h])
+
+
 def update_centroids(
     X,
     membership: Membership,
@@ -72,7 +89,8 @@ def update_centroids(
     normalized mode every row is projected onto the unit sphere; a zero row
     becomes e_j for the largest component j of X^T u_k - lambda_v / 2, the
     exact l2 minimizer over nonnegative unit vectors when none is positive.
-    The projection is not exact under l1, so a unit-norm previous row is kept
+    Under l2 that projection is the exact minimizer over nonnegative unit
+    rows. It is not exact under l1, so there a unit-norm previous row is kept
     whenever the candidate would increase its cluster's cost.
     """
     if empty_cluster_policy not in EMPTY_CLUSTER_POLICIES:
@@ -102,8 +120,12 @@ def update_centroids(
         rows = np.flatnonzero(members)
         rows = rows[np.argsort(labels[rows], kind="stable")]
         groups = np.split(rows, np.cumsum(sizes[full])[:-1])
+        plain = reg.lambda_v == reg.mu_v == 0.0 and (coeffs[rows] == 1.0).all()
         for k, group in zip(np.flatnonzero(full), groups):
-            V[k] = _weighted_reg_medians(X[group].T, coeffs[group], reg.lambda_v, reg.mu_v)
+            if plain:
+                V[k] = _median(X[group])
+            else:
+                V[k] = _weighted_reg_medians(X[group].T, coeffs[group], reg.lambda_v, reg.mu_v)
 
     empty = np.flatnonzero(~full)
     if empty.size and empty_cluster_policy == "reseed_farthest":
@@ -115,6 +137,8 @@ def update_centroids(
         zero = norms == 0.0
         V[~zero] /= norms[~zero, None]
         V[zero, A[zero].argmax(axis=1)] = 1.0
+        if spec.discrepancy == "l2":
+            return V
 
         def block_costs(W):
             fit = np.bincount(labels[members], row_costs(X, membership, W, spec)[members], n_clusters)

@@ -12,7 +12,10 @@ import csv
 import itertools
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -225,10 +228,38 @@ def run(manifest: RunManifest) -> int:
     return 0
 
 
+_RESULT_FILES = ("assignments.csv", "centroids.csv", "trace.csv", "run.json")
+
+
 def _write_results(
     out: Path, X: np.ndarray, result: FactorizationResult, manifest: RunManifest, elapsed: float
 ) -> None:
+    """Write the result files into ``out`` all together or not at all.
+
+    They are written into a temporary directory inside ``out``, which shares
+    its file system and permissions, and then moved into place. On an
+    ``OSError`` the files moved so far and the temporary directory are
+    removed before it propagates, so a failed run leaves no result file.
+    """
     out.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
+    placed = []
+    try:
+        _write_files(staging, X, result, manifest, elapsed)
+        for name in _RESULT_FILES:
+            os.replace(staging / name, out / name)
+            placed.append(out / name)
+    except OSError:
+        for path in placed:
+            path.unlink(missing_ok=True)
+        raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _write_files(
+    out: Path, X: np.ndarray, result: FactorizationResult, manifest: RunManifest, elapsed: float
+) -> None:
     labels, coeffs = result.membership.labels, result.membership.coefficients
     V = result.centroids
     dist = row_costs(X, result.membership, V, manifest.spec)

@@ -7,10 +7,13 @@ discrepancy, plain units for l1).
 
 ``pair_costs`` is the one batched cost kernel: it returns the coefficient and
 distance of every (row, centroid) pair as two M x K matrices, and assignment
-and ``plusplus`` seeding read from it. The scalar functions remain the
-paper-level definitions and the oracles the kernel is tested against; the
-closed-form and angle-form variants of the l2 distance cross-validate the
-direct one.
+and ``plusplus`` seeding read from it. Binary l2 assignment (Lloyd's step)
+alone takes a certified matmul argmin, ``_l2_binary_labels``, which equals
+the argmin of ``pair_costs`` bit for bit and falls back to it on every row
+whose rounding leaves the choice open; ``pair_costs`` stays the exact kernel.
+The scalar functions remain the paper-level definitions and the oracles the
+kernel is tested against; the closed-form and angle-form variants of the l2
+distance cross-validate the direct one.
 
 These distances are generally not metrics: with a sparsity penalty,
 dist(x, x) can be strictly positive.
@@ -201,6 +204,64 @@ def pair_costs(X, V, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
         T[lo:lo + step] = t
         D[lo:lo + step] = np.abs(x - t[:, :, None] * W).sum(axis=2) + mu * t * t + lam * t
     return T, D
+
+
+_BINARY_L2 = ModelSpec("l2", "binary")
+# The unit roundoff of float64, and its smallest subnormal: twice the largest
+# absolute error of a product that underflows.
+_UNIT_ROUNDOFF = 2.0**-53
+_TINY = 2.0**-1074
+
+
+def _l2_binary_labels(X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Argmin over k of ``pair_costs(X, V, l2/binary)[1]``, read off one matmul.
+
+    The matrix ||x||^2 - 2 <x, v> + ||v||^2 costs one product X V^T where the
+    exact kernel forms every broadcast difference. A row's argmin of it is
+    accepted only when the gap to the row's second-best entry exceeds twice a
+    bound on how far any of its entries can lie from the exact kernel's.
+    Every other row, including exact ties, is recomputed by ``pair_costs``,
+    whose argmin takes the lowest index. So the labels equal the exact
+    kernel's bit for bit.
+
+    The bound, after Higham (2002), section 3.1, with u = 2^-53 and
+    gamma_n = n u / (1 - n u) <= 1.01 n u: for nonnegative x and v,
+    <x, v> <= S / 2 and sum (x - v)^2 <= S, where S = ||x||^2 + ||v||^2.
+    ||x||^2, ||v||^2 and <x, v> are each within gamma_N of their values, in
+    any summation order, so the three terms carry an error of at most
+    2 gamma_N S; the two additions that combine them add u S each. The exact
+    kernel's own squares and sum put it within gamma_{N+2} S of the exact
+    distance. The sum, 1.01 (3N + 4) u S and higher-order terms, is below
+    (4N + 8) u S for every N. Products that underflow add at most 2^-1075
+    each, 4N of them, which the bound's (4N + 8) 2^-1074 covers. Each row
+    uses its largest ||v||^2.
+
+    An entry can only fall below -bound by overflow, as every exact distance
+    is nonnegative, and a bound or gap that is not finite fails the
+    comparison; both rows go to the exact kernel.
+    """
+    N = X.shape[1]
+    rows = np.arange(X.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        xx = np.einsum("mn,mn->m", X, X)
+        vv = np.einsum("kn,kn->k", V, V)
+        D = X @ V.T
+        D *= -2.0
+        D += xx[:, None]
+        D += vv
+        labels = D.argmin(axis=1)
+        best = D[rows, labels]
+        D[rows, labels] = np.inf
+        gap = D.min(axis=1) - best
+        bound = (4 * N + 8) * (_UNIT_ROUNDOFF * (xx + vv.max()) + _TINY)
+        recheck = np.flatnonzero(~((gap > 2.0 * bound) & (best > -bound)))
+    if recheck.size:
+        D = pair_costs(X[recheck], V, _BINARY_L2)[1]
+        exact = D.argmin(axis=1)
+        if np.isinf(D[np.arange(recheck.size), exact]).any():
+            raise NoValidCentroidError("all centroid rows are degenerate for this model")
+        labels[recheck] = exact
+    return labels
 
 
 def assign(x, V, spec: ModelSpec) -> tuple[int, float, float]:

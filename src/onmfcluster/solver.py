@@ -9,7 +9,10 @@ step and the objective trace, and ``fit_history`` alone keeps every step.
 
 Assignment and ``plusplus`` seeding read every (row, centroid) cost from the
 batched kernel ``distance.pair_costs``: an assignment is the argmin of its
-M x K distance matrix. The centroid update and the objective read each row's
+M x K distance matrix. Binary l2 assignment reads the same argmin off one
+matmul with a rounding certificate, and recomputes only the rows the
+certificate leaves open with ``pair_costs``, so its labels are the exact
+kernel's. The centroid update and the objective read each row's
 cost from ``model.row_costs``. The scalar ``assign`` and
 ``coefficient_and_distance`` remain the paper-level definitions the kernel is
 tested against.
@@ -24,7 +27,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .centroid import EMPTY_CLUSTER_POLICIES, update_centroids
-from .distance import DegenerateCentroidError, NoValidCentroidError, pair_costs
+from .distance import DegenerateCentroidError, NoValidCentroidError, _l2_binary_labels, pair_costs
 from .model import FactorizationResult, Membership, ModelSpec, as_data_matrix, objective
 
 INIT_METHODS = ("random_rows", "plusplus")
@@ -127,8 +130,11 @@ def _nearest(X: np.ndarray, V: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray,
     """Each row's best centroid (lowest index on ties) and its coefficient.
 
     A function of its own so the M x K cost matrices are freed before the
-    centroid update and the objective allocate theirs.
+    centroid update and the objective allocate theirs. Binary l2 takes its
+    labels from the certified matmul argmin, which equals the exact kernel's.
     """
+    if spec.discrepancy == "l2" and spec.constraint_mode == "binary":
+        return _l2_binary_labels(X, V), np.ones(X.shape[0])
     T, D = pair_costs(X, V, spec)
     rows = np.arange(X.shape[0])
     labels = D.argmin(axis=1)

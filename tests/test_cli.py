@@ -201,6 +201,19 @@ class TestRun:
         assert main(["--input", str(toy_csv), "--out", str(tmp_path / "o"), "--k", "2"]) == 2
         assert "trace.csv" in capsys.readouterr().err
 
+    def test_failed_write_leaves_no_result_file(self, toy_csv, tmp_path):
+        out = tmp_path / "o"
+        (out / "trace.csv").mkdir(parents=True)
+        assert main(["--input", str(toy_csv), "--out", str(out), "--k", "2"]) == 2
+        assert [p.name for p in out.iterdir()] == ["trace.csv"]
+        assert not any((out / "trace.csv").iterdir())
+
+    def test_run_leaves_only_the_result_files(self, toy_csv, tmp_path):
+        out = tmp_path / "o"
+        assert main(["--input", str(toy_csv), "--out", str(out), "--k", "2"]) == 0
+        names = ["assignments.csv", "centroids.csv", "run.json", "trace.csv"]
+        assert sorted(p.name for p in out.iterdir()) == names
+
     def test_result_files_are_byte_stable(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("0,0\n0,1\n10,10\n10,11.5\n0.25,0\n")

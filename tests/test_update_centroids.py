@@ -25,9 +25,10 @@ from onmfcluster import (
     centroid_l2,
     update_centroids,
 )
-from onmfcluster.centroid import EMPTY_CLUSTER_POLICIES
+from onmfcluster.centroid import EMPTY_CLUSTER_POLICIES, _median
 from onmfcluster.distance import pair_costs
 from onmfcluster.model import row_costs
+from onmfcluster.scalar_prox import _weighted_reg_medians
 
 CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
 ENTRIES = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
@@ -124,6 +125,14 @@ def test_update_matches_the_per_cluster_definitions(update):
         options = _on_sphere(candidate, X_k.T @ u_k - lambda_v / 2.0)
         prev_cost = _block_cost(X_k, u_k, previous[k], spec)
         feasible = abs(float(previous[k] @ previous[k]) - 1.0) <= 1e-9
+        if spec.discrepancy == "l2":
+            # The projection is the exact minimizer, so no guard runs: the
+            # candidate is taken and never costs more than a feasible previous.
+            _assert_one_of(V[k], options)
+            if feasible:
+                cost = _block_cost(X_k, u_k, V[k], spec)
+                assert cost <= prev_cost + TOL * max(1.0, cost)
+            continue
         if feasible and np.array_equal(V[k], previous[k]):
             # The guard kept the previous row: the candidate was no better.
             cost = max(_block_cost(X_k, u_k, o, spec) for o in options)
@@ -176,3 +185,48 @@ def test_row_costs_are_the_residuals_the_assignment_chose(problem):
         if assigned[m]:
             full = float(X[m] @ X[m]) if spec.discrepancy == "l2" else float(X[m].sum())
             assert abs(costs[m] - D[m, labels[m]]) <= 1e-12 * max(1.0, full)
+
+
+# Small integers, signed zeros and rounded values make ties common.
+MEDIAN_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0]),
+    st.floats(0.0, 10.0).map(lambda x: round(x, 1)),
+    st.floats(0.0, 1e300),
+)
+
+
+@PROPERTY
+@given(arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 5)), elements=MEDIAN_ENTRIES))
+def test_sorted_median_equals_the_unit_weight_sweep(X_k):
+    expected = _weighted_reg_medians(X_k.T, np.ones(X_k.shape[0]), 0.0, 0.0)
+    # Bit for bit, the signs of zeros included.
+    assert _median(X_k).tobytes() == expected.tobytes()
+
+
+@PROPERTY
+@given(updates())
+def test_unpenalized_l1_update_equals_the_sweep_bit_for_bit(update):
+    # Unit coefficients (binary draws) take the sorted median, others the
+    # weighted sweep; both must give centroid_l1's value exactly.
+    X, membership, _, previous, policy = update
+    K = previous.shape[0]
+    V = update_centroids(X, membership, K, ModelSpec("l1", "c1_free"), previous, policy)
+    labels, coeffs = membership.labels, membership.coefficients
+    for k in range(K):
+        rows = (coeffs > 0) & (labels == k)
+        if rows.any():
+            assert V[k].tobytes() == centroid_l1(X[rows], coeffs[rows]).tobytes()
+
+
+def test_kmedian_update_keeps_the_sweeps_signed_zero():
+    X = np.random.default_rng(0).choice([0.0, -0.0, 1.0, 2.0], size=(400, 8))
+    labels = np.arange(400) % 3
+    membership = Membership(labels, np.ones(400), 3)
+    V = update_centroids(X, membership, 3, ModelSpec("l1", "binary"), np.zeros((3, 8)))
+    groups = [X[labels == k] for k in range(3)]
+    expected = [centroid_l1(X_k, np.ones(X_k.shape[0])) for X_k in groups]
+    assert V.tobytes() == np.array(expected).tobytes()
+    # An unstable selection orders 0.0 and -0.0 arbitrarily: on these rows it
+    # picks a zero of the other sign.
+    unstable = [np.partition(X_k, X_k.shape[0] // 2, axis=0)[X_k.shape[0] // 2] for X_k in groups]
+    assert (np.signbit(unstable) != np.signbit(expected)).any()
