@@ -25,6 +25,16 @@ from .scalar_prox import _weighted_reg_medians
 EMPTY_CLUSTER_POLICIES = ("reseed_farthest", "keep_previous")
 
 
+def _cluster(X_k, u_k) -> tuple[np.ndarray, np.ndarray]:
+    X_k = np.atleast_2d(np.asarray(X_k, dtype=float))
+    u_k = np.asarray(u_k, dtype=float).ravel()
+    if X_k.shape[0] != u_k.size or u_k.size < 1:
+        raise ValueError("X_k rows and u_k must have equal positive length")
+    if not (np.isfinite(X_k).all() and np.isfinite(u_k).all()):
+        raise ValueError("X_k and u_k must be finite")
+    return X_k, u_k
+
+
 def centroid_l2(X_k, u_k, lambda_v: float = 0.0, mu_v: float = 0.0) -> np.ndarray:
     """Centroid row for the l2 discrepancy: thresholded weighted mean.
 
@@ -32,10 +42,7 @@ def centroid_l2(X_k, u_k, lambda_v: float = 0.0, mu_v: float = 0.0) -> np.ndarra
     gamma = lambda_v / (2 (||u_k||^2 + mu_v)). With unit weights and no
     penalties this is the arithmetic mean of the cluster rows.
     """
-    X_k = np.atleast_2d(np.asarray(X_k, dtype=float))
-    u_k = np.asarray(u_k, dtype=float).ravel()
-    if X_k.shape[0] != u_k.size or u_k.size < 1:
-        raise ValueError("X_k rows and u_k must have equal positive length")
+    X_k, u_k = _cluster(X_k, u_k)
     denom = float(u_k @ u_k) + mu_v
     if denom <= 0.0:
         raise ValueError("||u_k||^2 + mu_v must be positive")
@@ -49,10 +56,7 @@ def centroid_l1(X_k, u_k, lambda_v: float = 0.0, mu_v: float = 0.0) -> np.ndarra
     Component n is the weighted regularized median of the targets X_k[:, n]
     with weights u_k; all components are solved in one batched sweep.
     """
-    X_k = np.atleast_2d(np.asarray(X_k, dtype=float))
-    u_k = np.asarray(u_k, dtype=float).ravel()
-    if X_k.shape[0] != u_k.size or u_k.size < 1:
-        raise ValueError("X_k rows and u_k must have equal positive length")
+    X_k, u_k = _cluster(X_k, u_k)
     if lambda_v < 0 or mu_v < 0:
         raise ValueError("lambda_v and mu_v must be nonnegative")
     return _weighted_reg_medians(X_k.T, u_k, lambda_v, mu_v)

@@ -58,9 +58,9 @@ def load_csv(path) -> np.ndarray:
     cell-by-cell scan. The scan builds one Python string per cell, which
     takes several times as long and about nine times the array's memory, so
     it runs only to name the faulty cell, or to accept what ``float()``
-    takes but numpy does not (``1_0``, non-ASCII digits). Only the scan
-    applies the csv module's field size limit; a longer field is a
-    :class:`CsvFormatError`.
+    takes but numpy does not (``1_0``, non-ASCII digits). So does a file that
+    could hold a field longer than the csv module's field size limit, so that
+    both paths reject such a field as a :class:`CsvFormatError`.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -70,12 +70,11 @@ def load_csv(path) -> np.ndarray:
         raise CsvFormatError(f"{path}: {exc}") from None
 
 
-def _is_number(cell: str) -> bool:
+def _to_float(cell: str) -> float | None:
     try:
-        float(cell)
+        return float(cell)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def _parse(fh) -> np.ndarray | None:
@@ -97,14 +96,14 @@ def _parse(fh) -> np.ndarray | None:
 
     try:
         row = next_row()
-        if row is not None and not all(_is_number(c) for c in row):
+        if row is not None and any(_to_float(c) is None for c in row):
             row = next_row()
         # Empty and header-only files go to the scan, which names them;
         # loadtxt would only warn that it found no data.
         if row is None:
             return None
         data = np.loadtxt(
-            itertools.chain(lines, fh), dtype=np.float64, delimiter=",",
+            _short_fields(itertools.chain(lines, fh)), dtype=np.float64, delimiter=",",
             comments=None, quotechar='"', ndmin=2,
         )
     except (ValueError, csv.Error):
@@ -112,6 +111,24 @@ def _parse(fh) -> np.ndarray | None:
     if not np.isfinite(data).all() or (data < 0).any():
         return None
     return data
+
+
+def _short_fields(lines):
+    """Pass the lines on; raise ``csv.Error`` where a field could be longer than
+    ``csv.field_size_limit()``, which numpy does not apply. A field with a comma
+    is not a number, so only a long run of lines an open quote joins, or a long
+    line with no comma in an aligned block of half the limit, needs the scan.
+    """
+    limit = csv.field_size_limit()
+    half = limit // 2
+    run, quoted = 0, False
+    for line in lines:
+        run = run + len(line) if quoted else len(line)
+        if run > limit and (quoted or any(
+                line.find(",", i, i + half) < 0 for i in range(0, len(line) - half + 1, half))):
+            raise csv.Error(f"a field may be longer than the field size limit ({limit})")
+        quoted ^= '"' in line and line.count('"') % 2 == 1
+        yield line
 
 
 def _scan(path) -> np.ndarray:
@@ -123,15 +140,7 @@ def _scan(path) -> np.ndarray:
         raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
-
-    def parse(cell: str) -> float | None:
-        try:
-            return float(cell)
-        except ValueError:
-            return None
-
-    first = [parse(c) for c in rows[0]]
-    start = 1 if any(v is None for v in first) else 0
+    start = 1 if any(_to_float(c) is None for c in rows[0]) else 0
     if len(rows) == start:
         raise CsvFormatError(f"{path}: no data rows below the header")
 
@@ -144,7 +153,7 @@ def _scan(path) -> np.ndarray:
                 f"{path}: row {file_row} has {len(row)} fields, expected {width}"
             )
         for j, cell in enumerate(row):
-            value = parse(cell)
+            value = _to_float(cell)
             if value is None or not math.isfinite(value):
                 raise CsvFormatError(
                     f"{path}: non-finite or non-numeric value {cell!r} "

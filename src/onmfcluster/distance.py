@@ -12,8 +12,9 @@ alone takes a certified matmul argmin, ``_l2_binary_labels``, which equals
 the argmin of ``pair_costs`` bit for bit and falls back to it on every row
 whose rounding leaves the choice open; ``pair_costs`` stays the exact kernel.
 The scalar functions remain the paper-level definitions and the oracles the
-kernel is tested against; the closed-form and angle-form variants of the l2
-distance cross-validate the direct one.
+kernel is tested against, except under l1, where they run its median sweep
+and ``scalar_prox.brute_force_min`` is the oracle; the closed-form and
+angle-form variants of the l2 distance cross-validate the direct one.
 
 These distances are generally not metrics: with a sparsity penalty,
 dist(x, x) can be strictly positive.
@@ -24,12 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ModelSpec
-from .scalar_prox import (
-    _weighted_reg_median,
-    _weighted_reg_medians,
-    soft_threshold,
-    weighted_reg_median,
-)
+from .scalar_prox import _weighted_reg_medians, soft_threshold, weighted_reg_median
 
 
 class DegenerateCentroidError(ValueError):
@@ -45,6 +41,8 @@ def _pair(x, v) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(v, dtype=float).ravel()
     if x.size != v.size:
         raise ValueError("x and v must have equal length")
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        raise ValueError("x and v must be finite")
     return x, v
 
 
@@ -137,7 +135,7 @@ def coefficient_and_distance(x, v, spec: ModelSpec) -> tuple[float, float]:
             return 0.0, float(x @ x)
         return coefficient_l2(x, v, lam, mu), distance_l2(x, v, lam, mu)
 
-    t, _ = _weighted_reg_median(x, v, lam, mu)
+    t = float(_weighted_reg_medians(x, v, lam, mu))
     return t, float(np.abs(x - t * v).sum()) + mu * t * t + lam * t
 
 
@@ -270,9 +268,12 @@ def assign(x, V, spec: ModelSpec) -> tuple[int, float, float]:
     A one-row view of :func:`pair_costs`: returns the argmin over the
     centroid rows; ties break toward the lowest index. Degenerate rows are
     skipped; if every row is degenerate, :class:`NoValidCentroidError` is
-    raised.
+    raised. Non-finite input raises ``ValueError``.
     """
-    T, D = pair_costs(np.asarray(x, dtype=float).reshape(1, -1), V, spec)
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    if not (np.isfinite(x).all() and np.isfinite(V).all()):
+        raise ValueError("x and V must be finite")
+    T, D = pair_costs(x, V, spec)
     k = int(D[0].argmin())
     if np.isinf(D[0, k]):
         raise NoValidCentroidError("all centroid rows are degenerate for this model")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -80,27 +79,6 @@ class Membership:
             raise ValueError("membership coefficients must be nonnegative")
         if (coeffs[labels < 0] != 0).any():
             raise ValueError("rows without a label must have coefficient 0")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Optional[tuple[int, float]]], n_clusters: int) -> "Membership":
-        """Build a membership from per-row (cluster, coefficient) pairs or None."""
-        labels = np.full(len(rows), -1, dtype=np.int64)
-        coeffs = np.zeros(len(rows))
-        for m, entry in enumerate(rows):
-            if entry is None:
-                continue
-            k, c = entry
-            if c <= 0:
-                raise ValueError(f"row {m}: present coefficient must be > 0, got {c}")
-            labels[m] = k
-            coeffs[m] = c
-        return cls(labels, coeffs, n_clusters)
-
-    def to_rows(self) -> list[Optional[tuple[int, float]]]:
-        return [
-            (int(k), float(c)) if k >= 0 and c > 0 else None
-            for k, c in zip(self.labels, self.coefficients)
-        ]
 
     @property
     def n_rows(self) -> int:

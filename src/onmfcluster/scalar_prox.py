@@ -8,9 +8,10 @@ shapes:
 * weighted_l1:  sum_n |v_n - w_n t|   + lambda |t| + mu t^2
 
 The quadratic family is solved in closed form by soft thresholding; the
-weighted-l1 family by an exact breakpoint sweep (the weighted, regularized
-median). ``brute_force_min`` is an independent grid + golden-section oracle
-used to cross-check both closed forms.
+weighted-l1 family by one exact breakpoint sweep (the weighted, regularized
+median), batched over slices, which every l1 path runs. ``brute_force_min``
+is an independent grid + golden-section oracle used to cross-check both
+closed forms, and the only independent check of the sweep.
 """
 
 from __future__ import annotations
@@ -47,55 +48,11 @@ def _check_pair(v, w) -> tuple[np.ndarray, np.ndarray]:
     w = np.asarray(w, dtype=float).ravel()
     if v.size != w.size or v.size < 1:
         raise ValueError("targets and weights must have equal length >= 1")
+    if not (np.isfinite(v).all() and np.isfinite(w).all()):
+        raise ValueError("targets and weights must be finite")
     if (w < 0).any():
         raise ValueError("weights must be nonnegative")
     return v, w
-
-
-def _weighted_reg_median(v: np.ndarray, w: np.ndarray, lam: float, mu: float) -> tuple[float, bool]:
-    """Exact minimizer over t >= 0; returns (value, degenerate_flag)."""
-    active = w > 0
-    if not active.any():
-        # All |v_n| terms are constant: the objective is lam*t + mu*t^2 on
-        # t >= 0, minimized at 0; it is completely flat iff lam = mu = 0.
-        return 0.0, (lam == 0.0 and mu == 0.0)
-
-    bp = v[active] / w[active]
-    wa = w[active]
-    order = np.argsort(bp, kind="stable")
-    bp = bp[order]
-    wa = wa[order]
-
-    # Linear slope of the objective on the open interval after passing the
-    # first j breakpoints: lam + sum(passed) - sum(remaining).
-    csum = np.cumsum(wa)
-    total = csum[-1]
-    slopes = lam + 2.0 * np.concatenate(([0.0], csum)) - total
-
-    if mu == 0.0:
-        # Piecewise affine: find the first interval with slope >= 0. The
-        # final slope lam + total is positive, so j is in range; it can fall
-        # inside the tolerance band only for vanishing total weight.
-        j = int(np.searchsorted(slopes, -_FLAT_SLOPE_TOL, side="right"))
-        if abs(slopes[j]) <= _FLAT_SLOPE_TOL and j < bp.size:
-            # Flat interval [bp[j-1], bp[j]]: return its midpoint.
-            lo = 0.0 if j == 0 else bp[j - 1]
-            return 0.5 * (lo + bp[j]), False
-        return (0.0 if j == 0 else float(bp[j - 1])), False
-
-    # mu > 0: strictly convex, unique minimizer.
-    if slopes[0] >= 0.0:
-        return 0.0, False
-    roots = -slopes / (2.0 * mu)
-    lo = np.concatenate(([0.0], bp))
-    hi = np.concatenate((bp, [np.inf]))
-    inside = (roots >= lo) & (roots <= hi)
-    if inside.any():
-        return float(roots[int(np.argmax(inside))]), False
-    # Otherwise the minimizer sits at a breakpoint: the first one whose
-    # right derivative is nonnegative.
-    g_right = 2.0 * mu * bp + slopes[1:]
-    return float(bp[int(np.argmax(g_right >= 0.0))]), False
 
 
 def _at(a: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -103,13 +60,12 @@ def _at(a: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
-    """``_weighted_reg_median`` batched over the last axis of v and w.
+    """Breakpoint sweep of :func:`weighted_reg_median`, batched over the last axis.
 
     v and w broadcast against each other; the result has their broadcast
     shape without the last axis. Inactive weights become +inf breakpoints of
     zero weight, which sort behind every active one and leave the slopes of
-    the active pieces unchanged, so each slice takes the scalar sweep's
-    arithmetic step for step.
+    the active pieces unchanged.
     """
     v, w = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(w, dtype=float))
     active = w > 0
@@ -123,8 +79,10 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
     hi = np.concatenate((bp, zero + np.inf), axis=-1)
 
     if mu == 0.0:
-        # Slopes are nondecreasing, so counting those below the band is the
-        # scalar searchsorted.
+        # Slopes are nondecreasing, so j indexes the first interval with
+        # slope >= 0. The final slope lam + total is nonnegative, so j is in
+        # range; it can fall inside the tolerance band only for vanishing
+        # total weight.
         j = (slopes <= -_FLAT_SLOPE_TOL).sum(axis=-1)
         flat = (np.abs(_at(slopes, j)) <= _FLAT_SLOPE_TOL) & (j < active.sum(axis=-1))
         lo_j = _at(lo, j)
@@ -132,6 +90,8 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
 
     roots = -slopes / (2.0 * mu)
     inside = (roots >= lo) & (roots <= hi)
+    # Where no root lies inside its interval, the minimizer sits at a
+    # breakpoint: the first one whose right derivative is nonnegative.
     g_right = 2.0 * mu * bp + slopes[..., 1:]
     t = np.where(
         inside.any(axis=-1),
@@ -161,14 +121,13 @@ def weighted_reg_median(v, w, lam: float = 0.0, mu: float = 0.0) -> float:
     if lam < 0 or mu < 0:
         raise ValueError("lam and mu must be nonnegative")
     v, w = _check_pair(v, w)
-    value, degenerate = _weighted_reg_median(v, w, lam, mu)
-    if degenerate:
+    if lam == mu == 0.0 and not (w > 0).any():
         warnings.warn(
             "objective is constant in t; returning 0 by convention",
             DegenerateObjectiveWarning,
             stacklevel=2,
         )
-    return value
+    return float(_weighted_reg_medians(v, w, lam, mu))
 
 
 @dataclass(frozen=True)
@@ -217,10 +176,9 @@ def solve_closed_form(problem: ScalarProxProblem) -> float:
             return 0.0
         gamma = problem.l1_weight / (2.0 * w2)
         return soft_threshold(gamma, float(problem.targets @ problem.weights) / w2)
-    value, _ = _weighted_reg_median(
-        problem.targets, problem.weights, problem.l1_weight, problem.l2_weight
+    return float(
+        _weighted_reg_medians(problem.targets, problem.weights, problem.l1_weight, problem.l2_weight)
     )
-    return value
 
 
 _INVPHI = (5.0**0.5 - 1.0) / 2.0

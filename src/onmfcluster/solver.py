@@ -12,10 +12,10 @@ batched kernel ``distance.pair_costs``: an assignment is the argmin of its
 M x K distance matrix. Binary l2 assignment reads the same argmin off one
 matmul with a rounding certificate, and recomputes only the rows the
 certificate leaves open with ``pair_costs``, so its labels are the exact
-kernel's. The centroid update and the objective read each row's
-cost from ``model.row_costs``. The scalar ``assign`` and
-``coefficient_and_distance`` remain the paper-level definitions the kernel is
-tested against.
+kernel's. The centroid update and the objective read each row's cost from
+``model.row_costs``. The scalar ``assign`` and ``coefficient_and_distance``
+remain the paper-level definitions the kernel is tested against; under l1
+they run its median sweep, whose oracle is ``brute_force_min``.
 """
 
 from __future__ import annotations

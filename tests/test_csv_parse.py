@@ -4,7 +4,8 @@
 parse: ``csv.reader`` rows with empty rows dropped, ``float()`` per cell, and
 the first row a header when any of its cells fails ``float()``. On every
 generated text ``load_csv`` must return a bit-identical array or raise the
-same exception class with the same message.
+same exception class with the same message. The texts include fields around
+the csv module's field size limit, which numpy does not apply.
 """
 
 import csv
@@ -29,6 +30,8 @@ def oracle_load(path) -> np.ndarray:
             rows = [row for row in csv.reader(fh) if row]
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: {exc}") from None
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
 
@@ -75,12 +78,30 @@ BAD = ["-1", "nan", "inf", "1e400", "1_0", "0x10", "\u0661", "", "2 #c", "a", ' 
 HEADERS = ["a", "b c", '"x,y"', "1", '"p\nq"']
 
 
+def quoted_lines(n: int, newline: str = "\n") -> str:
+    """A quoted number of n characters on three lines, each under half the limit."""
+    line = " " * (n // 3) + newline
+    return '"' + 2 * line + " " * (n - 2 * len(line) - 1) + '7"'
+
+
+@st.composite
+def long_cells(draw):
+    """A numeric field whose text is within a few characters of the limit."""
+    n = csv.field_size_limit() + draw(st.integers(-4, 4))
+    kind = draw(st.sampled_from(["digits", "padded", "quoted lines"]))
+    if kind == "digits":
+        return "0" * (n - 1) + "3"
+    if kind == "padded":
+        return " " * (n // 2) + "5" + " " * (n - n // 2 - 1)
+    return quoted_lines(n, draw(st.sampled_from(["\n", "\r\n"])))
+
+
 @st.composite
 def csv_texts(draw):
     clean = draw(st.booleans())
     width = draw(st.integers(1, 3))
     cells = st.sampled_from(GOOD if clean else GOOD * 3 + BAD)
-    kinds = ["row"] * 4 + ["blank", "space"] + ([] if clean else ["ragged", "trailing comma"])
+    kinds = ["row"] * 4 + ["blank", "space", "long"] + ([] if clean else ["ragged", "trailing comma"])
     lines = []
     if draw(st.booleans()):
         lines.append(",".join(draw(st.lists(st.sampled_from(HEADERS), min_size=width, max_size=width))))
@@ -91,7 +112,10 @@ def csv_texts(draw):
             lines.append(draw(st.sampled_from([" ", "\t", "\x0b", "\u2028"])))
         else:
             n = draw(st.integers(1, 4)) if kind == "ragged" else width
-            row = ",".join(draw(st.lists(cells, min_size=n, max_size=n)))
+            row = draw(st.lists(cells, min_size=n, max_size=n))
+            if kind == "long":
+                row[draw(st.integers(0, n - 1))] = draw(long_cells())
+            row = ",".join(row)
             lines.append(row + ("," if kind == "trailing comma" else ""))
     endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
     if endings and draw(st.booleans()):
@@ -108,6 +132,10 @@ def csv_texts(draw):
 @example("1,2\n \n3,4\n")
 @example("x\n1\n-0\n-1\n")
 @example("1,2\n3,1e400\n")
+@example("1,2\n" + "0" * 200000 + "3,4\n")
+@example("1,2\n" + "0" * 200000 + "3,-4\n")
+@example("1,2\n1," + "0" * csv.field_size_limit() + "3\n")
+@example("1\n" + quoted_lines(csv.field_size_limit() + 1) + "\n")
 def test_load_csv_matches_the_cell_by_cell_reading(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x.csv"
@@ -123,6 +151,7 @@ def test_load_csv_matches_the_cell_by_cell_reading(text):
         ("\ufeff\n\n1\r2\r", [[1], [2]]),
         ('"p\nq",r\n"1", 2 \n-0,0.5\n', [[1, 2], [-0.0, 0.5]]),
         ("x\n\n\n7\n", [[7]]),
+        pytest.param("1," * 70000 + "2\n", [[1] * 70000 + [2]], id="line over the field limit"),
     ],
 )
 def test_well_formed_files_never_reach_the_scan(tmp_path, monkeypatch, text, expected):

@@ -16,38 +16,34 @@ from onmfcluster import (
 
 class TestMembership:
     def test_dense_u_two_rows(self):
-        m = Membership.from_rows([(0, 1.0), (1, 2.0)], n_clusters=2)
+        m = Membership([0, 1], [1.0, 2.0], 2)
         assert_array_equal(dense_u(m), [[1.0, 0.0], [0.0, 2.0]])
 
     def test_dense_u_with_missing_row(self):
-        m = Membership.from_rows([None, (0, 0.5)], n_clusters=1)
+        m = Membership([-1, 0], [0.0, 0.5], 1)
         assert_array_equal(dense_u(m), [[0.0], [0.5]])
 
     def test_dense_u_all_empty(self):
-        m = Membership.from_rows([None, None, None], n_clusters=2)
+        m = Membership([-1, -1, -1], np.zeros(3), 2)
         assert_array_equal(dense_u(m), np.zeros((3, 2)))
 
     def test_columns_orthogonal_by_construction(self):
         rng = np.random.default_rng(3)
-        rows = [
-            (int(rng.integers(4)), float(rng.uniform(0.1, 5))) if rng.random() < 0.8 else None
-            for _ in range(30)
-        ]
-        U = dense_u(Membership.from_rows(rows, n_clusters=4))
+        labels = np.where(rng.random(30) < 0.8, rng.integers(4, size=30), -1)
+        coeffs = np.where(labels >= 0, rng.uniform(0.1, 5, 30), 0.0)
+        U = dense_u(Membership(labels, coeffs, 4))
         G = U.T @ U
         assert_allclose(G - np.diag(np.diag(G)), 0.0)
 
     def test_invalid_entries_rejected(self):
         with pytest.raises(ValueError):
-            Membership.from_rows([(0, 0.0)], n_clusters=1)
+            Membership([0], [-1.0], 1)
         with pytest.raises(ValueError):
-            Membership.from_rows([(2, 1.0)], n_clusters=2)
+            Membership([2], [1.0], 2)
+        with pytest.raises(ValueError):
+            Membership([-2], [0.0], 1)
         with pytest.raises(ValueError):
             Membership(np.array([-1]), np.array([1.0]), 1)
-
-    def test_round_trip(self):
-        rows = [(0, 1.5), None, (2, 0.25)]
-        assert Membership.from_rows(rows, n_clusters=3).to_rows() == rows
 
 
 class TestModelSpec:
@@ -86,20 +82,20 @@ class TestDataMatrix:
 class TestObjective:
     def test_exact_factorization_is_zero(self):
         V = np.array([[1.0, 2.0], [3.0, 0.0]])
-        m = Membership.from_rows([(0, 2.0), (1, 1.0), (0, 0.5)], n_clusters=2)
+        m = Membership([0, 1, 0], [2.0, 1.0, 0.5], 2)
         X = dense_u(m) @ V
         spec = ModelSpec("l2", "c1_free")
         assert objective(X, m, V, spec) == 0.0
 
     def test_empty_membership_gives_data_norm(self):
         X = np.array([[1.0, 1.0]])
-        m = Membership.from_rows([None], n_clusters=1)
+        m = Membership([-1], [0.0], 1)
         V = np.array([[5.0, 3.0]])
         assert objective(X, m, V, ModelSpec("l2", "c1_free")) == 2.0
 
     def test_membership_penalty(self):
         X = np.array([[2.0, 0.0]])
-        m = Membership.from_rows([(0, 1.0)], n_clusters=1)
+        m = Membership([0], [1.0], 1)
         V = np.array([[1.0, 0.0]])
         spec = ModelSpec("l2", "c1_free", RegularizationParams(lambda_u=2.0))
         assert objective(X, m, V, spec) == 3.0
@@ -110,11 +106,8 @@ class TestObjective:
             M, N, K = rng.integers(1, 8, 3)
             X = rng.uniform(0, 10, (M, N))
             V = rng.uniform(0, 10, (K, N))
-            rows = [
-                (int(rng.integers(K)), float(rng.uniform(0.1, 3))) if rng.random() < 0.7 else None
-                for _ in range(M)
-            ]
-            m = Membership.from_rows(rows, n_clusters=int(K))
+            labels = np.where(rng.random(M) < 0.7, rng.integers(K, size=M), -1)
+            m = Membership(labels, np.where(labels >= 0, rng.uniform(0.1, 3, M), 0.0), int(K))
             spec = ModelSpec("l1" if rng.random() < 0.5 else "l2", "c1_free",
                              RegularizationParams(*rng.uniform(0, 2, 4)))
             assert objective(X, m, V, spec) >= 0.0
@@ -135,7 +128,7 @@ class TestObjective:
         assert_allclose(objective(X, m, V, spec), objective(X, m_perm, V_perm, spec), rtol=1e-14)
 
     def test_shape_mismatch_rejected(self):
-        m = Membership.from_rows([(0, 1.0)], n_clusters=1)
+        m = Membership([0], [1.0], 1)
         spec = ModelSpec()
         with pytest.raises(ValueError):
             objective(np.ones((2, 2)), m, np.ones((1, 2)), spec)

@@ -2,10 +2,12 @@
 
 ``pair_costs`` computes every (row, centroid) coefficient and distance at
 once; these properties check it pair by pair against
-``coefficient_and_distance``, the batched weighted median against the scalar
-sweep, and the vectorized ``centroid_l1`` against its per-column definition,
-in all six (discrepancy, mode) cells. Entries are 0 or in [1e-3, 10], so
-zero rows, sparse rows and zero centroids all occur.
+``coefficient_and_distance`` in all six (discrepancy, mode) cells, and the
+vectorized ``centroid_l1`` against its per-column definition. Under l1 those
+oracles run the kernel's own median sweep, so the sweep is checked on its own
+against ``brute_force_min`` and the subgradient optimality condition. Entries
+are 0 or in [1e-3, 10], so zero rows, sparse rows and zero centroids all
+occur.
 """
 
 import itertools
@@ -23,12 +25,15 @@ from onmfcluster import (
     ModelSpec,
     NoValidCentroidError,
     RegularizationParams,
+    ScalarProxProblem,
     assign,
+    brute_force_min,
     centroid_l1,
     coefficient_and_distance,
+    weighted_reg_median,
 )
 from onmfcluster.distance import pair_costs
-from onmfcluster.scalar_prox import _weighted_reg_median, _weighted_reg_medians
+from onmfcluster.scalar_prox import _weighted_reg_medians
 
 CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
 ENTRIES = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
@@ -121,10 +126,47 @@ def median_slices(draw):
 
 @PROPERTY
 @given(median_slices())
-def test_batched_medians_equal_the_scalar_sweep(case):
+def test_batched_medians_equal_each_slice_alone(case):
+    # Nothing may leak between slices through the gathers or broadcasting,
+    # with per-slice weights or with one weight vector shared by every slice.
     v, w, lam, mu = case
-    expected = [_weighted_reg_median(vi, wi, lam, mu)[0] for vi, wi in zip(v, w)]
-    assert_array_equal(_weighted_reg_medians(v, w, lam, mu), expected)
+    for weights, alone in ((w, w), (w[0], [w[0]] * len(v))):
+        expected = [_weighted_reg_medians(vi, wi, lam, mu) for vi, wi in zip(v, alone)]
+        assert_array_equal(_weighted_reg_medians(v, weights, lam, mu), expected)
+
+
+def _one_sided_derivatives(t, v, w, lam, mu):
+    """Left and right derivatives of sum |v - w t| + lam t + mu t^2 at t.
+
+    A term whose kink v / w lies within rounding of t counts as a kink, so
+    it contributes -w to the left and +w to the right derivative.
+    """
+    r = w * t - v
+    kink = np.abs(r) <= 1e-12 * np.maximum(1.0, np.abs(v))
+    sign = np.sign(r)
+    smooth = lam + 2.0 * mu * t
+    return (smooth + (w * np.where(kink, -1.0, sign)).sum(),
+            smooth + (w * np.where(kink, 1.0, sign)).sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(median_slices())
+def test_batched_medians_are_optimal(case):
+    # Independent of the sweep: t must satisfy the first-order condition on
+    # t >= 0 and attain the brute-force minimum at criterion 1's tolerance.
+    v, w, lam, mu = case
+    for vi, wi, t in zip(v, w, _weighted_reg_medians(v, w, lam, mu)):
+        assert t >= 0.0
+        left, right = _one_sided_derivatives(t, vi, wi, lam, mu)
+        tol = 1e-9 * (1.0 + lam + wi.sum() + 2.0 * mu * t)
+        assert right >= -tol, (vi, wi, t, right)
+        if t > 0.0:
+            assert left <= tol, (vi, wi, t, left)
+        p = ScalarProxProblem("weighted_l1", vi, wi, lam, mu)
+        positive = wi[wi > 0]
+        scale = vi.max() / positive.min() if positive.size else 1.0
+        _, best = brute_force_min(p, (scale + 1.0) / 1500.0)
+        assert abs(p.value(t) - best) <= 1e-8, (vi, wi, t, p.value(t), best)
 
 
 def test_batched_medians_flat_midpoints_and_ridge():
@@ -133,7 +175,7 @@ def test_batched_medians_flat_midpoints_and_ridge():
     assert_array_equal(_weighted_reg_medians(v, w, 0.0, 0.0), [1.5, 4.0, 1.0])
     assert_array_equal(
         _weighted_reg_medians([[2.0], [0.0]], [[1.0], [0.0]], 0.0, 1.0),
-        [_weighted_reg_median(np.array([2.0]), np.array([1.0]), 0.0, 1.0)[0], 0.0],
+        [weighted_reg_median([2.0], [1.0], 0.0, 1.0), 0.0],
     )
 
 
@@ -144,7 +186,7 @@ def test_centroid_l1_matches_its_per_column_definition(case):
     u_k = u[:, 0]
     if not (u_k > 0).any():
         u_k = np.ones_like(u_k)
-    expected = [_weighted_reg_median(X_k[:, n], u_k, lam, mu)[0] for n in range(X_k.shape[1])]
+    expected = [weighted_reg_median(X_k[:, n], u_k, lam, mu) for n in range(X_k.shape[1])]
     assert_array_equal(centroid_l1(X_k, u_k, lam, mu), expected)
 
 

@@ -1,4 +1,4 @@
-"""Loud failure on float overflow, and termination that never hides a rise."""
+"""Loud failure on float overflow and non-finite input, and termination that never hides a rise."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,18 @@ from onmfcluster import (
     Membership,
     ModelSpec,
     RegularizationParams,
+    ScalarProxProblem,
     SolverConfig,
+    assign,
+    centroid_l1,
+    centroid_l2,
+    coefficient_and_distance,
+    coefficient_l2,
+    distance_l1,
     fit,
     fit_history,
     objective,
+    weighted_reg_median,
 )
 from onmfcluster.cli import main
 
@@ -120,3 +128,32 @@ def test_cli_exits_2_on_non_finite_tol_and_penalty_weights(tmp_path, capsys, fla
     assert main(argv) == 2
     assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+PAIR = ([1.0, 2.0], [1.0, 1.0])
+CLUSTER = ([[1.0, 2.0], [3.0, 4.0]], [1.0, 0.5])
+# Public pointwise functions with valid arguments, at least one behind each
+# shared validator; ``fit`` is guarded by ``as_data_matrix`` instead.
+POINTWISE = {
+    "weighted_reg_median": (weighted_reg_median, PAIR),
+    "ScalarProxProblem": (lambda v, w: ScalarProxProblem("weighted_l1", v, w), PAIR),
+    "coefficient_l2": (coefficient_l2, PAIR),
+    "distance_l1": (distance_l1, PAIR),
+    "coefficient_and_distance": (lambda x, v: coefficient_and_distance(x, v, ModelSpec("l1")), PAIR),
+    "centroid_l2": (centroid_l2, CLUSTER),
+    "centroid_l1": (centroid_l1, CLUSTER),
+    "assign": (lambda x, V: assign(x, V, ModelSpec("l2", "binary")), ([1.0, 2.0], CLUSTER[0])),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("name", sorted(POINTWISE))
+def test_pointwise_functions_reject_non_finite_input(name, position, bad):
+    # These used to return NaN, or a number computed from the finite entries
+    # alone, or to blame the centroids.
+    function, args = POINTWISE[name]
+    args = [np.array(a, dtype=float) for a in args]
+    args[position].flat[-1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        function(*args)
