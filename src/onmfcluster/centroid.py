@@ -20,18 +20,21 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Membership, ModelSpec, dense_u, row_costs
-from .scalar_prox import _weighted_reg_medians
+from .scalar_prox import _check_penalties, _weighted_reg_medians
 
 EMPTY_CLUSTER_POLICIES = ("reseed_farthest", "keep_previous")
 
 
-def _cluster(X_k, u_k) -> tuple[np.ndarray, np.ndarray]:
+def _cluster(X_k, u_k, lambda_v: float, mu_v: float) -> tuple[np.ndarray, np.ndarray]:
+    _check_penalties(lambda_v=lambda_v, mu_v=mu_v)
     X_k = np.atleast_2d(np.asarray(X_k, dtype=float))
     u_k = np.asarray(u_k, dtype=float).ravel()
     if X_k.shape[0] != u_k.size or u_k.size < 1:
         raise ValueError("X_k rows and u_k must have equal positive length")
     if not (np.isfinite(X_k).all() and np.isfinite(u_k).all()):
         raise ValueError("X_k and u_k must be finite")
+    if (u_k < 0).any():
+        raise ValueError("membership weights u_k must be nonnegative")
     return X_k, u_k
 
 
@@ -42,7 +45,7 @@ def centroid_l2(X_k, u_k, lambda_v: float = 0.0, mu_v: float = 0.0) -> np.ndarra
     gamma = lambda_v / (2 (||u_k||^2 + mu_v)). With unit weights and no
     penalties this is the arithmetic mean of the cluster rows.
     """
-    X_k, u_k = _cluster(X_k, u_k)
+    X_k, u_k = _cluster(X_k, u_k, lambda_v, mu_v)
     denom = float(u_k @ u_k) + mu_v
     if denom <= 0.0:
         raise ValueError("||u_k||^2 + mu_v must be positive")
@@ -56,9 +59,7 @@ def centroid_l1(X_k, u_k, lambda_v: float = 0.0, mu_v: float = 0.0) -> np.ndarra
     Component n is the weighted regularized median of the targets X_k[:, n]
     with weights u_k; all components are solved in one batched sweep.
     """
-    X_k, u_k = _cluster(X_k, u_k)
-    if lambda_v < 0 or mu_v < 0:
-        raise ValueError("lambda_v and mu_v must be nonnegative")
+    X_k, u_k = _cluster(X_k, u_k, lambda_v, mu_v)
     return _weighted_reg_medians(X_k.T, u_k, lambda_v, mu_v)
 
 
@@ -78,7 +79,6 @@ def _median(X_k: np.ndarray) -> np.ndarray:
 def update_centroids(
     X,
     membership: Membership,
-    n_clusters: int,
     spec: ModelSpec,
     previous,
     empty_cluster_policy: str = "reseed_farthest",
@@ -101,10 +101,9 @@ def update_centroids(
         raise ValueError(f"empty_cluster_policy must be one of {EMPTY_CLUSTER_POLICIES}")
     X = np.asarray(X, dtype=float)
     previous = np.asarray(previous, dtype=float)
+    n_clusters = membership.n_clusters
     if previous.shape != (n_clusters, X.shape[1]):
         raise ValueError("previous centroid matrix has inconsistent shape")
-    if membership.n_clusters != n_clusters:
-        raise ValueError(f"membership has {membership.n_clusters} clusters, expected {n_clusters}")
 
     reg = spec.reg
     labels, coeffs = membership.labels, membership.coefficients

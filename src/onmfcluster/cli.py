@@ -26,7 +26,7 @@ from .distance import DegenerateCentroidError, NoValidCentroidError
 from .model import FactorizationResult, ModelSpec, RegularizationParams, row_costs
 from .solver import DuplicateRowsError, SolverConfig, fit
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CsvFormatError(ValueError):
@@ -191,7 +191,6 @@ class RunManifest:
             "tol": self.config.tol,
             "init": self.config.init,
             "empty_cluster_policy": self.config.empty_cluster_policy,
-            "zero_row_policy": self.config.zero_row_policy,
         }
 
 
@@ -207,10 +206,11 @@ def run(manifest: RunManifest) -> int:
     """Execute one clustering run and write the result files.
 
     Writes assignments.csv, centroids.csv, trace.csv, and run.json into the
-    output directory. Each row's reported distance is its share of the final
-    objective, ``model.row_costs`` at the reported cluster, coefficient and
-    centroids: the column sums, with the centroid penalties, to the last
-    trace value.
+    output directory. A row whose coefficient was thresholded to 0 has
+    cluster -1 and unassigned 1. Each row's reported distance is its share of
+    the final objective, ``model.row_costs`` at the reported cluster,
+    coefficient and centroids: the column sums, with the centroid penalties,
+    to the last trace value.
     """
     try:
         X = load_csv(manifest.input_path)
@@ -272,15 +272,13 @@ def _write_files(
     labels, coeffs = result.membership.labels, result.membership.coefficients
     V = result.centroids
     dist = row_costs(X, result.membership, V, manifest.spec)
-    unassigned = np.zeros(X.shape[0], dtype=np.int64)
-    unassigned[list(result.unassigned_rows)] = 1
 
     # 17 significant digits round-trip every float64 exactly.
     _write_csv(
         out / "assignments.csv",
         "row_index,cluster,coefficient,distance,unassigned",
         "%d,%d,%.17g,%.17g,%d",
-        zip(range(X.shape[0]), labels.tolist(), coeffs.tolist(), dist.tolist(), unassigned.tolist()),
+        zip(range(X.shape[0]), labels.tolist(), coeffs.tolist(), dist.tolist(), (labels < 0).tolist()),
     )
     _write_csv(out / "centroids.csv", None, ",".join(["%.17g"] * V.shape[1]), V.tolist())
     _write_csv(
@@ -304,7 +302,6 @@ def _write_files(
 _MODE_FLAGS = {"c1-free": "c1_free", "normalized": "normalized", "binary": "binary"}
 _INIT_FLAGS = {"random": "random_rows", "plusplus": "plusplus"}
 _EMPTY_FLAGS = {"reseed": "reseed_farthest", "keep": "keep_previous"}
-_ZERO_FLAGS = {"keep": "keep_last_cluster", "exclude": "exclude"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=1e-9, help="relative objective decrease")
     parser.add_argument("--init", choices=sorted(_INIT_FLAGS), default="random")
     parser.add_argument("--empty-cluster", choices=["reseed", "keep"], default="reseed")
-    parser.add_argument("--zero-row", choices=["keep", "exclude"], default="keep")
     return parser
 
 
@@ -351,7 +347,6 @@ def main(argv=None) -> int:
             seed=args.seed,
             init=_INIT_FLAGS[args.init],
             empty_cluster_policy=_EMPTY_FLAGS[args.empty_cluster],
-            zero_row_policy=_ZERO_FLAGS[args.zero_row],
         )
         manifest = RunManifest(
             input_path=args.input, output_dir=args.out, spec=spec, config=config

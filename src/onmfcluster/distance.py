@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ModelSpec
-from .scalar_prox import _weighted_reg_medians, soft_threshold, weighted_reg_median
+from .scalar_prox import _check_penalties, _weighted_reg_medians, soft_threshold, weighted_reg_median
 
 
 class DegenerateCentroidError(ValueError):
@@ -36,7 +36,8 @@ class NoValidCentroidError(RuntimeError):
     """Every centroid row was degenerate during an assignment."""
 
 
-def _pair(x, v) -> tuple[np.ndarray, np.ndarray]:
+def _pair(x, v, **penalties: float) -> tuple[np.ndarray, np.ndarray]:
+    _check_penalties(**penalties)
     x = np.asarray(x, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     if x.size != v.size:
@@ -48,12 +49,13 @@ def _pair(x, v) -> tuple[np.ndarray, np.ndarray]:
 
 def coefficient_l2(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     """Soft-thresholded projection coefficient of x onto v (l2 discrepancy)."""
-    x, v = _pair(x, v)
+    x, v = _pair(x, v, lambda_u=lambda_u, mu_u=mu_u)
     denom = float(v @ v) + mu_u
     if denom <= 0.0:
         raise DegenerateCentroidError("centroid has zero norm and mu_u = 0")
-    gamma = lambda_u / (2.0 * denom)
-    return soft_threshold(gamma, float(x @ v) / denom)
+    # tau_{lambda_u / (2 denom)}(<x, v> / denom), thresholded before the
+    # division so that a subnormal denom cannot overflow the threshold.
+    return soft_threshold(lambda_u / 2.0, float(x @ v)) / denom
 
 
 def distance_l2(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
@@ -71,7 +73,7 @@ def distance_l2_closed_form(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> f
     (lambda_u / 2 > <x, v>), otherwise
     ||x||^2 - (lambda_u - 2 <x, v>)^2 / (4 (||v||^2 + mu_u)).
     """
-    x, v = _pair(x, v)
+    x, v = _pair(x, v, lambda_u=lambda_u, mu_u=mu_u)
     denom = float(v @ v) + mu_u
     if denom <= 0.0:
         raise DegenerateCentroidError("centroid has zero norm and mu_u = 0")
@@ -87,7 +89,7 @@ def distance_l2_angle_form(x, v, lambda_u: float = 0.0) -> float:
 
         ||x||^2 sin^2(angle(x, v)) + (lambda_u / ||v||^2)(<x, v> - lambda_u / 4)
     """
-    x, v = _pair(x, v)
+    x, v = _pair(x, v, lambda_u=lambda_u)
     xx = float(x @ x)
     vv = float(v @ v)
     if xx == 0.0 or vv == 0.0:
@@ -99,7 +101,7 @@ def distance_l2_angle_form(x, v, lambda_u: float = 0.0) -> float:
 
 def coefficient_l1(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     """Regularized weighted median coefficient of x onto v (l1 discrepancy)."""
-    x, v = _pair(x, v)
+    x, v = _pair(x, v, lambda_u=lambda_u, mu_u=mu_u)
     return weighted_reg_median(x, v, lambda_u, mu_u)
 
 

@@ -11,10 +11,11 @@ centroid update's guard and reseeding, and the CLI's distance column read it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .scalar_prox import _check_penalties
 
 DISCREPANCIES = ("l1", "l2")
 CONSTRAINT_MODES = ("c1_free", "normalized", "binary")
@@ -54,10 +55,11 @@ class Membership:
     """Sparse row-wise cluster membership.
 
     ``labels[m]`` is the cluster index of row m, or -1 when the row carries no
-    assignment. ``coefficients[m]`` is the membership coefficient; a row with a
-    label but coefficient 0.0 was thresholded to zero by the sparsity penalty
-    and keeps its label for reporting only (it does not contribute to centroid
-    updates or to the reconstruction).
+    assignment. ``coefficients[m]`` is the membership coefficient. The solver
+    labels a row -1 exactly where the sparsity penalty thresholds its
+    coefficient to 0. A labelled row with coefficient 0.0, built by hand, is
+    accepted and contributes nothing to centroid updates or to the
+    reconstruction.
     """
 
     labels: np.ndarray
@@ -107,10 +109,7 @@ class RegularizationParams:
     mu_v: float = 0.0
 
     def __post_init__(self):
-        for name in ("lambda_u", "lambda_v", "mu_u", "mu_v"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        _check_penalties(**vars(self))
 
 
 @dataclass(frozen=True)
@@ -150,20 +149,26 @@ class FactorizationResult:
     """Final state of an alternating-minimization run.
 
     ``objective_trace`` holds the objective after every full iteration and is
-    non-increasing (within 1e-10 per step). ``unassigned_rows`` lists rows
-    whose coefficient was thresholded to zero.
+    non-increasing (within 1e-10 per step). Rows whose coefficient was
+    thresholded to zero carry label -1 and make up ``unassigned_rows``.
     """
 
     membership: Membership
     centroids: np.ndarray
     objective_trace: np.ndarray
-    iterations: int
     converged: bool
-    unassigned_rows: frozenset[int]
 
     def __post_init__(self):
         object.__setattr__(self, "centroids", _frozen_array(self.centroids, float))
         object.__setattr__(self, "objective_trace", _frozen_array(self.objective_trace, float))
+
+    @property
+    def iterations(self) -> int:
+        return self.objective_trace.size
+
+    @property
+    def unassigned_rows(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.membership.labels < 0).tolist())
 
 
 def row_costs(X, membership: Membership, V, spec: ModelSpec) -> np.ndarray:

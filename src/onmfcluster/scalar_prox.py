@@ -16,6 +16,7 @@ closed forms, and the only independent check of the sweep.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,14 +33,20 @@ class DegenerateObjectiveWarning(UserWarning):
     """The scalar objective is constant; the returned minimizer is a convention."""
 
 
+def _check_penalties(**weights: float) -> None:
+    """Raise ``ValueError`` unless every named penalty weight is finite and nonnegative."""
+    for name, value in weights.items():
+        if not math.isfinite(value) or value < 0:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
 def soft_threshold(gamma: float, x: float) -> float:
     """Shrink x toward zero by gamma and clip at zero.
 
     The negative branch of the usual soft-thresholding function is omitted:
     the subproblems are constrained to t >= 0.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    _check_penalties(gamma=gamma)
     return x - gamma if x >= gamma else 0.0
 
 
@@ -118,8 +125,7 @@ def weighted_reg_median(v, w, lam: float = 0.0, mu: float = 0.0) -> float:
     A completely flat objective (all weights zero with lam = mu = 0) returns
     0.0 and emits :class:`DegenerateObjectiveWarning`.
     """
-    if lam < 0 or mu < 0:
-        raise ValueError("lam and mu must be nonnegative")
+    _check_penalties(lam=lam, mu=mu)
     v, w = _check_pair(v, w)
     if lam == mu == 0.0 and not (w > 0).any():
         warnings.warn(
@@ -152,8 +158,7 @@ class ScalarProxProblem:
         weights.setflags(write=False)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "weights", weights)
-        if self.l1_weight < 0 or self.l2_weight < 0:
-            raise ValueError("l1_weight and l2_weight must be nonnegative")
+        _check_penalties(l1_weight=self.l1_weight, l2_weight=self.l2_weight)
 
     def value(self, t):
         """Objective value at t (scalar or 1-D array)."""
@@ -174,8 +179,8 @@ def solve_closed_form(problem: ScalarProxProblem) -> float:
         if w2 == 0.0:
             # No quadratic curvature: the objective is constant + lam*t.
             return 0.0
-        gamma = problem.l1_weight / (2.0 * w2)
-        return soft_threshold(gamma, float(problem.targets @ problem.weights) / w2)
+        # Thresholded before the division, as in ``distance.coefficient_l2``.
+        return soft_threshold(problem.l1_weight / 2.0, float(problem.targets @ problem.weights)) / w2
     return float(
         _weighted_reg_medians(problem.targets, problem.weights, problem.l1_weight, problem.l2_weight)
     )

@@ -2,10 +2,12 @@
 
 Each iteration assigns every data row to its best centroid (exact scalar
 minimization of the membership coefficient), recomputes the centroids from
-the new memberships, and records the objective. Both block updates are exact
-minimizers of their subproblems, so the recorded objective trace is
-non-increasing. The iterations are streamed: ``fit`` keeps only the previous
-step and the objective trace, and ``fit_history`` alone keeps every step.
+the new memberships, and records the objective. A row whose coefficient the
+membership penalty thresholds to 0 belongs to no cluster and carries label
+-1. Both block updates are exact minimizers of their subproblems, so the
+recorded objective trace is non-increasing. The iterations are streamed:
+``fit`` keeps only the previous step and the objective trace, and
+``fit_history`` alone keeps every step.
 
 Assignment and ``plusplus`` seeding read every (row, centroid) cost from the
 batched kernel ``distance.pair_costs``: an assignment is the argmin of its
@@ -31,7 +33,6 @@ from .distance import DegenerateCentroidError, NoValidCentroidError, _l2_binary_
 from .model import FactorizationResult, Membership, ModelSpec, as_data_matrix, objective
 
 INIT_METHODS = ("random_rows", "plusplus")
-ZERO_ROW_POLICIES = ("keep_last_cluster", "exclude")
 
 
 class DuplicateRowsError(ValueError):
@@ -40,13 +41,7 @@ class DuplicateRowsError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run configuration: cluster count, termination, seeding, and policies.
-
-    ``zero_row_policy`` governs rows whose coefficient thresholds to zero:
-    ``keep_last_cluster`` keeps the most recent cluster label for reporting
-    (the row still contributes nothing to centroid updates), ``exclude``
-    drops the label entirely.
-    """
+    """Run configuration: cluster count, termination, seeding, and policies."""
 
     n_clusters: int
     max_iter: int = 300
@@ -54,7 +49,6 @@ class SolverConfig:
     seed: int = 0
     init: str = "random_rows"
     empty_cluster_policy: str = "reseed_farthest"
-    zero_row_policy: str = "keep_last_cluster"
 
     def __post_init__(self):
         if self.n_clusters < 1:
@@ -69,8 +63,6 @@ class SolverConfig:
             raise ValueError(f"init must be one of {INIT_METHODS}")
         if self.empty_cluster_policy not in EMPTY_CLUSTER_POLICIES:
             raise ValueError(f"empty_cluster_policy must be one of {EMPTY_CLUSTER_POLICIES}")
-        if self.zero_row_policy not in ZERO_ROW_POLICIES:
-            raise ValueError(f"zero_row_policy must be one of {ZERO_ROW_POLICIES}")
 
 
 def init_centroids(X, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
@@ -154,13 +146,8 @@ def _steps(X: np.ndarray, spec: ModelSpec, config: SolverConfig) -> Iterator[tup
     prev = None
     for _ in range(config.max_iter):
         labels, coeffs = _nearest(X, V, spec)
-        zero = coeffs == 0.0
-        if config.zero_row_policy == "exclude":
-            labels = np.where(zero, -1, labels)
-        elif prev is not None:
-            labels = np.where(zero & (prev.membership.labels >= 0), prev.membership.labels, labels)
-        membership = Membership(labels, coeffs, K)
-        V = update_centroids(X, membership, K, spec, V, config.empty_cluster_policy)
+        membership = Membership(np.where(coeffs == 0.0, -1, labels), coeffs, K)
+        V = update_centroids(X, membership, spec, V, config.empty_cluster_policy)
         step = FitStep(membership, V, objective(X, membership, V, spec))
         converged = False
         # A rise is never convergence, whatever else repeats.
@@ -197,18 +184,11 @@ def fit(X, spec: ModelSpec, config: SolverConfig) -> FactorizationResult:
 
     Returns:
         A :class:`FactorizationResult` with the final membership, centroid
-        matrix, per-iteration objective trace, and convergence metadata.
-        Hitting ``max_iter`` is reported via ``converged=False``, not raised.
+        matrix, per-iteration objective trace, and convergence flag. Rows
+        with coefficient 0 carry label -1. Hitting ``max_iter`` is reported
+        via ``converged=False``, not raised.
     """
     trace = []
     for last, converged in _steps(as_data_matrix(X), spec, config):
         trace.append(last.objective)
-    unassigned = frozenset(int(m) for m in np.nonzero(last.membership.coefficients == 0.0)[0])
-    return FactorizationResult(
-        membership=last.membership,
-        centroids=last.centroids,
-        objective_trace=np.array(trace),
-        iterations=len(trace),
-        converged=converged,
-        unassigned_rows=unassigned,
-    )
+    return FactorizationResult(last.membership, last.centroids, np.array(trace), converged)

@@ -199,10 +199,10 @@ def test_criterion_7_sparsity_thresholding():
         spec = ModelSpec("l2", "c1_free", RegularizationParams(lambda_u=4.0, mu_v=1.0))
         res = fit(X, spec, SolverConfig(n_clusters=2, seed=1))
         assert res.unassigned_rows == {4}
+        assert res.membership.labels[4] == -1
         assert 4.0 / 2.0 > (X[4] @ res.centroids.T).max()
-        label = int(res.membership.labels[4])
-        _, dist = coefficient_and_distance(X[4], res.centroids[label], spec)
-        assert abs(dist - float(X[4] @ X[4])) <= 1e-12
+        for v in res.centroids:
+            assert coefficient_and_distance(X[4], v, spec) == (0.0, float(X[4] @ X[4]))
 
 
 def test_criterion_8_non_metric_witness():

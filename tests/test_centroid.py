@@ -59,6 +59,12 @@ class TestCentroidL1:
         assert_allclose(centroid_l1(np.array([[2.0]]), [1.0], mu_v=1.0), [0.5])
 
 
+@pytest.mark.parametrize("centroid", [centroid_l1, centroid_l2])
+def test_negative_membership_weight_rejected(centroid):
+    with pytest.raises(ValueError, match="u_k must be nonnegative"):
+        centroid([[1.0, 2.0], [3.0, 4.0]], [-1.0, 1.0])
+
+
 @pytest.mark.parametrize("discrepancy", ["l1", "l2"])
 def test_component_update_never_increases_scalar_objective(discrepancy):
     # Each component solves its own scalar problem exactly, so the new value
@@ -85,20 +91,20 @@ class TestUpdateCentroids:
     def test_binary_l2_means(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
         m = Membership(np.array([0, 0, 1, 1]), np.ones(4), 2)
-        V = update_centroids(X, m, 2, ModelSpec("l2", "binary"), previous=np.zeros((2, 2)))
+        V = update_centroids(X, m, ModelSpec("l2", "binary"), previous=np.zeros((2, 2)))
         assert_allclose(V, [[0.0, 0.5], [10.0, 10.5]])
 
     def test_binary_l1_median(self):
         X = np.array([[1.0], [2.0], [9.0]])
         m = Membership(np.zeros(3, dtype=int), np.ones(3), 1)
-        V = update_centroids(X, m, 1, ModelSpec("l1", "binary"), previous=np.zeros((1, 1)))
+        V = update_centroids(X, m, ModelSpec("l1", "binary"), previous=np.zeros((1, 1)))
         assert_allclose(V, [[2.0]])
 
     def test_empty_cluster_reseeds_farthest(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [8.0, 0.0]])
         m = Membership(np.zeros(3, dtype=int), np.ones(3), 2)
         previous = np.array([[0.0, 0.0], [5.0, 5.0]])
-        V = update_centroids(X, m, 2, ModelSpec("l2", "binary"), previous=previous)
+        V = update_centroids(X, m, ModelSpec("l2", "binary"), previous=previous)
         # Row 2 is farthest from its own centroid (row 0 of previous).
         assert_array_equal(V[1], X[2])
 
@@ -107,7 +113,7 @@ class TestUpdateCentroids:
         m = Membership(np.zeros(2, dtype=int), np.ones(2), 2)
         previous = np.array([[7.0, 7.0], [5.0, 5.0]])
         V = update_centroids(
-            X, m, 2, ModelSpec("l2", "binary"), previous=previous,
+            X, m, ModelSpec("l2", "binary"), previous=previous,
             empty_cluster_policy="keep_previous",
         )
         assert_array_equal(V[1], previous[1])
@@ -116,7 +122,7 @@ class TestUpdateCentroids:
         X = np.array([[0.0], [6.0], [9.0]])
         m = Membership(np.zeros(3, dtype=int), np.ones(3), 3)
         previous = np.zeros((3, 1))
-        V = update_centroids(X, m, 3, ModelSpec("l2", "binary"), previous=previous)
+        V = update_centroids(X, m, ModelSpec("l2", "binary"), previous=previous)
         assert_array_equal(V[1], X[2])  # farthest first
         assert_array_equal(V[2], X[1])
 
@@ -124,7 +130,7 @@ class TestUpdateCentroids:
         # Rows 0 and 1 both cost 9 against the zero centroid.
         X = np.array([[3.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
         m = Membership(np.zeros(3, dtype=int), np.ones(3), 2)
-        V = update_centroids(X, m, 2, ModelSpec("l2", "binary"), previous=np.zeros((2, 2)))
+        V = update_centroids(X, m, ModelSpec("l2", "binary"), previous=np.zeros((2, 2)))
         assert_array_equal(V[1], X[0])
 
     @pytest.mark.parametrize("discrepancy", ["l1", "l2"])
@@ -135,20 +141,20 @@ class TestUpdateCentroids:
         X = np.array([[1.0, 2.0, 0.5]])
         m = Membership(np.zeros(1, dtype=int), np.ones(1), 1)
         spec = ModelSpec(discrepancy, "normalized", RegularizationParams(lambda_v=10.0))
-        V = update_centroids(X, m, 1, spec, previous=np.ones((1, 3)))
+        V = update_centroids(X, m, spec, previous=np.ones((1, 3)))
         assert_array_equal(V, [[0.0, 1.0, 0.0]])
 
     def test_zero_coefficient_rows_excluded(self):
         X = np.array([[1.0], [100.0]])
         m = Membership(np.array([0, 0]), np.array([1.0, 0.0]), 1)
-        V = update_centroids(X, m, 1, ModelSpec("l2", "binary"), previous=np.zeros((1, 1)))
+        V = update_centroids(X, m, ModelSpec("l2", "binary"), previous=np.zeros((1, 1)))
         assert_allclose(V, [[1.0]])
 
     def test_normalized_rows_unit_norm(self):
         rng = np.random.default_rng(13)
         X = rng.uniform(0.1, 10, (8, 3))
         m = Membership(rng.integers(0, 2, 8), rng.uniform(0.5, 2, 8), 2)
-        V = update_centroids(X, m, 2, ModelSpec("l2", "normalized"), previous=np.ones((2, 3)))
+        V = update_centroids(X, m, ModelSpec("l2", "normalized"), previous=np.ones((2, 3)))
         assert_allclose(np.linalg.norm(V, axis=1), 1.0, atol=1e-12)
 
     def test_normalized_step_never_increases_block_cost(self):
@@ -162,7 +168,7 @@ class TestUpdateCentroids:
             m = Membership(np.zeros(rows, dtype=int), rng.uniform(0.5, 2, rows), 1)
             prev = rng.uniform(0.1, 1, (1, 3))
             prev /= np.linalg.norm(prev)
-            V = update_centroids(X, m, 1, spec, previous=prev)
+            V = update_centroids(X, m, spec, previous=prev)
             cost = lambda v: float(np.abs(X - m.coefficients[:, None] * v[None, :]).sum())
             assert cost(V[0]) <= cost(prev[0]) + 1e-12
 
@@ -170,10 +176,4 @@ class TestUpdateCentroids:
         X = np.array([[1.0]])
         m = Membership(np.zeros(1, dtype=int), np.ones(1), 1)
         with pytest.raises(ValueError):
-            update_centroids(X, m, 1, ModelSpec(), np.zeros((1, 1)), "explode")
-
-    def test_membership_cluster_count_must_match(self):
-        X = np.array([[1.0], [2.0]])
-        m = Membership(np.zeros(2, dtype=int), np.ones(2), 1)
-        with pytest.raises(ValueError, match="clusters"):
-            update_centroids(X, m, 2, ModelSpec(), np.zeros((2, 1)))
+            update_centroids(X, m, ModelSpec(), np.zeros((1, 1)), "explode")

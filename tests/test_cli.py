@@ -111,12 +111,12 @@ class TestRun:
 
         report = json.loads((out / "run.json").read_text())
         assert report["converged"] is True
-        assert report["format_version"] == 1
+        assert report["format_version"] == 2
         # Every effective parameter is echoed, including defaults.
         for key in (
             "input", "out", "k", "discrepancy", "mode", "lambda_u", "lambda_v",
             "mu_u", "mu_v", "seed", "max_iter", "tol", "init",
-            "empty_cluster_policy", "zero_row_policy", "iterations",
+            "empty_cluster_policy", "iterations",
             "wall_time_seconds",
         ):
             assert key in report
@@ -223,7 +223,7 @@ class TestRun:
         assert main(argv) == 0
         assert (out / "assignments.csv").read_bytes() == (
             b"row_index,cluster,coefficient,distance,unassigned\r\n"
-            b"0,0,0,0,1\r\n"
+            b"0,-1,0,0,1\r\n"
             b"1,1,0.069493128942890919,0.5133584247055436,0\r\n"
             b"2,0,1.5755569370501636,3.8173905664360115,0\r\n"
             b"3,1,1.4916504762310603,4.5441938462845402,0\r\n"
@@ -250,6 +250,15 @@ class TestRun:
         code = main(_toy_args(toy_csv, tmp_path / "o", "--lambda-u", "1.0"))
         assert code == 2
 
+    def test_zero_row_flag_is_rejected(self, toy_csv, tmp_path, capsys):
+        # A thresholded row has one representation, cluster -1, so the flag
+        # that chose between two is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(_toy_args(toy_csv, tmp_path / "o", "--zero-row", "keep"))
+        assert exc.value.code == 2
+        assert "--zero-row" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 def _distance_cases():
     penalized = ["--lambda-v", "0.3", "--mu-v", "0.2"]
@@ -258,7 +267,7 @@ def _distance_cases():
             yield discrepancy, mode, ["--max-iter", "1", *penalized]
             yield discrepancy, mode, penalized
         membership_penalty = ["--lambda-u", "4", "--mu-u", "0.5", *penalized]
-        for extra in (["--max-iter", "1"], [], ["--zero-row", "exclude"]):
+        for extra in (["--max-iter", "1"], [], ["--empty-cluster", "keep"]):
             yield discrepancy, "c1-free", [*membership_penalty, *extra]
 
 
@@ -293,5 +302,6 @@ def test_distance_column_is_each_rows_share_of_the_objective(tmp_path, discrepan
     full = (X * X).sum(axis=1) if discrepancy == "l2" else X.sum(axis=1)
     assert_allclose(dist[zero], full[zero], rtol=1e-15, atol=0)
     assert_array_equal(table[:, 4], zero)
+    assert_array_equal(table[:, 1] == -1, table[:, 4] == 1)
     if "--lambda-u" in extra:
         assert zero[-2:].all()

@@ -42,7 +42,7 @@ PENALTIES = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.floats(
 PROPERTY = settings(max_examples=150, deadline=None)
 
 
-def _with_zero_rows(draw, shape):
+def _with_null_rows(draw, shape):
     A = draw(arrays(float, shape, elements=ENTRIES))
     A[draw(arrays(bool, shape[0]))] = 0.0
     return A
@@ -52,8 +52,8 @@ def _with_zero_rows(draw, shape):
 def problems(draw):
     discrepancy, mode = draw(st.sampled_from(CELLS))
     n = draw(st.integers(1, 6))
-    X = _with_zero_rows(draw, (draw(st.integers(1, 6)), n))
-    V = _with_zero_rows(draw, (draw(st.integers(1, 4)), n))
+    X = _with_null_rows(draw, (draw(st.integers(1, 6)), n))
+    V = _with_null_rows(draw, (draw(st.integers(1, 4)), n))
     if mode == "c1_free":
         reg = RegularizationParams(lambda_u=draw(PENALTIES), mu_u=draw(PENALTIES))
     else:

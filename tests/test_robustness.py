@@ -13,11 +13,16 @@ from onmfcluster import (
     centroid_l1,
     centroid_l2,
     coefficient_and_distance,
+    coefficient_l1,
     coefficient_l2,
     distance_l1,
+    distance_l2,
+    distance_l2_angle_form,
+    distance_l2_closed_form,
     fit,
     fit_history,
     objective,
+    soft_threshold,
     weighted_reg_median,
 )
 from onmfcluster.cli import main
@@ -132,28 +137,47 @@ def test_cli_exits_2_on_non_finite_tol_and_penalty_weights(tmp_path, capsys, fla
 
 PAIR = ([1.0, 2.0], [1.0, 1.0])
 CLUSTER = ([[1.0, 2.0], [3.0, 4.0]], [1.0, 0.5])
-# Public pointwise functions with valid arguments, at least one behind each
-# shared validator; ``fit`` is guarded by ``as_data_matrix`` instead.
+# Public pointwise functions with valid arguments and the keywords of their
+# penalty weights, at least one behind each shared validator; ``fit`` is
+# guarded by ``as_data_matrix`` and ``RegularizationParams`` instead.
 POINTWISE = {
-    "weighted_reg_median": (weighted_reg_median, PAIR),
-    "ScalarProxProblem": (lambda v, w: ScalarProxProblem("weighted_l1", v, w), PAIR),
-    "coefficient_l2": (coefficient_l2, PAIR),
-    "distance_l1": (distance_l1, PAIR),
-    "coefficient_and_distance": (lambda x, v: coefficient_and_distance(x, v, ModelSpec("l1")), PAIR),
-    "centroid_l2": (centroid_l2, CLUSTER),
-    "centroid_l1": (centroid_l1, CLUSTER),
-    "assign": (lambda x, V: assign(x, V, ModelSpec("l2", "binary")), ([1.0, 2.0], CLUSTER[0])),
+    "weighted_reg_median": (weighted_reg_median, PAIR, ("lam", "mu")),
+    "ScalarProxProblem": (
+        lambda v, w, **weights: ScalarProxProblem("weighted_l1", v, w, **weights),
+        PAIR, ("l1_weight", "l2_weight"),
+    ),
+    "coefficient_l1": (coefficient_l1, PAIR, ("lambda_u", "mu_u")),
+    "coefficient_l2": (coefficient_l2, PAIR, ("lambda_u", "mu_u")),
+    "distance_l1": (distance_l1, PAIR, ("lambda_u", "mu_u")),
+    "distance_l2": (distance_l2, PAIR, ("lambda_u", "mu_u")),
+    "distance_l2_closed_form": (distance_l2_closed_form, PAIR, ("lambda_u", "mu_u")),
+    "distance_l2_angle_form": (distance_l2_angle_form, PAIR, ("lambda_u",)),
+    "coefficient_and_distance": (lambda x, v: coefficient_and_distance(x, v, ModelSpec("l1")), PAIR, ()),
+    "centroid_l2": (centroid_l2, CLUSTER, ("lambda_v", "mu_v")),
+    "centroid_l1": (centroid_l1, CLUSTER, ("lambda_v", "mu_v")),
+    "assign": (lambda x, V: assign(x, V, ModelSpec("l2", "binary")), ([1.0, 2.0], CLUSTER[0]), ()),
+    "soft_threshold": (lambda gamma=0.5: soft_threshold(gamma, 1.0), (), ("gamma",)),
 }
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("position", [0, 1])
-@pytest.mark.parametrize("name", sorted(POINTWISE))
+@pytest.mark.parametrize("name", sorted(name for name, entry in POINTWISE.items() if entry[1]))
 def test_pointwise_functions_reject_non_finite_input(name, position, bad):
     # These used to return NaN, or a number computed from the finite entries
     # alone, or to blame the centroids.
-    function, args = POINTWISE[name]
+    function, args, _ = POINTWISE[name]
     args = [np.array(a, dtype=float) for a in args]
     args[position].flat[-1] = bad
     with pytest.raises(ValueError, match="must be finite"):
         function(*args)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize(
+    "name, weight", [(name, weight) for name, entry in sorted(POINTWISE.items()) for weight in entry[2]]
+)
+def test_pointwise_functions_reject_bad_penalty_weights(name, weight, bad):
+    function, args, _ = POINTWISE[name]
+    with pytest.raises(ValueError, match=f"{weight} must be finite and nonnegative, got"):
+        function(*args, **{weight: bad})

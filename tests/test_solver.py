@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from onmfcluster import (
 )
 from reference import kmedian_history, lloyd_kmeans_history
 
+CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
 
 
@@ -127,12 +129,9 @@ def _random_instance(rng, max_m=40):
 
 
 class TestMonotoneDescent:
-    @pytest.mark.parametrize(
-        "discrepancy, mode",
-        list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"])),
-    )
+    @pytest.mark.parametrize("discrepancy, mode", CELLS)
     def test_trace_non_increasing(self, discrepancy, mode):
-        rng = np.random.default_rng(hash((discrepancy, mode)) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(f"{discrepancy}/{mode}".encode()))
         for _ in range(6):
             X, K = _random_instance(rng)
             if mode == "c1_free":
@@ -221,21 +220,41 @@ class TestZeroRows:
         res = fit(X, spec, SolverConfig(n_clusters=2, seed=1))
         assert 4 in res.unassigned_rows
         assert res.membership.coefficients[4] == 0.0
-        assert res.membership.labels[4] >= 0  # keep_last_cluster retains a label
-        k, coeff, dist = (res.membership.labels[4], 0.0,
-                          coefficient_and_distance(X[4], res.centroids[res.membership.labels[4]], spec)[1])
-        assert_allclose(dist, float(X[4] @ X[4]), atol=1e-12)
-
-    def test_exclude_policy_drops_label(self):
-        X, spec = self._sparse_setup()
-        res = fit(X, spec, SolverConfig(n_clusters=2, seed=1, zero_row_policy="exclude"))
-        assert 4 in res.unassigned_rows
         assert res.membership.labels[4] == -1
+        for v in res.centroids:
+            assert coefficient_and_distance(X[4], v, spec) == (0.0, float(X[4] @ X[4]))
 
     def test_big_rows_stay_assigned(self):
         X, spec = self._sparse_setup()
         res = fit(X, spec, SolverConfig(n_clusters=2, seed=1))
         assert res.unassigned_rows == {4}
+
+
+@pytest.mark.parametrize("discrepancy, mode", CELLS)
+def test_label_is_minus_one_exactly_where_the_coefficient_is_zero(discrepancy, mode):
+    rng = np.random.default_rng(zlib.crc32(f"unassigned/{discrepancy}/{mode}".encode()))
+    thresholded = 0
+    for policy, init in itertools.product(["reseed_farthest", "keep_previous"], ["random_rows", "plusplus"]):
+        K = int(rng.integers(1, 5))
+        X = rng.uniform(0, 10, (int(rng.integers(8, 40)), int(rng.integers(2, 8))))
+        # Under l2 a membership penalty thresholds the tiny rows to
+        # coefficient 0; under l1 it thresholds every positive row against a
+        # centroid of l1 norm at most lambda_u, whatever the row's size.
+        X[rng.random(X.shape[0]) < 0.3] *= 1e-3
+        scale = X.sum(axis=1).mean() if discrepancy == "l1" else 4.0
+        lambda_u, mu_u = rng.uniform(0, 1, 2) * scale if mode == "c1_free" else (0.0, 0.0)
+        spec = ModelSpec(discrepancy, mode, RegularizationParams(lambda_u, rng.uniform(0, 1), mu_u, 1.0))
+        config = SolverConfig(n_clusters=K, seed=int(rng.integers(2**32)), init=init,
+                              empty_cluster_policy=policy)
+        steps = fit_history(X, spec, config)
+        for step in steps:
+            assert_array_equal(step.membership.labels == -1, step.membership.coefficients == 0.0)
+        res = fit(X, spec, config)
+        assert res.iterations == len(res.objective_trace) == len(steps)
+        assert res.unassigned_rows == set(np.flatnonzero(res.membership.labels == -1).tolist())
+        thresholded += len(res.unassigned_rows)
+    if mode == "c1_free":
+        assert thresholded > 0
 
 
 class TestStreamedRun:

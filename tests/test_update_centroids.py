@@ -41,7 +41,7 @@ PROPERTY = settings(max_examples=150, deadline=None)
 TOL = 1e-9
 
 
-def _with_zero_rows(draw, shape):
+def _with_null_rows(draw, shape):
     A = draw(arrays(float, shape, elements=ENTRIES))
     A[draw(arrays(bool, shape[0]))] = 0.0
     return A
@@ -59,12 +59,12 @@ def updates(draw):
     discrepancy, mode = draw(st.sampled_from(CELLS))
     M, N, K = draw(st.integers(1, 10)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     spec = _spec(draw, discrepancy, mode, draw(LAMBDA_V), draw(PENALTIES))
-    X = _with_zero_rows(draw, (M, N))
+    X = _with_null_rows(draw, (M, N))
     labels = draw(arrays(np.int64, M, elements=st.integers(-1, K - 1)))
     elements = st.sampled_from([0.0, 1.0]) if mode == "binary" else COEFFICIENTS
     coeffs = draw(arrays(float, M, elements=elements))
     coeffs[labels < 0] = 0.0
-    previous = _with_zero_rows(draw, (K, N))
+    previous = _with_null_rows(draw, (K, N))
     if mode == "normalized":
         # Some previous rows feasible (unit norm), some raw, as after seeding.
         norms = np.linalg.norm(previous, axis=1)
@@ -107,7 +107,7 @@ def _assert_one_of(v, options):
 def test_update_matches_the_per_cluster_definitions(update):
     X, membership, spec, previous, policy = update
     K, N = previous.shape
-    V = update_centroids(X, membership, K, spec, previous, policy)
+    V = update_centroids(X, membership, spec, previous, policy)
     labels, coeffs = membership.labels, membership.coefficients
     normalized = spec.constraint_mode == "normalized"
     centroid = centroid_l2 if spec.discrepancy == "l2" else centroid_l1
@@ -162,8 +162,8 @@ def test_update_matches_the_per_cluster_definitions(update):
 def assignments(draw):
     discrepancy, mode = draw(st.sampled_from(CELLS))
     N = draw(st.integers(1, 4))
-    X = _with_zero_rows(draw, (draw(st.integers(1, 10)), N))
-    V = _with_zero_rows(draw, (draw(st.integers(1, 4)), N))
+    X = _with_null_rows(draw, (draw(st.integers(1, 10)), N))
+    V = _with_null_rows(draw, (draw(st.integers(1, 4)), N))
     return X, V, _spec(draw, discrepancy, mode)
 
 
@@ -210,7 +210,7 @@ def test_unpenalized_l1_update_equals_the_sweep_bit_for_bit(update):
     # weighted sweep; both must give centroid_l1's value exactly.
     X, membership, _, previous, policy = update
     K = previous.shape[0]
-    V = update_centroids(X, membership, K, ModelSpec("l1", "c1_free"), previous, policy)
+    V = update_centroids(X, membership, ModelSpec("l1", "c1_free"), previous, policy)
     labels, coeffs = membership.labels, membership.coefficients
     for k in range(K):
         rows = (coeffs > 0) & (labels == k)
@@ -222,7 +222,7 @@ def test_kmedian_update_keeps_the_sweeps_signed_zero():
     X = np.random.default_rng(0).choice([0.0, -0.0, 1.0, 2.0], size=(400, 8))
     labels = np.arange(400) % 3
     membership = Membership(labels, np.ones(400), 3)
-    V = update_centroids(X, membership, 3, ModelSpec("l1", "binary"), np.zeros((3, 8)))
+    V = update_centroids(X, membership, ModelSpec("l1", "binary"), np.zeros((3, 8)))
     groups = [X[labels == k] for k in range(3)]
     expected = [centroid_l1(X_k, np.ones(X_k.shape[0])) for X_k in groups]
     assert V.tobytes() == np.array(expected).tobytes()
