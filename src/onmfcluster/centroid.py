@@ -5,11 +5,13 @@ takes weighted regularized medians; they are the paper-level definitions and
 the oracles ``update_centroids`` is tested against. ``update_centroids``
 updates every cluster in one batched pass: under l2 all thresholded means
 come from one product U^T X, under l1 the rows are grouped by label once and
-each cluster takes one batched median sweep. With unit weights and no
-centroid penalties, as in K-median, the sweep's value is the plain column
-median, read off one stable sort of the cluster's rows instead. Empty
-clusters are resolved by the configured policy, and in normalized mode every
-row is projected onto the unit sphere once. Under l2 that projection is the
+the clusters, in order of size, are stacked into batches padded to a common
+width, each within the pair kernel's chunk budget of elements, and each
+batch takes one median sweep. With unit weights and no centroid penalties,
+as in K-median, the sweep's value is the plain column median, read off one
+stable sort per batch instead. Empty clusters are resolved by the
+configured policy, and in normalized mode every row is projected onto the
+unit sphere once. Under l2 that projection is the
 exact minimizer; under l1 a guard keeps the previous row where it is not.
 Reseeding and the guard read each row's cost from ``model.row_costs``, the
 cost the objective sums.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import distance
 from .model import Membership, ModelSpec, dense_u, row_costs
 from .scalar_prox import _check_penalties, _weighted_reg_medians
 
@@ -63,17 +66,35 @@ def centroid_l1(X_k, u_k, lambda_v: float = 0.0, mu_v: float = 0.0) -> np.ndarra
     return _weighted_reg_medians(X_k.T, u_k, lambda_v, mu_v)
 
 
-def _median(X_k: np.ndarray) -> np.ndarray:
-    """Column medians of X_k, the two middle values' midpoint for even counts.
+def _medians(P: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Column medians of each cluster stacked in P.
 
-    A stable sort puts equal values, 0.0 and -0.0 included, in row order as
-    the sweep's stable argsort does, so these are the unit-weight,
+    P[b] holds cluster b's sizes[b] rows followed by rows of +inf; an even
+    count takes the midpoint of its two middle values. A stable sort puts
+    equal values, 0.0 and -0.0 included, in row order as the sweep's stable
+    argsort does, and the padding behind them, so these are the unit-weight,
     unpenalized ``_weighted_reg_medians`` values bit for bit.
     """
-    n = X_k.shape[0]
-    h = n // 2
-    S = np.sort(X_k, axis=0, kind="stable")
-    return S[h] if n % 2 else 0.5 * (S[h - 1] + S[h])
+    S = np.sort(P, axis=1, kind="stable")
+    b = np.arange(P.shape[0])
+    out = S[b, sizes // 2]
+    even = sizes % 2 == 0
+    out[even] = 0.5 * (S[b[even], sizes[even] // 2 - 1] + out[even])
+    return out
+
+
+def _batches(sizes: np.ndarray, clusters: np.ndarray, width: int):
+    """Cut ``clusters`` into batches of at most ``width`` padded rows each.
+
+    Clusters are taken in order of size, so a batch pads each cluster to its
+    last, largest one; a cluster wider than ``width`` is a batch of its own.
+    """
+    clusters = clusters[np.argsort(sizes[clusters], kind="stable")]
+    while clusters.size:
+        padded = np.arange(1, clusters.size + 1) * sizes[clusters]
+        n = max(1, int((padded <= width).sum()))
+        yield clusters[:n]
+        clusters = clusters[n:]
 
 
 def update_centroids(
@@ -122,13 +143,25 @@ def update_centroids(
     else:
         rows = np.flatnonzero(members)
         rows = rows[np.argsort(labels[rows], kind="stable")]
-        groups = np.split(rows, np.cumsum(sizes[full])[:-1])
+        starts = np.cumsum(sizes) - sizes
         plain = reg.lambda_v == reg.mu_v == 0.0 and (coeffs[rows] == 1.0).all()
-        for k, group in zip(np.flatnonzero(full), groups):
+        width = distance._CHUNK_ELEMENTS // max(X.shape[1], 1)
+        for ks in _batches(sizes, np.flatnonzero(full), width):
+            # Row i of cluster b sits at P[b, i]; the slots past its size
+            # are padding: +inf, which sorts behind every row, or weight 0,
+            # which the sweep makes an inactive breakpoint.
+            n = sizes[ks]
+            slot = np.arange(n[-1])
+            group = rows[np.minimum(starts[ks][:, None] + slot, rows.size - 1)]
+            pad = slot >= n[:, None]
+            P = X[group]
             if plain:
-                V[k] = _median(X[group])
+                P[pad] = np.inf
+                V[ks] = _medians(P, n)
             else:
-                V[k] = _weighted_reg_medians(X[group].T, coeffs[group], reg.lambda_v, reg.mu_v)
+                u = coeffs[group]
+                u[pad] = 0.0
+                V[ks] = _weighted_reg_medians(P.transpose(0, 2, 1), u[:, None, :], reg.lambda_v, reg.mu_v)
 
     empty = np.flatnonzero(~full)
     if empty.size and empty_cluster_policy == "reseed_farthest":

@@ -142,9 +142,11 @@ def coefficient_and_distance(x, v, spec: ModelSpec) -> tuple[float, float]:
 
 
 # Row chunks keep every M x K x N temporary of the binary and l1 kernels near
-# this many elements, so the kernel's peak memory stays close to its two
-# M x K results.
-_CHUNK_ELEMENTS = 4096
+# this many elements, and the l1 centroid update batches clusters within the
+# same budget. It is set by the peak-memory tests of both: at 8192 the l1
+# kernel peaks near 1.1 MiB on 4000 x 8 rows and 8 centroids, against a bound
+# of 1.5 MiB that 16384 exceeds. Larger chunks mean fewer numpy calls per row.
+_CHUNK_ELEMENTS = 8192
 
 
 def _l2_costs(X: np.ndarray, V: np.ndarray, lam: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
@@ -198,11 +200,17 @@ def pair_costs(X, V, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
         x = X[lo:lo + step, None, :]
         if mode == "binary":
             R = x - W
-            D[lo:lo + step] = (R * R if spec.discrepancy == "l2" else np.abs(R)).sum(axis=2)
+            if spec.discrepancy == "l2":
+                np.multiply(R, R, out=R)
+            else:
+                np.abs(R, out=R)
+            D[lo:lo + step] = R.sum(axis=2)
             continue
         t = _weighted_reg_medians(x, W, lam, mu)
         T[lo:lo + step] = t
-        D[lo:lo + step] = np.abs(x - t[:, :, None] * W).sum(axis=2) + mu * t * t + lam * t
+        R = t[:, :, None] * W
+        np.subtract(x, R, out=R)
+        D[lo:lo + step] = np.abs(R, out=R).sum(axis=2) + mu * t * t + lam * t
     return T, D
 
 

@@ -9,7 +9,9 @@ shapes:
 
 The quadratic family is solved in closed form by soft thresholding; the
 weighted-l1 family by one exact breakpoint sweep (the weighted, regularized
-median), batched over slices, which every l1 path runs. ``brute_force_min``
+median), batched over slices, which every l1 path runs: the pair kernel on
+chunks of rows, the centroid update on batches of clusters, each within the
+same budget of elements. ``brute_force_min``
 is an independent grid + golden-section oracle used to cross-check both
 closed forms, and the only independent check of the sweep.
 """
@@ -47,6 +49,8 @@ def soft_threshold(gamma: float, x: float) -> float:
     the subproblems are constrained to t >= 0.
     """
     _check_penalties(gamma=gamma)
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
     return x - gamma if x >= gamma else 0.0
 
 
@@ -62,10 +66,6 @@ def _check_pair(v, w) -> tuple[np.ndarray, np.ndarray]:
     return v, w
 
 
-def _at(a: np.ndarray, j: np.ndarray) -> np.ndarray:
-    return np.take_along_axis(a, j[..., None], axis=-1)[..., 0]
-
-
 def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
     """Breakpoint sweep of :func:`weighted_reg_median`, batched over the last axis.
 
@@ -74,38 +74,68 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
     zero weight, which sort behind every active one and leave the slopes of
     the active pieces unchanged.
     """
-    v, w = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(w, dtype=float))
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    shape = np.broadcast_shapes(v.shape, w.shape)
+    N = shape[-1]
+    S = math.prod(shape[:-1])
+    w = np.broadcast_to(w, w.shape[:-1] + (N,))
     active = w > 0
-    bp = np.divide(v, w, out=np.full(v.shape, np.inf), where=active)
-    order = np.argsort(bp, axis=-1, kind="stable")
-    bp = np.take_along_axis(bp, order, axis=-1)
-    csum = np.cumsum(np.take_along_axis(np.where(active, w, 0.0), order, axis=-1), axis=-1)
-    zero = np.zeros(bp.shape[:-1] + (1,))
-    slopes = lam + 2.0 * np.concatenate((zero, csum), axis=-1) - csum[..., -1:]
-    lo = np.concatenate((zero, bp), axis=-1)
-    hi = np.concatenate((bp, zero + np.inf), axis=-1)
+    bp = v / np.where(active, w, 1.0)
+    if not active.all():
+        np.copyto(bp, np.inf, where=~active)
+    # One stable argsort of the S slices, turned into flat indices so that
+    # every gather is one np.take. The gathers lay the sorted slices out as
+    # columns, so the cumulative sums and counts below run across all slices
+    # at once.
+    order = np.argsort(bp.reshape(S, N), axis=-1, kind="stable")
+    order += np.arange(0, S * N, N)[:, None]
+    order = order.T
+    # B[:, s] = [0, sorted breakpoints..., +inf]: interval j is [B[j], B[j + 1]].
+    B = np.empty((N + 2, S))
+    B[0] = 0.0
+    B[-1] = np.inf
+    np.take(bp.ravel(), order, out=B[1:-1], mode="clip")
+    # slopes[j] = lam + 2 c_j - total, c_j the weight of the first j sorted
+    # breakpoints, built in place over their cumulative sums. c_j >= +0, so
+    # adding lam = 0 would change no value.
+    slopes = np.empty((N + 1, S))
+    slopes[0] = 0.0
+    weights = np.broadcast_to(np.where(active, w, 0.0), shape).reshape(S * N)
+    np.take(weights, order, out=slopes[1:], mode="clip")
+    np.cumsum(slopes[1:], axis=0, out=slopes[1:])
+    total = slopes[-1].copy()
+    slopes *= 2.0
+    if lam != 0.0:
+        slopes += lam
+    slopes -= total
+    # Flat indices of entry (j[s], s) of an (n, S) array are j * S + columns.
+    columns = np.arange(S)
 
     if mu == 0.0:
         # Slopes are nondecreasing, so j indexes the first interval with
         # slope >= 0. The final slope lam + total is nonnegative, so j is in
         # range; it can fall inside the tolerance band only for vanishing
         # total weight.
-        j = (slopes <= -_FLAT_SLOPE_TOL).sum(axis=-1)
-        flat = (np.abs(_at(slopes, j)) <= _FLAT_SLOPE_TOL) & (j < active.sum(axis=-1))
-        lo_j = _at(lo, j)
-        return np.where(flat, 0.5 * (lo_j + _at(hi, j)), lo_j)
+        j = (slopes <= -_FLAT_SLOPE_TOL).sum(axis=0)
+        at = j * S + columns
+        n_active = np.broadcast_to(active.sum(axis=-1), shape[:-1]).reshape(S)
+        flat = (np.abs(slopes.take(at)) <= _FLAT_SLOPE_TOL) & (j < n_active)
+        lo_j = B.take(at)
+        t = np.where(flat, 0.5 * (lo_j + B.take(at + S)), lo_j)
+        return t.reshape(shape[:-1])
 
     roots = -slopes / (2.0 * mu)
-    inside = (roots >= lo) & (roots <= hi)
+    inside = (roots >= B[:-1]) & (roots <= B[1:])
+    at = inside.argmax(axis=0) * S + columns
     # Where no root lies inside its interval, the minimizer sits at a
     # breakpoint: the first one whose right derivative is nonnegative.
-    g_right = 2.0 * mu * bp + slopes[..., 1:]
-    t = np.where(
-        inside.any(axis=-1),
-        _at(roots, inside.argmax(axis=-1)),
-        _at(bp, (g_right >= 0.0).argmax(axis=-1)),
-    )
-    return np.where(slopes[..., 0] >= 0.0, 0.0, t)
+    g_right = 2.0 * mu * B[1:-1]
+    g_right += slopes[1:]
+    kink = B.take(((g_right >= 0.0).argmax(axis=0) + 1) * S + columns)
+    t = np.where(inside.take(at), roots.take(at), kink)
+    t[slopes[0] >= 0.0] = 0.0
+    return t.reshape(shape[:-1])
 
 
 def weighted_reg_median(v, w, lam: float = 0.0, mu: float = 0.0) -> float:

@@ -32,6 +32,7 @@ from onmfcluster import (
     coefficient_and_distance,
     weighted_reg_median,
 )
+from onmfcluster import distance
 from onmfcluster.distance import pair_costs
 from onmfcluster.scalar_prox import _weighted_reg_medians
 
@@ -220,3 +221,30 @@ def test_pair_costs_peak_memory_stays_near_its_results():
     finally:
         tracemalloc.stop()
     assert peak < 2 * M * K * 8 + 2**20
+
+
+CHUNKED_CELLS = [("l1", "c1_free"), ("l1", "normalized"), ("l1", "binary"), ("l2", "binary")]
+
+
+@pytest.mark.parametrize("discrepancy, mode", CHUNKED_CELLS)
+@pytest.mark.parametrize("seed", range(3))
+def test_pair_costs_do_not_depend_on_the_chunk_budget(discrepancy, mode, seed, monkeypatch):
+    # The budget only bounds memory: one row per chunk, the default and one
+    # chunk for all rows give the same bytes, and so does any subset of rows.
+    # (The l2 matmul cells do not chunk, and BLAS blocking may depend on M.)
+    rng = np.random.default_rng(seed)
+    M, K, N = 301, 5, 6
+    X = np.round(rng.uniform(0, 4, (M, N)), 1)
+    X[rng.random((M, N)) < 0.2] = 0.0
+    V = np.round(rng.uniform(0, 4, (K, N)), 1)
+    V[rng.random((K, N)) < 0.2] = 0.0
+    reg = RegularizationParams(lambda_u=1.0, mu_u=0.5 * seed) if mode == "c1_free" else RegularizationParams()
+    spec = ModelSpec(discrepancy, mode, reg)
+    T, D = pair_costs(X, V, spec)
+    rows = rng.permutation(M)[:37]
+    T_rows, D_rows = pair_costs(X[rows], V, spec)
+    assert T_rows.tobytes() == T[rows].tobytes() and D_rows.tobytes() == D[rows].tobytes()
+    for budget in (K * N, M * K * N):
+        monkeypatch.setattr(distance, "_CHUNK_ELEMENTS", budget)
+        T_b, D_b = pair_costs(X, V, spec)
+        assert T_b.tobytes() == T.tobytes() and D_b.tobytes() == D.tobytes()

@@ -173,6 +173,13 @@ def test_pointwise_functions_reject_non_finite_input(name, position, bad):
         function(*args)
 
 
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_soft_threshold_rejects_non_finite_x(x):
+    # nan >= gamma is False, so NaN used to come back as 0.0, and inf as inf.
+    with pytest.raises(ValueError, match="x must be finite"):
+        soft_threshold(0.5, x)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
 @pytest.mark.parametrize(
     "name, weight", [(name, weight) for name, entry in sorted(POINTWISE.items()) for weight in entry[2]]

@@ -10,8 +10,11 @@ rows with coefficient 0.
 """
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -25,7 +28,8 @@ from onmfcluster import (
     centroid_l2,
     update_centroids,
 )
-from onmfcluster.centroid import EMPTY_CLUSTER_POLICIES, _median
+from onmfcluster import distance
+from onmfcluster.centroid import EMPTY_CLUSTER_POLICIES, _medians
 from onmfcluster.distance import pair_costs
 from onmfcluster.model import row_costs
 from onmfcluster.scalar_prox import _weighted_reg_medians
@@ -119,6 +123,10 @@ def test_update_matches_the_per_cluster_definitions(update):
         rows = members & (labels == k)
         X_k, u_k = X[rows], coeffs[rows]
         candidate = centroid(X_k, u_k, lambda_v, mu_v)
+        if not normalized and spec.discrepancy == "l1":
+            # The batched sweep does the same arithmetic as centroid_l1.
+            assert V[k].tobytes() == candidate.tobytes()
+            continue
         if not normalized:
             assert_allclose(V[k], candidate, rtol=TOL, atol=TOL)
             continue
@@ -199,8 +207,11 @@ MEDIAN_ENTRIES = st.one_of(
 @given(arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 5)), elements=MEDIAN_ENTRIES))
 def test_sorted_median_equals_the_unit_weight_sweep(X_k):
     expected = _weighted_reg_medians(X_k.T, np.ones(X_k.shape[0]), 0.0, 0.0)
-    # Bit for bit, the signs of zeros included.
-    assert _median(X_k).tobytes() == expected.tobytes()
+    # Bit for bit, the signs of zeros included, alone and behind +inf padding.
+    n = X_k.shape[0]
+    assert _medians(X_k[None], np.array([n]))[0].tobytes() == expected.tobytes()
+    padded = np.vstack((X_k, np.full((3, X_k.shape[1]), np.inf)))
+    assert _medians(padded[None], np.array([n]))[0].tobytes() == expected.tobytes()
 
 
 @PROPERTY
@@ -216,6 +227,68 @@ def test_unpenalized_l1_update_equals_the_sweep_bit_for_bit(update):
         rows = (coeffs > 0) & (labels == k)
         if rows.any():
             assert V[k].tobytes() == centroid_l1(X[rows], coeffs[rows]).tobytes()
+
+
+@st.composite
+def l1_updates(draw):
+    """Clusters of unequal sizes, tied entries, and a chunk budget that may split them."""
+    K, N = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(0, 12), min_size=K + 1, max_size=K + 1))
+    sizes[1] = max(sizes[1], 1)
+    labels = np.array(draw(st.permutations(np.repeat(np.arange(-1, K), sizes))), dtype=np.int64)
+    M = labels.size
+    X = draw(arrays(float, (M, N), elements=MEDIAN_ENTRIES))
+    # Half the draws are K-median updates: unit weights and no penalties.
+    kmedian = draw(st.booleans())
+    if kmedian or draw(st.booleans()):
+        coeffs = np.ones(M)
+    else:
+        coeffs = draw(arrays(float, M, elements=COEFFICIENTS))
+    coeffs[labels < 0] = 0.0
+    lambda_v, mu_v = (0.0, 0.0) if kmedian else (draw(LAMBDA_V), draw(PENALTIES))
+    # 1 puts every cluster in a batch of its own; 7 N batches clusters of up
+    # to 7 rows together.
+    budget = draw(st.sampled_from([distance._CHUNK_ELEMENTS, 1, 7 * N]))
+    return X, Membership(labels, coeffs, K), lambda_v, mu_v, budget
+
+
+@PROPERTY
+@given(l1_updates(), st.sampled_from(EMPTY_CLUSTER_POLICIES))
+def test_batched_l1_update_equals_the_sweep_bit_for_bit(update, policy):
+    # The batches pad clusters to a common width, which must not change a bit.
+    X, membership, lambda_v, mu_v, budget = update
+    K = membership.n_clusters
+    spec = ModelSpec("l1", "c1_free", RegularizationParams(lambda_v=lambda_v, mu_v=mu_v))
+    with mock.patch.object(distance, "_CHUNK_ELEMENTS", budget):
+        V = update_centroids(X, membership, spec, np.zeros((K, X.shape[1])), policy)
+    labels, coeffs = membership.labels, membership.coefficients
+    for k in range(K):
+        rows = (coeffs > 0) & (labels == k)
+        if rows.any():
+            expected = centroid_l1(X[rows], coeffs[rows], lambda_v, mu_v)
+            assert V[k].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("skewed", [False, True])
+def test_l1_update_peak_memory_stays_near_its_largest_cluster(skewed):
+    # Padding every cluster to the largest in one batch would hold several
+    # K x N x (largest cluster) arrays at once; the chunk budget bounds them.
+    rng = np.random.default_rng(7)
+    M, N, K = 4000, 8, 8
+    X = rng.uniform(0, 10, (M, N))
+    labels = np.arange(M) % K
+    if skewed:
+        labels = np.where(rng.random(M) < 0.9, 0, rng.integers(1, K, M))
+    membership = Membership(labels, rng.uniform(0.5, 2.0, M), K)
+    spec = ModelSpec("l1", "c1_free", RegularizationParams(lambda_v=0.5, mu_v=0.5))
+    previous = rng.uniform(0, 10, (K, N))
+    tracemalloc.start()
+    try:
+        update_centroids(X, membership, spec, previous)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * np.bincount(labels).max() * N * 8 + 2**20
 
 
 def test_kmedian_update_keeps_the_sweeps_signed_zero():
