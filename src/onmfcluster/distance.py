@@ -8,9 +8,14 @@ discrepancy, plain units for l1).
 ``pair_costs`` is the one batched cost kernel: it returns the coefficient and
 distance of every (row, centroid) pair as two M x K matrices, and assignment
 and ``plusplus`` seeding read from it. Binary l2 assignment (Lloyd's step)
-alone takes a certified matmul argmin, ``_l2_binary_labels``, which equals
-the argmin of ``pair_costs`` bit for bit and falls back to it on every row
-whose rounding leaves the choice open; ``pair_costs`` stays the exact kernel.
+alone takes a certified argmin off one K x M product, ``_l2_binary_labels``,
+whose reductions run along the long M axis. A row is settled there only
+when a single centroid lies within twice a rounding bound of its best. The
+bound, after Higham (2002), exceeds the error its derivation needs by more
+than the rounding of the threshold itself, so a settled row's label is the
+exact kernel's; every other row falls back to ``pair_costs``, which stays
+the exact kernel. A fit computes ||x||^2 once and hands it to both l2
+kernels.
 The scalar functions remain the paper-level definitions and the oracles the
 kernel is tested against, except under l1, where they run its median sweep
 and ``scalar_prox.brute_force_min`` is the oracle; the closed-form and
@@ -50,12 +55,16 @@ def _pair(x, v, **penalties: float) -> tuple[np.ndarray, np.ndarray]:
 def coefficient_l2(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     """Soft-thresholded projection coefficient of x onto v (l2 discrepancy)."""
     x, v = _pair(x, v, lambda_u=lambda_u, mu_u=mu_u)
+    with np.errstate(over="ignore"):
+        xv = float(x @ v)
+    if not np.isfinite(xv):
+        raise ValueError("<x, v> overflows float64; rescale x or v")
     denom = float(v @ v) + mu_u
     if denom <= 0.0:
         raise DegenerateCentroidError("centroid has zero norm and mu_u = 0")
     # tau_{lambda_u / (2 denom)}(<x, v> / denom), thresholded before the
     # division so that a subnormal denom cannot overflow the threshold.
-    return soft_threshold(lambda_u / 2.0, float(x @ v)) / denom
+    return soft_threshold(lambda_u / 2.0, xv) / denom
 
 
 def distance_l2(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
@@ -149,13 +158,16 @@ def coefficient_and_distance(x, v, spec: ModelSpec) -> tuple[float, float]:
 _CHUNK_ELEMENTS = 8192
 
 
-def _l2_costs(X: np.ndarray, V: np.ndarray, lam: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
+def _l2_costs(
+    X: np.ndarray, V: np.ndarray, lam: float, mu: float, xx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     # With a = <x, v> - lam/2 and t = max(a / denom, 0), the distance
-    # ||x - t v||^2 + mu t^2 + lam t rearranges to ||x||^2 - t a. Unlike the
-    # expanded ||x||^2 - (lam - 2 <x, v>)^2 / (4 denom), this form never
-    # squares <x, v> (which overflows once ||x||^2 passes about 1e154), and
-    # the clamp at 0 absorbs the rounding of exact fits. The M x K arithmetic
-    # runs in place, A's buffer becoming D, to keep the peak memory low.
+    # ||x - t v||^2 + mu t^2 + lam t rearranges to ||x||^2 - t a, with
+    # ||x||^2 from xx. Unlike the expanded ||x||^2 - (lam - 2 <x, v>)^2 /
+    # (4 denom), this form never squares <x, v> (which overflows once ||x||^2
+    # passes about 1e154), and the clamp at 0 absorbs the rounding of exact
+    # fits. The M x K arithmetic runs in place, A's buffer becoming D, to
+    # keep the peak memory low.
     denom = np.einsum("kn,kn->k", V, V) + mu
     degenerate = denom <= 0.0
     A = X @ V.T
@@ -163,12 +175,15 @@ def _l2_costs(X: np.ndarray, V: np.ndarray, lam: float, mu: float) -> tuple[np.n
     with np.errstate(divide="ignore", invalid="ignore"):
         T = np.divide(A, denom)
     np.maximum(T, 0.0, out=T)
-    T[:, degenerate] = 0.0
-    xx = np.einsum("mn,mn->m", X, X)[:, None]
+    # Degenerate columns are rare; they are written only when they exist.
+    if degenerate.any():
+        T[:, degenerate] = 0.0
+    xx = xx[:, None]
     D = np.multiply(T, A, out=A)
     np.subtract(xx, D, out=D)
     np.maximum(D, 0.0, out=D)
-    D[:, degenerate] = np.inf if lam > 0.0 else xx
+    if degenerate.any():
+        D[:, degenerate] = np.inf if lam > 0.0 else xx
     return T, D
 
 
@@ -189,7 +204,7 @@ def pair_costs(X, V, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     mode = spec.constraint_mode
     lam, mu = (spec.reg.lambda_u, spec.reg.mu_u) if mode == "c1_free" else (0.0, 0.0)
     if spec.discrepancy == "l2" and mode != "binary":
-        return _l2_costs(X, V, lam, mu)
+        return _l2_costs(X, V, lam, mu, np.einsum("mn,mn->m", X, X))
 
     M, K = X.shape[0], V.shape[0]
     T = np.ones((M, K)) if mode == "binary" else np.empty((M, K))
@@ -221,48 +236,58 @@ _UNIT_ROUNDOFF = 2.0**-53
 _TINY = 2.0**-1074
 
 
-def _l2_binary_labels(X: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Argmin over k of ``pair_costs(X, V, l2/binary)[1]``, read off one matmul.
+def _l2_binary_labels(X: np.ndarray, V: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """Argmin over k of ``pair_costs(X, V, l2/binary)[1]``, read off one product.
 
-    The matrix ||x||^2 - 2 <x, v> + ||v||^2 costs one product X V^T where the
-    exact kernel forms every broadcast difference. A row's argmin of it is
-    accepted only when the gap to the row's second-best entry exceeds twice a
-    bound on how far any of its entries can lie from the exact kernel's.
-    Every other row, including exact ties, is recomputed by ``pair_costs``,
-    whose argmin takes the lowest index. So the labels equal the exact
-    kernel's bit for bit.
+    xx holds each row's ||x||^2. The exact kernel forms every broadcast
+    difference; here the K x M matrix E = ||v||^2 - 2 V X^T costs one
+    product, and row m's distance to v_k is ||x_m||^2 + E[k, m], so ||x||^2
+    enters only the bound. With best the smallest entry of column m, the row
+    is accepted when exactly one k has E[k, m] <= best + 2 bound, and takes
+    that k. Every other row, including exact ties, is recomputed by
+    ``pair_costs``, whose argmin takes the lowest index. So the labels equal
+    the exact kernel's bit for bit. The layout keeps each reduction along the
+    M-long axis, and the index of a row's one close entry is a product with
+    (0, ..., K - 1).
 
     The bound, after Higham (2002), section 3.1, with u = 2^-53 and
     gamma_n = n u / (1 - n u) <= 1.01 n u: for nonnegative x and v,
-    <x, v> <= S / 2 and sum (x - v)^2 <= S, where S = ||x||^2 + ||v||^2.
-    ||x||^2, ||v||^2 and <x, v> are each within gamma_N of their values, in
-    any summation order, so the three terms carry an error of at most
-    2 gamma_N S; the two additions that combine them add u S each. The exact
-    kernel's own squares and sum put it within gamma_{N+2} S of the exact
-    distance. The sum, 1.01 (3N + 4) u S and higher-order terms, is below
-    (4N + 8) u S for every N. Products that underflow add at most 2^-1075
-    each, 4N of them, which the bound's (4N + 8) 2^-1074 covers. Each row
-    uses its largest ||v||^2.
+    ||v||^2 <= S, 2 <x, v> <= S and sum (x - v)^2 <= S, where
+    S = ||x||^2 + ||v||^2, so every exact entry lies in [-S, S].
+    ||v||^2 and 2 <x, v> are each within gamma_N S of their values in any
+    summation order (scaling V by -2 is exact), and adding them costs u S.
+    The exact kernel's differences, squares and sum put it within
+    gamma_{N+2} S of the exact distance. The sum, E_N, is 1.01 (3N + 3) u S
+    plus higher-order terms, below the 1.01 (3N + 4) u S this derivation
+    needs, and bound = (4N + 8) u S exceeds that by (0.97 N + 3.96) u S.
+    Products that underflow add at most 2^-1075 each, 3N of them, which the
+    bound's (4N + 8) 2^-1074 covers. Each row uses its largest ||v||^2.
 
-    An entry can only fall below -bound by overflow, as every exact distance
-    is nonnegative, and a bound or gap that is not finite fails the
-    comparison; both rows go to the exact kernel.
+    Rounding the threshold best + 2 bound moves it by at most
+    u |best + 2 bound| <= 1.01 u S, as |best| <= S + E_N. That fits in the
+    slack: 2 (0.97 N + 3.96) u S > 1.01 u S. So every entry above the
+    rounded threshold lies above best + 2 E_N, and the exact kernel puts
+    every other centroid strictly farther from the row than the accepted one.
+
+    Only overflow can take best + ||x||^2 below -bound, as every exact
+    distance is nonnegative, and a threshold that is not finite (from an
+    overflowed best or bound, or a NaN entry) accepts nothing. Such rows go
+    to the exact kernel.
     """
-    N = X.shape[1]
-    rows = np.arange(X.shape[0])
+    N, K = X.shape[1], V.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        xx = np.einsum("mn,mn->m", X, X)
         vv = np.einsum("kn,kn->k", V, V)
-        D = X @ V.T
-        D *= -2.0
-        D += xx[:, None]
-        D += vv
-        labels = D.argmin(axis=1)
-        best = D[rows, labels]
-        D[rows, labels] = np.inf
-        gap = D.min(axis=1) - best
+        E = (-2.0 * V) @ X.T
+        E += vv[:, None]
+        best = E.min(axis=0)
         bound = (4 * N + 8) * (_UNIT_ROUNDOFF * (xx + vv.max()) + _TINY)
-        recheck = np.flatnonzero(~((gap > 2.0 * bound) & (best > -bound)))
+        threshold = best + 2.0 * bound
+        close = np.less_equal(E, threshold, out=E)
+        count = close.sum(axis=0)
+        index = np.arange(K, dtype=float) @ close
+        accepted = (count == 1.0) & np.isfinite(threshold) & (best + xx > -bound)
+    labels = index.astype(np.intp)
+    recheck = np.flatnonzero(~accepted)
     if recheck.size:
         D = pair_costs(X[recheck], V, _BINARY_L2)[1]
         exact = D.argmin(axis=1)

@@ -23,6 +23,11 @@ CONSTRAINT_MODES = ("c1_free", "normalized", "binary")
 
 def as_data_matrix(values) -> np.ndarray:
     """Validate and return a 2-D nonnegative float array (rows = data points)."""
+    return _data_matrix(values)[0]
+
+
+def _data_matrix(values) -> tuple[np.ndarray, np.ndarray]:
+    """``as_data_matrix`` and the squared row norms its check computes."""
     X = np.asarray(values, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"data matrix must be 2-D, got shape {X.shape}")
@@ -36,12 +41,13 @@ def as_data_matrix(values) -> np.ndarray:
     # Every distance and objective term is bounded by squared row norms, so a
     # row whose squared norm overflows would turn the run into inf and NaN.
     with np.errstate(over="ignore"):
-        overflow = np.flatnonzero(~np.isfinite(np.einsum("mn,mn->m", X, X)))
+        xx = np.einsum("mn,mn->m", X, X)
+    overflow = np.flatnonzero(~np.isfinite(xx))
     if overflow.size:
         raise ValueError(
             f"squared norm of data row {overflow[0]} (0-based) overflows float64; rescale the data"
         )
-    return X
+    return X, xx
 
 
 def _frozen_array(values, dtype) -> np.ndarray:

@@ -11,13 +11,16 @@ recorded objective trace is non-increasing. The iterations are streamed:
 
 Assignment and ``plusplus`` seeding read every (row, centroid) cost from the
 batched kernel ``distance.pair_costs``: an assignment is the argmin of its
-M x K distance matrix. Binary l2 assignment reads the same argmin off one
-matmul with a rounding certificate, and recomputes only the rows the
-certificate leaves open with ``pair_costs``, so its labels are the exact
-kernel's. The centroid update and the objective read each row's cost from
-``model.row_costs``. The scalar ``assign`` and ``coefficient_and_distance``
-remain the paper-level definitions the kernel is tested against; under l1
-they run its median sweep, whose oracle is ``brute_force_min``.
+M x K distance matrix. A fit validates X once and computes its squared row
+norms once, and every l2 assignment reads them: the free and normalized
+modes call the kernel's l2 matmul form with them, and binary l2 reads the
+argmin off one K x M product with a rounding certificate, recomputing only
+the rows the certificate leaves open with ``pair_costs``, so its labels are
+the exact kernel's. The centroid update and the objective read each row's
+cost from ``model.row_costs``. The scalar ``assign`` and
+``coefficient_and_distance`` remain the paper-level definitions the kernel
+is tested against; under l1 they run its median sweep, whose oracle is
+``brute_force_min``.
 """
 
 from __future__ import annotations
@@ -29,8 +32,14 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .centroid import EMPTY_CLUSTER_POLICIES, update_centroids
-from .distance import DegenerateCentroidError, NoValidCentroidError, _l2_binary_labels, pair_costs
-from .model import FactorizationResult, Membership, ModelSpec, as_data_matrix, objective
+from .distance import (
+    DegenerateCentroidError,
+    NoValidCentroidError,
+    _l2_binary_labels,
+    _l2_costs,
+    pair_costs,
+)
+from .model import FactorizationResult, Membership, ModelSpec, _data_matrix, as_data_matrix, objective
 
 INIT_METHODS = ("random_rows", "plusplus")
 
@@ -68,12 +77,15 @@ class SolverConfig:
 def init_centroids(X, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
     """Seeded initial centroids: K distinct data rows.
 
-    ``random_rows`` samples rows uniformly without replacement, skipping
-    duplicates of rows already taken. ``plusplus`` draws each next row with
+    ``random_rows`` takes the first K pairwise distinct rows of a uniform
+    random permutation of the rows. ``plusplus`` draws each next row with
     probability proportional to its distance (under the model's own distance
     measure) to the nearest row chosen so far. Deterministic given the seed.
     """
-    X = as_data_matrix(X)
+    return _init_centroids(as_data_matrix(X), config, spec)
+
+
+def _init_centroids(X: np.ndarray, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
     M = X.shape[0]
     K = config.n_clusters
     if K > M:
@@ -81,16 +93,7 @@ def init_centroids(X, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
     rng = np.random.default_rng(config.seed)
 
     if config.init == "random_rows":
-        chosen: list[int] = []
-        for idx in rng.permutation(M):
-            if any(np.array_equal(X[idx], X[c]) for c in chosen):
-                continue
-            chosen.append(int(idx))
-            if len(chosen) == K:
-                break
-        if len(chosen) < K:
-            raise DuplicateRowsError(f"only {len(chosen)} distinct rows for {K} centroids")
-        return X[chosen].copy()
+        return X[_distinct_prefix(X, rng.permutation(M), K)]
 
     def distances_to(m: int) -> np.ndarray:
         dist = pair_costs(X, X[m:m + 1], spec)[1][:, 0]
@@ -110,6 +113,27 @@ def init_centroids(X, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
     return X[chosen].copy()
 
 
+def _distinct_prefix(X: np.ndarray, perm: np.ndarray, K: int) -> np.ndarray:
+    """The first K entries of ``perm`` whose rows differ from every earlier one.
+
+    Rows compare as ``np.array_equal`` does: adding 0.0 turns -0.0 into 0.0,
+    after which equal finite rows have equal bytes, and a dict keyed by them
+    keeps each row's first position. The rows are read in prefixes that
+    double until K distinct ones are found, so memory stays O(prefix x N)
+    whatever the duplicates.
+    """
+    first: dict[bytes, int] = {}
+    n = 0
+    while len(first) < K and n < perm.size:
+        end = min(max(2 * n, K), perm.size)
+        for i, row in enumerate(X[perm[n:end]] + 0.0, n):
+            first.setdefault(row.tobytes(), i)
+        n = end
+    if len(first) < K:
+        raise DuplicateRowsError(f"only {len(first)} distinct rows for {K} centroids")
+    return perm[list(first.values())[:K]]
+
+
 class FitStep(NamedTuple):
     """State after one full iteration (assignment + centroid update)."""
 
@@ -118,16 +142,23 @@ class FitStep(NamedTuple):
     objective: float
 
 
-def _nearest(X: np.ndarray, V: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(
+    X: np.ndarray, xx: np.ndarray, V: np.ndarray, spec: ModelSpec
+) -> tuple[np.ndarray, np.ndarray]:
     """Each row's best centroid (lowest index on ties) and its coefficient.
 
-    A function of its own so the M x K cost matrices are freed before the
-    centroid update and the objective allocate theirs. Binary l2 takes its
-    labels from the certified matmul argmin, which equals the exact kernel's.
+    xx holds each row's ||x||^2, computed once per fit. A function of its own
+    so the cost matrices are freed before the centroid update and the
+    objective allocate theirs. Binary l2 takes its labels from the certified
+    matmul argmin, which equals the exact kernel's.
     """
     if spec.discrepancy == "l2" and spec.constraint_mode == "binary":
-        return _l2_binary_labels(X, V), np.ones(X.shape[0])
-    T, D = pair_costs(X, V, spec)
+        return _l2_binary_labels(X, V, xx), np.ones(X.shape[0])
+    if spec.discrepancy == "l2":
+        # A normalized spec carries lambda_u = mu_u = 0.
+        T, D = _l2_costs(X, V, spec.reg.lambda_u, spec.reg.mu_u, xx)
+    else:
+        T, D = pair_costs(X, V, spec)
     rows = np.arange(X.shape[0])
     labels = D.argmin(axis=1)
     if np.isinf(D[rows, labels]).any():
@@ -135,17 +166,19 @@ def _nearest(X: np.ndarray, V: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray,
     return labels, T[rows, labels]
 
 
-def _steps(X: np.ndarray, spec: ModelSpec, config: SolverConfig) -> Iterator[tuple[FitStep, bool]]:
+def _steps(X, spec: ModelSpec, config: SolverConfig) -> Iterator[tuple[FitStep, bool]]:
     """Each iteration's step and whether it ends the run as converged.
 
-    Only the previous step is kept, so a run's memory does not grow with its
-    iteration count.
+    X is validated once, and its squared row norms are kept for every
+    assignment. Only the previous step is kept, so a run's memory does not
+    grow with its iteration count.
     """
+    X, xx = _data_matrix(X)
     K = config.n_clusters
-    V = init_centroids(X, config, spec)
+    V = _init_centroids(X, config, spec)
     prev = None
     for _ in range(config.max_iter):
-        labels, coeffs = _nearest(X, V, spec)
+        labels, coeffs = _nearest(X, xx, V, spec)
         membership = Membership(np.where(coeffs == 0.0, -1, labels), coeffs, K)
         V = update_centroids(X, membership, spec, V, config.empty_cluster_policy)
         step = FitStep(membership, V, objective(X, membership, V, spec))
@@ -171,7 +204,7 @@ def fit_history(X, spec: ModelSpec, config: SolverConfig) -> list[FitStep]:
     iterations, whichever comes first. An iteration that raises the
     objective never ends it as converged.
     """
-    return [step for step, _ in _steps(as_data_matrix(X), spec, config)]
+    return [step for step, _ in _steps(X, spec, config)]
 
 
 def fit(X, spec: ModelSpec, config: SolverConfig) -> FactorizationResult:
@@ -189,6 +222,6 @@ def fit(X, spec: ModelSpec, config: SolverConfig) -> FactorizationResult:
         via ``converged=False``, not raised.
     """
     trace = []
-    for last, converged in _steps(as_data_matrix(X), spec, config):
+    for last, converged in _steps(X, spec, config):
         trace.append(last.objective)
     return FactorizationResult(last.membership, last.centroids, np.array(trace), converged)

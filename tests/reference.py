@@ -5,7 +5,8 @@ assignment, mean centroids); ``kmedian`` its l1 counterpart (Manhattan
 assignment, coordinate medians with the midpoint convention). Both share the
 solver's conventions exactly: lowest-index tie-breaks, reseed-farthest empty
 clusters, objective recorded after each full iteration, stop on unchanged
-assignments.
+assignments. ``random_rows_seeds`` is the row-by-row loop the solver's
+``random_rows`` seeding must reproduce.
 """
 
 from __future__ import annotations
@@ -93,3 +94,20 @@ def kmedian(X, n_clusters: int, init, max_iter: int = 300):
     steps = kmedian_history(X, n_clusters, init, max_iter)
     last = steps[-1]
     return last.assignments, last.centroids, np.array([s.cost for s in steps])
+
+
+def random_rows_seeds(X, n_clusters: int, seed: int) -> list[int]:
+    """Rows of one seeded permutation, skipping those equal to a row already taken.
+
+    Rows compare with ``np.array_equal``, so 0.0 equals -0.0. Stops at
+    ``n_clusters`` rows; fewer come back when X has fewer distinct rows.
+    """
+    X = np.asarray(X, dtype=float)
+    chosen: list[int] = []
+    for idx in np.random.default_rng(seed).permutation(X.shape[0]):
+        if any(np.array_equal(X[idx], X[c]) for c in chosen):
+            continue
+        chosen.append(int(idx))
+        if len(chosen) == n_clusters:
+            break
+    return chosen

@@ -1,12 +1,13 @@
 """Binary l2 assignment by one matmul, certified against the exact kernel.
 
-``_l2_binary_labels`` reads each row's argmin off ||x||^2 - 2 <x, v> + ||v||^2
-and sends every row whose gap to its second-best entry is within the rounding
-bound to ``pair_costs``. Its labels must equal the argmin of the exact
-broadcast kernel on every input: exact ties, duplicated centroids, rows on
-the bisector of two centroids, huge entries, overflowing norms, K = 1 and
-random nonnegative data. On well-separated data no row may need the exact
-kernel, which catches a bound that is too loose.
+``_l2_binary_labels`` reads each row's argmin off the K x M matrix
+||v||^2 - 2 <x, v> and sends every row with more or fewer than one entry
+within twice the rounding bound of its best to ``pair_costs``. Its labels
+must equal the argmin of the exact broadcast kernel on every input: exact
+ties, duplicated centroids, rows on the bisector of two centroids, entries on
+the threshold, huge entries, overflowing norms, K = 1 and random nonnegative
+data. On well-separated data no row may need the exact kernel, which catches
+a bound that is too loose.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from numpy.testing import assert_array_equal
 from onmfcluster import ModelSpec, NoValidCentroidError, SolverConfig, fit
 from onmfcluster import distance
 from onmfcluster.distance import _l2_binary_labels, pair_costs
+from onmfcluster.model import _data_matrix
 
 BINARY_L2 = ModelSpec("l2", "binary")
 
@@ -36,6 +38,11 @@ def rechecked(monkeypatch):
     return calls
 
 
+def _certified(X, V):
+    """The certified labels, with ||x||^2 as the solver computes it."""
+    return _l2_binary_labels(X, V, _data_matrix(X)[1])
+
+
 def _exact(X, V):
     return pair_costs(X, V, BINARY_L2)[1].argmin(axis=1)
 
@@ -49,7 +56,7 @@ def _naive(X, V):
 def test_exact_ties_go_to_the_lowest_index(rechecked):
     V = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     X = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 5.0], [3.0, 3.0]])
-    labels = _l2_binary_labels(X, V)
+    labels = _certified(X, V)
     assert_array_equal(labels, _exact(X, V))
     assert_array_equal(labels, [0, 0, 0, 2, 1])
     assert sum(rechecked) == 4
@@ -60,7 +67,7 @@ def test_duplicated_centroids_take_the_first_copy(rechecked):
     V = rng.uniform(0, 10, (3, 5))
     V = V[[0, 1, 0, 2, 1]]
     X = rng.uniform(0, 10, (300, 5))
-    labels = _l2_binary_labels(X, V)
+    labels = _certified(X, V)
     assert_array_equal(labels, _exact(X, V))
     assert set(labels.tolist()) <= {0, 1, 3}
     # A row closest to a duplicated centroid has a zero gap.
@@ -79,7 +86,7 @@ def test_rows_on_the_bisector_are_rechecked(rechecked, seed):
     W -= np.outer(W @ d, d) / (d @ d)
     X = np.maximum((v1 + v2) / 2 + W, 0.0)
     V = np.vstack([v1, v2, np.full(N, 100.0)])
-    labels = _l2_binary_labels(X, V)
+    labels = _certified(X, V)
     assert_array_equal(labels, _exact(X, V))
     # Without the certificate the matmul argmin gets some of them wrong.
     assert (_naive(X, V) != _exact(X, V)).any()
@@ -91,7 +98,7 @@ def test_entries_near_1e150():
     X = rng.uniform(0, 1, (500, 8)) * 1e150
     V = np.vstack([X[:6], X[:2]])
     X[-20:] = (V[0] + V[1]) / 2
-    assert_array_equal(_l2_binary_labels(X, V), _exact(X, V))
+    assert_array_equal(_certified(X, V), _exact(X, V))
 
 
 def test_overflowing_bound_rechecks_the_row_without_a_warning(rechecked):
@@ -99,8 +106,8 @@ def test_overflowing_bound_rechecks_the_row_without_a_warning(rechecked):
     # -2 <x, v> overflows too. The exact kernel's differences are all finite.
     X = np.array([[1.2e154], [1.0e150], [3.0]])
     V = np.array([[1.2e154], [0.0]])
-    assert_array_equal(_l2_binary_labels(X, V), [0, 1, 1])
-    assert_array_equal(_l2_binary_labels(X, V), _exact(X, V))
+    assert_array_equal(_certified(X, V), [0, 1, 1])
+    assert_array_equal(_certified(X, V), _exact(X, V))
     assert rechecked[0] >= 1
 
 
@@ -110,13 +117,39 @@ def test_a_nan_gap_is_rechecked(rechecked):
     X = np.array([[1.3e154, 0.0]])
     V = np.array([[0.0, 1.3e154]])
     with np.errstate(over="ignore"), pytest.raises(NoValidCentroidError):
-        _l2_binary_labels(X, V)
+        _certified(X, V)
+    assert rechecked == [1]
+
+
+def test_an_infinite_best_is_rechecked(rechecked):
+    # Every ||v||^2 overflows, so each entry ||v||^2 - 2 <x, v> and the best
+    # are +inf, while the exact kernel's (x - v)^2 stay finite.
+    X = np.array([[0.6e154], [0.3e154]])
+    V = np.array([[1.4e154], [1.35e154], [1.45e154]])
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.einsum("kn,kn->k", V, V)).all()
+    assert_array_equal(_certified(X, V), [1, 1])
+    assert_array_equal(_certified(X, V), _exact(X, V))
+    assert rechecked[0] == 2
+
+
+def test_an_entry_on_the_threshold_is_rechecked(rechecked):
+    # With x = 0 the entries are ||v||^2 exactly: 1 and b^2, and b^2 equals
+    # the rounded threshold best + 2 (4N + 8)(u (||x||^2 + max ||v||^2) + 2^-1074).
+    b = float.fromhex("0x1.0000000000006p+0")
+    assert b * b == 1.0 + 2.0 * 12.0 * (2.0**-53 * (b * b) + 2.0**-1074)
+    X = np.zeros((1, 1))
+    V = np.array([[1.0], [b]])
+    assert_array_equal(_certified(X, V), [0])
+    assert rechecked == [1]
+    # One ulp more on b puts b^2 above the threshold, and the row is accepted.
+    assert_array_equal(_certified(X, V * [[1.0], [1.0 + 2.0**-52]]), [0])
     assert rechecked == [1]
 
 
 def test_one_centroid_needs_no_recheck(rechecked):
     X = np.random.default_rng(0).uniform(0, 10, (50, 3))
-    assert_array_equal(_l2_binary_labels(X, X[:1]), np.zeros(50, dtype=int))
+    assert_array_equal(_certified(X, X[:1]), np.zeros(50, dtype=int))
     assert rechecked == []
 
 
@@ -141,7 +174,7 @@ def problems(draw):
 @given(problems())
 def test_labels_equal_the_exact_argmin(problem):
     X, V = problem
-    assert_array_equal(_l2_binary_labels(X, V), _exact(X, V))
+    assert_array_equal(_certified(X, V), _exact(X, V))
 
 
 def test_separated_blobs_never_reach_the_exact_kernel(rechecked):

@@ -180,6 +180,14 @@ def test_soft_threshold_rejects_non_finite_x(x):
         soft_threshold(0.5, x)
 
 
+@pytest.mark.parametrize("x, v", [([1e200, 1e200], [1e200, 1e200]), ([1e300], [1e10])])
+def test_coefficient_l2_names_an_overflowing_inner_product(x, v):
+    # Finite inputs whose <x, v> overflows used to reach soft_threshold as inf
+    # and fail with its "x must be finite", after overflow warnings.
+    with pytest.raises(ValueError, match=r"<x, v> overflows float64"):
+        coefficient_l2(x, v)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
 @pytest.mark.parametrize(
     "name, weight", [(name, weight) for name, entry in sorted(POINTWISE.items()) for weight in entry[2]]

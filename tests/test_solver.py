@@ -6,6 +6,9 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from onmfcluster import (
@@ -18,7 +21,8 @@ from onmfcluster import (
     fit_history,
     init_centroids,
 )
-from reference import kmedian_history, lloyd_kmeans_history
+from onmfcluster.solver import _distinct_prefix
+from reference import kmedian_history, lloyd_kmeans_history, random_rows_seeds
 
 CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
@@ -69,6 +73,53 @@ class TestInitCentroids:
         cfg = SolverConfig(n_clusters=5, seed=0)
         with pytest.raises(ValueError):
             init_centroids(FOUR_POINTS, cfg, ModelSpec())
+
+
+@st.composite
+def seeding_problems(draw):
+    """Data with injected duplicate rows, rows of 0.0 and -0.0, K up to M."""
+    N = draw(st.integers(1, 4))
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.floats(0.0, 10.0))
+    base = draw(arrays(float, (draw(st.integers(1, 6)), N), elements=entries))
+    X = base[draw(st.lists(st.integers(0, base.shape[0] - 1), min_size=1, max_size=25))]
+    return X, draw(st.integers(1, X.shape[0])), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeding_problems())
+@example((np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 0.0]]), 3, 0))  # signed zeros are duplicates
+@example((np.array([[0.0, -0.0], [2.0, 1.0], [1.0, 2.0]]), 3, 4))  # K = M
+@example((np.full((7, 3), 2.5), 2, 9))  # all rows equal
+def test_random_rows_takes_the_rows_of_the_loop(problem):
+    X, K, seed = problem
+    expected = random_rows_seeds(X, K, seed)
+    config = SolverConfig(n_clusters=K, seed=seed)
+    if len(expected) < K:
+        message = f"only {len(expected)} distinct rows for {K} centroids"
+        with pytest.raises(DuplicateRowsError, match=message):
+            init_centroids(X, config, ModelSpec())
+        return
+    # Byte for byte, so the sign of every zero is the chosen row's.
+    assert init_centroids(X, config, ModelSpec()).tobytes() == X[expected].tobytes()
+    perm = np.random.default_rng(seed).permutation(X.shape[0])
+    assert_array_equal(_distinct_prefix(X, perm, K), expected)
+
+
+def test_random_rows_memory_is_linear_in_the_rows_it_scans():
+    # 4000 copies of one row hide three distinct ones, so the scan reaches
+    # every row; a pairwise comparison of them would need 16 MB or more.
+    M, N = 4003, 8
+    X = np.vstack([np.ones((M - 3, N)), np.arange(3.0 * N).reshape(3, N) + 2.0])
+    perm = np.random.default_rng(0).permutation(M)
+    _distinct_prefix(X, perm, 4)
+    tracemalloc.start()
+    try:
+        chosen = _distinct_prefix(X, perm, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(chosen)[1:] == [M - 3, M - 2, M - 1]
+    assert peak < 4 * X.nbytes + 256 * 1024
 
 
 class TestFitBasics:
