@@ -9,12 +9,13 @@ the clusters, in order of size, are stacked into batches padded to a common
 width, each within the pair kernel's chunk budget of elements, and each
 batch takes one median sweep. With unit weights and no centroid penalties,
 as in K-median, the sweep's value is the plain column median, read off one
-stable sort per batch instead. Empty clusters are resolved by the
-configured policy, and in normalized mode every row is projected onto the
-unit sphere once. Under l2 that projection is the
-exact minimizer; under l1 a guard keeps the previous row where it is not.
-Reseeding and the guard read each row's cost from ``model.row_costs``, the
-cost the objective sums.
+stable sort per batch instead. In normalized mode every row is projected
+onto the unit sphere once. Under l2 that projection is the exact minimizer;
+under l1 a guard keeps the previous row where it is not. An empty cluster's
+row enters the objective only through its centroid penalty, so it takes its
+farthest data row only where that penalty does not grow: the update never
+raises the objective. Reseeding and the guard read each row's cost from
+``model.row_costs``, the cost the objective sums.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import distance
-from .model import Membership, ModelSpec, dense_u, row_costs
+from .model import Membership, ModelSpec, RegularizationParams, dense_u, row_costs
 from .scalar_prox import _check_penalties, _weighted_reg_medians
-
-EMPTY_CLUSTER_POLICIES = ("reseed_farthest", "keep_previous")
 
 
 def _cluster(X_k, u_k, lambda_v: float, mu_v: float) -> tuple[np.ndarray, np.ndarray]:
@@ -97,29 +96,40 @@ def _batches(sizes: np.ndarray, clusters: np.ndarray, width: int):
         clusters = clusters[n:]
 
 
-def update_centroids(
-    X,
-    membership: Membership,
-    spec: ModelSpec,
-    previous,
-    empty_cluster_policy: str = "reseed_farthest",
-) -> np.ndarray:
+def _add_penalties(costs: np.ndarray, W: np.ndarray, reg: RegularizationParams) -> np.ndarray:
+    """costs plus each row's lambda_v ||w||_1 + mu_v ||w||^2; zero weights skipped, overflow inf."""
+    with np.errstate(over="ignore"):
+        if reg.lambda_v:
+            costs = costs + reg.lambda_v * np.abs(W).sum(axis=1)
+        if reg.mu_v:
+            costs = costs + reg.mu_v * np.einsum("kn,kn->k", W, W)
+    return costs
+
+
+def _unit_rows(W: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Project W's rows onto the unit sphere in place; a zero row becomes e_j for the largest A[k, j]."""
+    norms = np.sqrt(np.einsum("kn,kn->k", W, W))
+    zero = norms == 0.0
+    W[~zero] /= norms[~zero, None]
+    W[zero, A[zero].argmax(axis=1)] = 1.0
+    return W
+
+
+def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np.ndarray:
     """Recompute every centroid row from its cluster's rows and coefficients.
 
     Row k equals ``centroid_l2``/``centroid_l1`` of the rows labelled k with a
-    positive coefficient. Empty clusters either retain the previous row
-    (``keep_previous``) or take the data points of largest ``row_costs``
-    against ``previous`` (``reseed_farthest``; ties and multiple empty
-    clusters resolve toward lower indices, one cluster per data point). In
-    normalized mode every row is projected onto the unit sphere; a zero row
-    becomes e_j for the largest component j of X^T u_k - lambda_v / 2, the
-    exact l2 minimizer over nonnegative unit vectors when none is positive.
-    Under l2 that projection is the exact minimizer over nonnegative unit
-    rows. It is not exact under l1, so there a unit-norm previous row is kept
-    whenever the candidate would increase its cluster's cost.
+    positive coefficient. Empty clusters pair with the data rows of largest
+    ``row_costs`` against ``previous`` (ties toward lower indices, one row per
+    cluster) and take them where the row's centroid penalty is finite and no
+    larger than the previous row's, which they keep otherwise; without
+    centroid penalties every pairing is taken. In normalized mode every row
+    is projected onto the unit sphere before penalties are compared; a zero
+    row becomes e_j for the largest component j of X^T u_k - lambda_v / 2.
+    Under l2 that is the exact minimizer over nonnegative unit rows. Under
+    l1 it is not, so there a unit-norm previous row is kept whenever the
+    candidate would increase its cluster's cost.
     """
-    if empty_cluster_policy not in EMPTY_CLUSTER_POLICIES:
-        raise ValueError(f"empty_cluster_policy must be one of {EMPTY_CLUSTER_POLICIES}")
     X = np.asarray(X, dtype=float)
     previous = np.asarray(previous, dtype=float)
     n_clusters = membership.n_clusters
@@ -163,22 +173,21 @@ def update_centroids(
                 u[pad] = 0.0
                 V[ks] = _weighted_reg_medians(P.transpose(0, 2, 1), u[:, None, :], reg.lambda_v, reg.mu_v)
 
-    empty = np.flatnonzero(~full)
-    if empty.size and empty_cluster_policy == "reseed_farthest":
-        farthest = np.argsort(-row_costs(X, membership, previous, spec), kind="stable")[: empty.size]
-        V[empty[: farthest.size]] = X[farthest]
-
     if normalized:
-        norms = np.sqrt(np.einsum("kn,kn->k", V, V))
-        zero = norms == 0.0
-        V[~zero] /= norms[~zero, None]
-        V[zero, A[zero].argmax(axis=1)] = 1.0
-        if spec.discrepancy == "l2":
-            return V
+        _unit_rows(V, A)
+    empty = np.flatnonzero(~full)
+    if empty.size:
+        farthest = np.argsort(-row_costs(X, membership, previous, spec), kind="stable")[: empty.size]
+        empty = empty[: farthest.size]
+        W = _unit_rows(X[farthest], A[empty]) if normalized else X[farthest]
+        new, old = (_add_penalties(np.zeros(empty.size), R, reg) for R in (W, V[empty]))
+        take = np.isfinite(new) & (new <= old)
+        V[empty[take]] = W[take]
+    if normalized and spec.discrepancy == "l1":
 
         def block_costs(W):
             fit = np.bincount(labels[members], row_costs(X, membership, W, spec)[members], n_clusters)
-            return fit + reg.lambda_v * np.abs(W).sum(axis=1) + reg.mu_v * np.einsum("kn,kn->k", W, W)
+            return _add_penalties(fit, W, reg)
 
         # The very first update starts from raw data rows, which are never kept.
         feasible = full & (np.abs(np.einsum("kn,kn->k", previous, previous) - 1.0) <= 1e-9)

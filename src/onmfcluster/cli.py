@@ -26,7 +26,7 @@ from .distance import DegenerateCentroidError, NoValidCentroidError
 from .model import FactorizationResult, ModelSpec, RegularizationParams, row_costs
 from .solver import DuplicateRowsError, SolverConfig, fit
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CsvFormatError(ValueError):
@@ -190,7 +190,6 @@ class RunManifest:
             "max_iter": self.config.max_iter,
             "tol": self.config.tol,
             "init": self.config.init,
-            "empty_cluster_policy": self.config.empty_cluster_policy,
         }
 
 
@@ -206,11 +205,12 @@ def run(manifest: RunManifest) -> int:
     """Execute one clustering run and write the result files.
 
     Writes assignments.csv, centroids.csv, trace.csv, and run.json into the
-    output directory. A row whose coefficient was thresholded to 0 has
-    cluster -1 and unassigned 1. Each row's reported distance is its share of
-    the final objective, ``model.row_costs`` at the reported cluster,
-    coefficient and centroids: the column sums, with the centroid penalties,
-    to the last trace value.
+    output directory; run.json lists under ``empty_clusters`` every cluster
+    the fit left without a member. A row whose coefficient was thresholded
+    to 0 has cluster -1 and unassigned 1. Each row's reported distance is
+    its share of the final objective, ``model.row_costs`` at the reported
+    cluster, coefficient and centroids: the column sums, with the centroid
+    penalties, to the last trace value.
     """
     try:
         X = load_csv(manifest.input_path)
@@ -290,6 +290,7 @@ def _write_files(
     report.update(
         {
             "converged": result.converged,
+            "empty_clusters": sorted(result.empty_clusters),
             "iterations": result.iterations,
             "wall_time_seconds": elapsed,
         }
@@ -301,7 +302,6 @@ def _write_files(
 
 _MODE_FLAGS = {"c1-free": "c1_free", "normalized": "normalized", "binary": "binary"}
 _INIT_FLAGS = {"random": "random_rows", "plusplus": "plusplus"}
-_EMPTY_FLAGS = {"reseed": "reseed_farthest", "keep": "keep_previous"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-iter", type=int, default=300)
     parser.add_argument("--tol", type=float, default=1e-9, help="relative objective decrease")
     parser.add_argument("--init", choices=sorted(_INIT_FLAGS), default="random")
-    parser.add_argument("--empty-cluster", choices=["reseed", "keep"], default="reseed")
     return parser
 
 
@@ -346,7 +345,6 @@ def main(argv=None) -> int:
             tol=args.tol,
             seed=args.seed,
             init=_INIT_FLAGS[args.init],
-            empty_cluster_policy=_EMPTY_FLAGS[args.empty_cluster],
         )
         manifest = RunManifest(
             input_path=args.input, output_dir=args.out, spec=spec, config=config

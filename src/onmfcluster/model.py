@@ -73,7 +73,11 @@ class Membership:
     n_clusters: int
 
     def __post_init__(self):
-        labels = _frozen_array(self.labels, np.int64)
+        raw = np.asarray(self.labels)
+        # Float labels are checked before the cast truncates them; NaN fails ==.
+        if raw.dtype.kind == "f" and not ((raw == np.trunc(raw)) & (abs(raw) <= self.n_clusters)).all():
+            raise ValueError("cluster labels must be integers in [-1, n_clusters)")
+        labels = _frozen_array(raw, np.int64)
         coeffs = _frozen_array(self.coefficients, float)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "coefficients", coeffs)
@@ -83,8 +87,9 @@ class Membership:
             raise ValueError("n_clusters must be >= 1")
         if labels.max(initial=-1) >= self.n_clusters or labels.min(initial=0) < -1:
             raise ValueError("cluster labels must lie in [-1, n_clusters)")
-        if (coeffs < 0).any():
-            raise ValueError("membership coefficients must be nonnegative")
+        # NaN fails both comparisons.
+        if not (coeffs.min(initial=0.0) >= 0.0 and coeffs.max(initial=0.0) < np.inf):
+            raise ValueError("membership coefficients must be finite and nonnegative")
         if (coeffs[labels < 0] != 0).any():
             raise ValueError("rows without a label must have coefficient 0")
 
@@ -155,8 +160,10 @@ class FactorizationResult:
     """Final state of an alternating-minimization run.
 
     ``objective_trace`` holds the objective after every full iteration and is
-    non-increasing (within 1e-10 per step). Rows whose coefficient was
-    thresholded to zero carry label -1 and make up ``unassigned_rows``.
+    non-increasing (within 1e-10 per step) in every mode and penalty setting,
+    empty clusters included. Rows whose coefficient was thresholded to zero
+    carry label -1 and make up ``unassigned_rows``; clusters with no row of
+    positive coefficient make up ``empty_clusters``.
     """
 
     membership: Membership
@@ -175,6 +182,11 @@ class FactorizationResult:
     @property
     def unassigned_rows(self) -> frozenset[int]:
         return frozenset(np.flatnonzero(self.membership.labels < 0).tolist())
+
+    @property
+    def empty_clusters(self) -> frozenset[int]:
+        m = self.membership
+        return frozenset(set(range(m.n_clusters)) - set(m.labels[m.coefficients > 0].tolist()))
 
 
 def row_costs(X, membership: Membership, V, spec: ModelSpec) -> np.ndarray:

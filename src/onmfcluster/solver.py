@@ -4,10 +4,11 @@ Each iteration assigns every data row to its best centroid (exact scalar
 minimization of the membership coefficient), recomputes the centroids from
 the new memberships, and records the objective. A row whose coefficient the
 membership penalty thresholds to 0 belongs to no cluster and carries label
--1. Both block updates are exact minimizers of their subproblems, so the
-recorded objective trace is non-increasing. The iterations are streamed:
-``fit`` keeps only the previous step and the objective trace, and
-``fit_history`` alone keeps every step.
+-1. The assignment is an exact block minimizer and the centroid update
+never raises the objective, an empty cluster included, so the recorded
+objective trace is non-increasing in every configuration. The iterations
+are streamed: ``fit`` keeps only the previous step and the objective
+trace, and ``fit_history`` alone keeps every step.
 
 Assignment and ``plusplus`` seeding read every (row, centroid) cost from the
 batched kernel ``distance.pair_costs``: an assignment is the argmin of its
@@ -26,12 +27,13 @@ is tested against; under l1 they run its median sweep, whose oracle is
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .centroid import EMPTY_CLUSTER_POLICIES, update_centroids
+from .centroid import update_centroids
 from .distance import (
     DegenerateCentroidError,
     NoValidCentroidError,
@@ -50,16 +52,18 @@ class DuplicateRowsError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run configuration: cluster count, termination, seeding, and policies."""
+    """Run configuration: cluster count, termination, and seeding."""
 
     n_clusters: int
     max_iter: int = 300
     tol: float = 1e-9
     seed: int = 0
     init: str = "random_rows"
-    empty_cluster_policy: str = "reseed_farthest"
 
     def __post_init__(self):
+        for name in ("n_clusters", "max_iter", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         if self.max_iter < 1:
@@ -70,8 +74,6 @@ class SolverConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.init not in INIT_METHODS:
             raise ValueError(f"init must be one of {INIT_METHODS}")
-        if self.empty_cluster_policy not in EMPTY_CLUSTER_POLICIES:
-            raise ValueError(f"empty_cluster_policy must be one of {EMPTY_CLUSTER_POLICIES}")
 
 
 def init_centroids(X, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
@@ -180,7 +182,7 @@ def _steps(X, spec: ModelSpec, config: SolverConfig) -> Iterator[tuple[FitStep, 
     for _ in range(config.max_iter):
         labels, coeffs = _nearest(X, xx, V, spec)
         membership = Membership(np.where(coeffs == 0.0, -1, labels), coeffs, K)
-        V = update_centroids(X, membership, spec, V, config.empty_cluster_policy)
+        V = update_centroids(X, membership, spec, V)
         step = FitStep(membership, V, objective(X, membership, V, spec))
         converged = False
         # A rise is never convergence, whatever else repeats.
@@ -213,13 +215,13 @@ def fit(X, spec: ModelSpec, config: SolverConfig) -> FactorizationResult:
     Args:
         X: nonnegative data matrix, rows are data points.
         spec: discrepancy, constraint mode, and penalty weights.
-        config: cluster count, termination, seeding, and policies.
+        config: cluster count, termination, and seeding.
 
     Returns:
         A :class:`FactorizationResult` with the final membership, centroid
-        matrix, per-iteration objective trace, and convergence flag. Rows
-        with coefficient 0 carry label -1. Hitting ``max_iter`` is reported
-        via ``converged=False``, not raised.
+        matrix, non-increasing per-iteration objective trace, and
+        convergence flag. Rows with coefficient 0 carry label -1. Hitting
+        ``max_iter`` is reported via ``converged=False``, not raised.
     """
     trace = []
     for last, converged in _steps(X, spec, config):

@@ -3,9 +3,9 @@
 ``lloyd_kmeans`` is the classical Lloyd iteration (squared-Euclidean
 assignment, mean centroids); ``kmedian`` its l1 counterpart (Manhattan
 assignment, coordinate medians with the midpoint convention). Both share the
-solver's conventions exactly: lowest-index tie-breaks, reseed-farthest empty
-clusters, objective recorded after each full iteration, stop on unchanged
-assignments. ``random_rows_seeds`` is the row-by-row loop the solver's
+solver's conventions exactly: lowest-index tie-breaks, an empty cluster
+takes the farthest row (the solver's rule when no centroid penalty applies),
+objective recorded after each full iteration, stop on unchanged assignments. ``random_rows_seeds`` is the row-by-row loop the solver's
 ``random_rows`` seeding must reproduce.
 """
 

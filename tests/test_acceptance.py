@@ -121,21 +121,10 @@ def test_criterion_3_monotone_descent_all_modes():
                     )
                 else:
                     reg = RegularizationParams()
-                # Reseeding an empty cluster with a data row injects penalty
-                # mass when the centroid penalties are active, so those runs
-                # use the keep-previous policy (both are supported policies).
-                policy = (
-                    "keep_previous" if (reg.lambda_v > 0 or reg.mu_v > 0) else "reseed_farthest"
-                )
                 res = fit(
                     X,
                     ModelSpec(disc, mode, reg),
-                    SolverConfig(
-                        n_clusters=K,
-                        seed=int(rng.integers(2**63)),
-                        max_iter=120,
-                        empty_cluster_policy=policy,
-                    ),
+                    SolverConfig(n_clusters=K, seed=int(rng.integers(2**63)), max_iter=120),
                 )
                 assert (np.diff(res.objective_trace) <= 1e-10).all(), (disc, mode)
 

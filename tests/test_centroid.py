@@ -108,14 +108,33 @@ class TestUpdateCentroids:
         # Row 2 is farthest from its own centroid (row 0 of previous).
         assert_array_equal(V[1], X[2])
 
-    def test_empty_cluster_keep_previous(self):
-        X = np.array([[0.0, 0.0], [1.0, 0.0]])
+    def test_empty_cluster_keeps_a_previous_row_of_smaller_penalty(self):
+        # Row 1 is farthest, but its penalty 4 + 0.5 * 16 exceeds the
+        # previous row's 2 + 0.5 * 2: taking it would raise the objective.
+        X = np.array([[0.0, 0.0], [4.0, 0.0]])
         m = Membership(np.zeros(2, dtype=int), np.ones(2), 2)
-        previous = np.array([[7.0, 7.0], [5.0, 5.0]])
-        V = update_centroids(
-            X, m, ModelSpec("l2", "binary"), previous=previous,
-            empty_cluster_policy="keep_previous",
-        )
+        previous = np.array([[0.0, 0.0], [1.0, 1.0]])
+        spec = ModelSpec("l2", "binary", RegularizationParams(lambda_v=1.0, mu_v=0.5))
+        V = update_centroids(X, m, spec, previous=previous)
+        assert_array_equal(V[1], previous[1])
+
+    def test_empty_cluster_takes_a_farthest_row_of_no_larger_penalty(self):
+        # Row 1 is farthest; its penalty 4 ties the previous row's 3 + 1 and
+        # is below 5 + 5, so both times the cluster takes it.
+        X = np.array([[0.0, 0.0], [4.0, 0.0]])
+        m = Membership(np.zeros(2, dtype=int), np.ones(2), 2)
+        spec = ModelSpec("l2", "binary", RegularizationParams(lambda_v=1.0))
+        for row in ([3.0, 1.0], [5.0, 5.0]):
+            V = update_centroids(X, m, spec, previous=np.array([[0.0, 0.0], row]))
+            assert_array_equal(V[1], X[1])
+
+    def test_an_overflowing_penalty_keeps_the_previous_row(self):
+        # Both squared norms overflow: inf <= inf must not take the row.
+        X = np.array([[0.0, 0.0], [2e200, 0.0]])
+        m = Membership(np.zeros(2, dtype=int), np.ones(2), 2)
+        previous = np.array([[0.0, 0.0], [1e200, 1e200]])
+        spec = ModelSpec("l1", "c1_free", RegularizationParams(mu_v=1.0))
+        V = update_centroids(X, m, spec, previous=previous)
         assert_array_equal(V[1], previous[1])
 
     def test_two_empty_clusters_take_distinct_rows(self):
@@ -171,9 +190,3 @@ class TestUpdateCentroids:
             V = update_centroids(X, m, spec, previous=prev)
             cost = lambda v: float(np.abs(X - m.coefficients[:, None] * v[None, :]).sum())
             assert cost(V[0]) <= cost(prev[0]) + 1e-12
-
-    def test_invalid_policy_rejected(self):
-        X = np.array([[1.0]])
-        m = Membership(np.zeros(1, dtype=int), np.ones(1), 1)
-        with pytest.raises(ValueError):
-            update_centroids(X, m, ModelSpec(), np.zeros((1, 1)), "explode")

@@ -111,16 +111,15 @@ class TestRun:
 
         report = json.loads((out / "run.json").read_text())
         assert report["converged"] is True
-        assert report["format_version"] == 2
-        # Every effective parameter is echoed, including defaults.
-        for key in (
-            "input", "out", "k", "discrepancy", "mode", "lambda_u", "lambda_v",
-            "mu_u", "mu_v", "seed", "max_iter", "tol", "init",
-            "empty_cluster_policy", "iterations",
-            "wall_time_seconds",
-        ):
-            assert key in report
+        assert report["format_version"] == 3
+        # Every effective parameter is echoed, including defaults, and nothing else.
+        assert set(report) == {
+            "format_version", "input", "out", "k", "discrepancy", "mode", "lambda_u", "lambda_v",
+            "mu_u", "mu_v", "seed", "max_iter", "tol", "init", "converged", "empty_clusters",
+            "iterations", "wall_time_seconds",
+        }
         assert report["max_iter"] == 300 and report["tol"] == 1e-9
+        assert report["empty_clusters"] == []
 
         trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
         assert (np.diff(trace[:, 1]) <= 1e-10).all()
@@ -224,22 +223,26 @@ class TestRun:
         assert (out / "assignments.csv").read_bytes() == (
             b"row_index,cluster,coefficient,distance,unassigned\r\n"
             b"0,-1,0,0,1\r\n"
-            b"1,1,0.069493128942890919,0.5133584247055436,0\r\n"
-            b"2,0,1.5755569370501636,3.8173905664360115,0\r\n"
-            b"3,1,1.4916504762310603,4.5441938462845402,0\r\n"
-            b"4,0,0.013519616977113414,0.049426645486097237,0\r\n"
+            b"1,0,0.065105119280542426,0.53491491510642764,0\r\n"
+            b"2,0,1.335452391363479,2.5865951656845771,0\r\n"
+            b"3,0,1.4398532104924182,2.7575099793378741,0\r\n"
+            b"4,0,0.011603132127315315,0.048353165279854095,0\r\n"
         )
+        # Cluster 1 is seeded with row 0, which lambda_u thresholds, so it
+        # stays empty; a data row would add centroid penalty, so it keeps its
+        # zero row.
         assert (out / "centroids.csv").read_bytes() == (
-            b"5.6756065430627158,5.6743696438825122\r\n"
-            b"5.9142698835069529,6.844555358688317\r\n"
+            b"6.6908455572556624,7.2313449443105116\r\n"
+            b"0,0\r\n"
         )
         assert (out / "trace.csv").read_bytes() == (
             b"iteration,objective\r\n"
-            b"1,125.96423156178395\r\n"
-            b"2,98.298249060506677\r\n"
-            b"3,71.329697563551065\r\n"
-            b"4,57.538146897526936\r\n"
+            b"1,57.151731561783954\r\n"
+            b"2,47.857827934300587\r\n"
+            b"3,41.626431540831234\r\n"
+            b"4,37.153409469855077\r\n"
         )
+        assert json.loads((out / "run.json").read_text())["empty_clusters"] == [1]
 
     def test_duplicate_rows_exit_3(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -259,6 +262,15 @@ class TestRun:
         assert "--zero-row" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_empty_cluster_flag_is_rejected(self, toy_csv, tmp_path, capsys):
+        # One rule resolves every empty cluster, so the flag that chose
+        # between two policies is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(_toy_args(toy_csv, tmp_path / "o", "--empty-cluster", "keep"))
+        assert exc.value.code == 2
+        assert "--empty-cluster" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 def _distance_cases():
     penalized = ["--lambda-v", "0.3", "--mu-v", "0.2"]
@@ -267,7 +279,7 @@ def _distance_cases():
             yield discrepancy, mode, ["--max-iter", "1", *penalized]
             yield discrepancy, mode, penalized
         membership_penalty = ["--lambda-u", "4", "--mu-u", "0.5", *penalized]
-        for extra in (["--max-iter", "1"], [], ["--empty-cluster", "keep"]):
+        for extra in (["--max-iter", "1"], [], ["--init", "plusplus"]):
             yield discrepancy, "c1-free", [*membership_penalty, *extra]
 
 

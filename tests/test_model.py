@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from onmfcluster import (
+    FactorizationResult,
     Membership,
     ModelSpec,
     RegularizationParams,
@@ -44,6 +45,28 @@ class TestMembership:
             Membership([-2], [0.0], 1)
         with pytest.raises(ValueError):
             Membership(np.array([-1]), np.array([1.0]), 1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_coefficients_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Membership([0, 1], [value, 1.0], 2)
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, float("nan")], [float("inf"), 0.0]])
+    def test_non_integral_labels_rejected(self, labels):
+        # An int64 cast would truncate [0.5, 1.7] to [0, 1].
+        with pytest.raises(ValueError, match="integers"):
+            Membership(labels, [1.0, 1.0], 2)
+
+    def test_integral_float_labels_accepted(self):
+        assert_array_equal(Membership([1.0, -1.0], [2.0, 0.0], 2).labels, [1, -1])
+
+
+def test_empty_clusters_are_those_without_a_positive_coefficient():
+    # Cluster 0 has a row of coefficient 0 only, cluster 2 has no row at all.
+    m = Membership([0, 1, -1, 3], [0.0, 2.0, 0.0, 1.0], 4)
+    result = FactorizationResult(m, np.zeros((4, 1)), np.array([1.0]), True)
+    assert result.empty_clusters == {0, 2}
+    assert result.unassigned_rows == {2}
 
 
 class TestModelSpec:

@@ -1,5 +1,6 @@
 """Unit tests for initialization and the alternating-minimization driver."""
 
+import dataclasses
 import itertools
 import tracemalloc
 import zlib
@@ -21,6 +22,7 @@ from onmfcluster import (
     fit_history,
     init_centroids,
 )
+from onmfcluster.model import row_costs
 from onmfcluster.solver import _distinct_prefix
 from reference import kmedian_history, lloyd_kmeans_history, random_rows_seeds
 
@@ -150,6 +152,18 @@ class TestFitBasics:
         with pytest.raises(ValueError):
             fit(FOUR_POINTS, ModelSpec(), SolverConfig(n_clusters=9, seed=0))
 
+    @pytest.mark.parametrize(
+        "field, value", [("n_clusters", 2.0), ("max_iter", 2.5), ("seed", 1.5), ("n_clusters", "2")]
+    )
+    def test_non_integral_counts_and_seed_rejected(self, field, value):
+        # Caught at construction, not as a TypeError from slicing or range mid-fit.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(**{"n_clusters": 2, field: value})
+
+    def test_config_has_no_policy_fields(self):
+        names = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert names == ["n_clusters", "max_iter", "tol", "seed", "init"]
+
     def test_nonconvergence_is_flagged_not_raised(self):
         rng = np.random.default_rng(4)
         X = rng.uniform(0, 10, (30, 3))
@@ -191,16 +205,60 @@ class TestMonotoneDescent:
                 reg = RegularizationParams(0.0, float(rng.uniform(0, 2)), 0.0, float(rng.uniform(0, 2)))
             else:
                 reg = RegularizationParams()
-            policy = (
-                "keep_previous" if (reg.lambda_v > 0 or reg.mu_v > 0) else "reseed_farthest"
-            )
-            res = fit(
-                X,
-                ModelSpec(discrepancy, mode, reg),
-                SolverConfig(n_clusters=K, seed=int(rng.integers(2**32)),
-                             empty_cluster_policy=policy),
-            )
+            config = SolverConfig(n_clusters=K, seed=int(rng.integers(2**32)))
+            res = fit(X, ModelSpec(discrepancy, mode, reg), config)
             assert (np.diff(res.objective_trace) <= 1e-10).all()
+
+
+PENALTY_WEIGHTS = st.one_of(st.just(0.0), st.floats(0.1, 3.0))
+
+
+@st.composite
+def penalized_runs(draw):
+    discrepancy, mode = draw(st.sampled_from(CELLS))
+    # One column puts every row on one ray, where only binary seeding finds
+    # distinct centroids.
+    M, N = draw(st.integers(4, 24)), draw(st.integers(1 if mode == "binary" else 2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(0, 10, (M, N))
+    # A membership penalty thresholds the tiny rows, which empties clusters.
+    X[rng.random(M) < 0.3] *= 1e-3
+    # A large lambda_u thresholds whole clusters.
+    lambda_u = draw(st.one_of(PENALTY_WEIGHTS, st.floats(3.0, 60.0))) if mode == "c1_free" else 0.0
+    mu_u = draw(PENALTY_WEIGHTS) if mode == "c1_free" else 0.0
+    centroid_penalties = draw(st.booleans())
+    lambda_v, mu_v = (draw(PENALTY_WEIGHTS), draw(PENALTY_WEIGHTS)) if centroid_penalties else (0.0, 0.0)
+    reg = RegularizationParams(lambda_u, lambda_v, mu_u, mu_v)
+    config = SolverConfig(
+        n_clusters=draw(st.integers(2, min(8, M))), seed=draw(st.integers(0, 2**32 - 1)), max_iter=30,
+        init=draw(st.sampled_from(["random_rows", "plusplus"])),
+    )
+    return X, ModelSpec(discrepancy, mode, reg), config
+
+
+@settings(max_examples=150, deadline=None)
+@given(penalized_runs())
+def test_trace_never_rises_and_unpenalized_empty_clusters_take_the_farthest_row(run):
+    X, spec, config = run
+    steps = fit_history(X, spec, config)
+    trace = np.array([step.objective for step in steps])
+    assert (np.diff(trace) <= 1e-10).all(), trace
+    if spec.reg.lambda_v or spec.reg.mu_v:
+        return
+    # Without centroid penalties every empty cluster takes its farthest row
+    # against the previous centroids, lower index first on ties, exactly as
+    # an unconditional reseed does.
+    V = init_centroids(X, config, spec)
+    for step in steps:
+        labels, coeffs = step.membership.labels, step.membership.coefficients
+        empty = np.flatnonzero(np.bincount(labels[coeffs > 0], minlength=config.n_clusters) == 0)
+        farthest = np.argsort(-row_costs(X, step.membership, V, spec), kind="stable")
+        for k, m in zip(empty, farthest):
+            if spec.constraint_mode == "normalized":
+                assert_allclose(step.centroids[k], X[m] / np.linalg.norm(X[m]), rtol=1e-15, atol=0)
+            else:
+                assert step.centroids[k].tobytes() == X[m].tobytes()
+        V = step.centroids
 
 
 class TestClassicalReductions:
@@ -285,7 +343,7 @@ class TestZeroRows:
 def test_label_is_minus_one_exactly_where_the_coefficient_is_zero(discrepancy, mode):
     rng = np.random.default_rng(zlib.crc32(f"unassigned/{discrepancy}/{mode}".encode()))
     thresholded = 0
-    for policy, init in itertools.product(["reseed_farthest", "keep_previous"], ["random_rows", "plusplus"]):
+    for init in ["random_rows", "plusplus"] * 2:
         K = int(rng.integers(1, 5))
         X = rng.uniform(0, 10, (int(rng.integers(8, 40)), int(rng.integers(2, 8))))
         # Under l2 a membership penalty thresholds the tiny rows to
@@ -295,14 +353,15 @@ def test_label_is_minus_one_exactly_where_the_coefficient_is_zero(discrepancy, m
         scale = X.sum(axis=1).mean() if discrepancy == "l1" else 4.0
         lambda_u, mu_u = rng.uniform(0, 1, 2) * scale if mode == "c1_free" else (0.0, 0.0)
         spec = ModelSpec(discrepancy, mode, RegularizationParams(lambda_u, rng.uniform(0, 1), mu_u, 1.0))
-        config = SolverConfig(n_clusters=K, seed=int(rng.integers(2**32)), init=init,
-                              empty_cluster_policy=policy)
+        config = SolverConfig(n_clusters=K, seed=int(rng.integers(2**32)), init=init)
         steps = fit_history(X, spec, config)
         for step in steps:
             assert_array_equal(step.membership.labels == -1, step.membership.coefficients == 0.0)
         res = fit(X, spec, config)
         assert res.iterations == len(res.objective_trace) == len(steps)
         assert res.unassigned_rows == set(np.flatnonzero(res.membership.labels == -1).tolist())
+        members = res.membership.labels[res.membership.coefficients > 0]
+        assert res.empty_clusters == {k for k in range(K) if not (members == k).any()}
         thresholded += len(res.unassigned_rows)
     if mode == "c1_free":
         assert thresholded > 0

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
@@ -29,7 +29,7 @@ from onmfcluster import (
     update_centroids,
 )
 from onmfcluster import distance
-from onmfcluster.centroid import EMPTY_CLUSTER_POLICIES, _medians
+from onmfcluster.centroid import _medians
 from onmfcluster.distance import pair_costs
 from onmfcluster.model import row_costs
 from onmfcluster.scalar_prox import _weighted_reg_medians
@@ -74,8 +74,7 @@ def updates(draw):
         norms = np.linalg.norm(previous, axis=1)
         unit = draw(arrays(bool, K)) & (norms > 0)
         previous[unit] /= norms[unit, None]
-    policy = draw(st.sampled_from(EMPTY_CLUSTER_POLICIES))
-    return X, Membership(labels, coeffs, K), spec, previous, policy
+    return X, Membership(labels, coeffs, K), spec, previous
 
 
 def _row_cost(x, u, v, spec):
@@ -84,9 +83,12 @@ def _row_cost(x, u, v, spec):
     return fit + spec.reg.lambda_u * u + spec.reg.mu_u * u * u
 
 
+def _penalty(v, spec):
+    return spec.reg.lambda_v * float(np.abs(v).sum()) + spec.reg.mu_v * float(v @ v)
+
+
 def _block_cost(X_k, u_k, v, spec):
-    fit = sum(_row_cost(x, u, v, spec) for x, u in zip(X_k, u_k))
-    return fit + spec.reg.lambda_v * float(np.abs(v).sum()) + spec.reg.mu_v * float(v @ v)
+    return sum(_row_cost(x, u, v, spec) for x, u in zip(X_k, u_k)) + _penalty(v, spec)
 
 
 def _on_sphere(row, a):
@@ -106,12 +108,25 @@ def _assert_one_of(v, options):
     assert any(np.allclose(v, o, rtol=TOL, atol=TOL) for o in options), (v, options)
 
 
+def _empty_cluster_update(discrepancy, mode, lambda_v=0.0):
+    # Cluster 1 is empty, and its farthest row (0, 3) differs from its
+    # previous row (1, 1) on and off the sphere, with the larger l1 norm.
+    X = np.array([[1.0, 0.0], [0.0, 3.0]])
+    spec = ModelSpec(discrepancy, mode, RegularizationParams(lambda_v=lambda_v))
+    return X, Membership([0, 0], [1.0, 1.0], 2), spec, np.array([[0.5, 0.5], [1.0, 1.0]])
+
+
 @PROPERTY
 @given(updates())
+@example(_empty_cluster_update("l2", "binary"))
+@example(_empty_cluster_update("l1", "c1_free"))
+@example(_empty_cluster_update("l1", "normalized"))
+@example(_empty_cluster_update("l2", "binary", lambda_v=1.0))
+@example(_empty_cluster_update("l2", "normalized", lambda_v=1.0))
 def test_update_matches_the_per_cluster_definitions(update):
-    X, membership, spec, previous, policy = update
+    X, membership, spec, previous = update
     K, N = previous.shape
-    V = update_centroids(X, membership, spec, previous, policy)
+    V = update_centroids(X, membership, spec, previous)
     labels, coeffs = membership.labels, membership.coefficients
     normalized = spec.constraint_mode == "normalized"
     centroid = centroid_l2 if spec.discrepancy == "l2" else centroid_l1
@@ -151,19 +166,32 @@ def test_update_matches_the_per_cluster_definitions(update):
             cost = _block_cost(X_k, u_k, V[k], spec)
             assert cost <= prev_cost + TOL * max(1.0, cost)
 
-    # Empty clusters: the rows of largest cost against previous, lower index
-    # first on ties, one per cluster; the remaining ones keep previous.
-    order = []
-    if policy == "reseed_farthest":
-        costs = row_costs(X, membership, previous, spec)
-        order = sorted(range(X.shape[0]), key=lambda m: (-costs[m], m))
-    sources = [X[m] for m in order[: len(empty)]] + [previous[k] for k in empty[len(order):]]
+    # Empty clusters pair with the rows of largest cost against previous,
+    # lower index first on ties, one per cluster. A cluster takes its row
+    # where the row's centroid penalty, on the sphere in normalized mode, is
+    # no larger than its previous row's, and keeps the previous row otherwise.
+    costs = row_costs(X, membership, previous, spec)
+    order = sorted(range(X.shape[0]), key=lambda m: (-costs[m], m))
     no_members = np.full(N, -lambda_v / 2.0)
-    for k, source in zip(empty, sources):
+    for i, k in enumerate(empty):
+        kept = _on_sphere(previous[k], no_members) if normalized else [previous[k]]
+        options = kept
+        if i < len(order):
+            taken = _on_sphere(X[order[i]], no_members) if normalized else [X[order[i]]]
+            if not (lambda_v or mu_v):
+                # No centroid penalty: every pairing is taken.
+                options = taken
+            else:
+                gain = _penalty(kept[0], spec) - _penalty(taken[0], spec)
+                if abs(gain) <= TOL * max(1.0, _penalty(kept[0], spec)):
+                    # A tie up to the rounding of the two penalty sums.
+                    options = taken + kept
+                elif gain > 0:
+                    options = taken
         if normalized:
-            _assert_one_of(V[k], _on_sphere(source, no_members))
+            _assert_one_of(V[k], options)
         else:
-            assert_array_equal(V[k], source)
+            assert any(np.array_equal(V[k], o) for o in options), (k, V[k], options)
 
 
 @st.composite
@@ -219,9 +247,9 @@ def test_sorted_median_equals_the_unit_weight_sweep(X_k):
 def test_unpenalized_l1_update_equals_the_sweep_bit_for_bit(update):
     # Unit coefficients (binary draws) take the sorted median, others the
     # weighted sweep; both must give centroid_l1's value exactly.
-    X, membership, _, previous, policy = update
+    X, membership, _, previous = update
     K = previous.shape[0]
-    V = update_centroids(X, membership, ModelSpec("l1", "c1_free"), previous, policy)
+    V = update_centroids(X, membership, ModelSpec("l1", "c1_free"), previous)
     labels, coeffs = membership.labels, membership.coefficients
     for k in range(K):
         rows = (coeffs > 0) & (labels == k)
@@ -253,14 +281,14 @@ def l1_updates(draw):
 
 
 @PROPERTY
-@given(l1_updates(), st.sampled_from(EMPTY_CLUSTER_POLICIES))
-def test_batched_l1_update_equals_the_sweep_bit_for_bit(update, policy):
+@given(l1_updates())
+def test_batched_l1_update_equals_the_sweep_bit_for_bit(update):
     # The batches pad clusters to a common width, which must not change a bit.
     X, membership, lambda_v, mu_v, budget = update
     K = membership.n_clusters
     spec = ModelSpec("l1", "c1_free", RegularizationParams(lambda_v=lambda_v, mu_v=mu_v))
     with mock.patch.object(distance, "_CHUNK_ELEMENTS", budget):
-        V = update_centroids(X, membership, spec, np.zeros((K, X.shape[1])), policy)
+        V = update_centroids(X, membership, spec, np.zeros((K, X.shape[1])))
     labels, coeffs = membership.labels, membership.coefficients
     for k in range(K):
         rows = (coeffs > 0) & (labels == k)
