@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import os
@@ -58,9 +57,10 @@ def load_csv(path) -> np.ndarray:
     cell-by-cell scan. The scan builds one Python string per cell, which
     takes several times as long and about nine times the array's memory, so
     it runs only to name the faulty cell, or to accept what ``float()``
-    takes but numpy does not (``1_0``, non-ASCII digits). So does a file that
-    could hold a field longer than the csv module's field size limit, so that
-    both paths reject such a field as a :class:`CsvFormatError`.
+    takes but numpy does not (``1_0``, non-ASCII digits). numpy does not
+    apply the csv module's field size limit, so a file in which a block check
+    finds room for a field over it goes to the scan as well, and both paths
+    reject such a field as a :class:`CsvFormatError`.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -80,55 +80,39 @@ def _to_float(cell: str) -> float | None:
 def _parse(fh) -> np.ndarray | None:
     """The matrix of an open CSV file, or None where the scan must judge it.
 
-    The header test is the scan's. The file lines of the first data record,
-    which that test has already read, go to ``np.loadtxt`` ahead of the rest
-    of the file.
+    The block check: a field longer than the csv module's limit holds a whole
+    aligned block of half the limit. Unquoted, it leaves no comma and no line
+    break in that block; quoted, it opens at or before the block, and a comma
+    in it makes it non-numeric, which ``np.loadtxt`` rejects. So a full block
+    with no comma, after a quote or without a line break, sends the file to
+    the scan; so does a long one-column file with a quote. The header test is
+    the scan's, on the first record, and ``np.loadtxt`` skips its lines.
     """
-    lines = []  # the file lines of the record read last
-    records = csv.reader(lines.append(line) or line for line in fh)
-
-    def next_row():
-        while True:
-            lines.clear()
-            row = next(records, None)
-            if row != []:
-                return row
-
+    half = csv.field_size_limit() // 2 or 1
+    quoted = False
     try:
-        row = next_row()
+        while block := fh.read(half):
+            quoted = quoted or '"' in block
+            broken = "\n" in block or "\r" in block
+            if len(block) == half and "," not in block and (quoted or not broken):
+                return None
+        fh.seek(0)
+        records = csv.reader(fh)
+        rows = filter(None, records)
+        row, skip = next(rows, None), 0
         if row is not None and any(_to_float(c) is None for c in row):
-            row = next_row()
+            skip = records.line_num
+            row = next(rows, None)
         # Empty and header-only files go to the scan, which names them;
         # loadtxt would only warn that it found no data.
         if row is None:
             return None
-        data = np.loadtxt(
-            _short_fields(itertools.chain(lines, fh)), dtype=np.float64, delimiter=",",
-            comments=None, quotechar='"', ndmin=2,
-        )
+        fh.seek(0)
+        data = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, quotechar='"',
+                          ndmin=2, skiprows=skip)
     except (ValueError, csv.Error):
         return None
-    if not np.isfinite(data).all() or (data < 0).any():
-        return None
-    return data
-
-
-def _short_fields(lines):
-    """Pass the lines on; raise ``csv.Error`` where a field could be longer than
-    ``csv.field_size_limit()``, which numpy does not apply. A field with a comma
-    is not a number, so only a long run of lines an open quote joins, or a long
-    line with no comma in an aligned block of half the limit, needs the scan.
-    """
-    limit = csv.field_size_limit()
-    half = limit // 2
-    run, quoted = 0, False
-    for line in lines:
-        run = run + len(line) if quoted else len(line)
-        if run > limit and (quoted or any(
-                line.find(",", i, i + half) < 0 for i in range(0, len(line) - half + 1, half))):
-            raise csv.Error(f"a field may be longer than the field size limit ({limit})")
-        quoted ^= '"' in line and line.count('"') % 2 == 1
-        yield line
+    return data if np.isfinite(data).all() and (data >= 0).all() else None
 
 
 def _scan(path) -> np.ndarray:
@@ -193,12 +177,14 @@ class RunManifest:
         }
 
 
-def _write_csv(path: Path, header: str | None, fmt: str, rows) -> None:
-    """Write ``fmt % row`` per row below an optional header, CRLF-terminated."""
-    lines = [] if header is None else [header]
-    lines += [fmt % tuple(row) for row in rows]
+def _write_csv(path: Path, header: str | None, fmt: str, *columns) -> None:
+    """Write ``fmt`` per row of the columns below an optional header, CRLF-terminated, in one ``%``."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for j, column in enumerate(columns):
+        flat[j::len(columns)] = column
+    body = ((fmt + "\r\n") * len(columns[0])) % tuple(flat)
     with open(path, "w", newline="") as fh:
-        fh.write("".join(line + "\r\n" for line in lines))
+        fh.write(body if header is None else header + "\r\n" + body)
 
 
 def run(manifest: RunManifest) -> int:
@@ -278,13 +264,11 @@ def _write_files(
         out / "assignments.csv",
         "row_index,cluster,coefficient,distance,unassigned",
         "%d,%d,%.17g,%.17g,%d",
-        zip(range(X.shape[0]), labels.tolist(), coeffs.tolist(), dist.tolist(), (labels < 0).tolist()),
+        range(X.shape[0]), labels.tolist(), coeffs.tolist(), dist.tolist(), (labels < 0).tolist(),
     )
-    _write_csv(out / "centroids.csv", None, ",".join(["%.17g"] * V.shape[1]), V.tolist())
-    _write_csv(
-        out / "trace.csv", "iteration,objective", "%d,%.17g",
-        enumerate(result.objective_trace.tolist(), start=1),
-    )
+    _write_csv(out / "centroids.csv", None, ",".join(["%.17g"] * V.shape[1]), *V.T.tolist())
+    trace = result.objective_trace.tolist()
+    _write_csv(out / "trace.csv", "iteration,objective", "%d,%.17g", range(1, len(trace) + 1), trace)
 
     report = manifest.to_dict()
     report.update(

@@ -187,7 +187,7 @@ def _l2_costs(
     return T, D
 
 
-def pair_costs(X, V, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+def pair_costs(X, V, spec: ModelSpec, xx=None) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient and distance of every (row, centroid) pair as M x K matrices.
 
     Entry (m, k) equals ``coefficient_and_distance(X[m], V[k], spec)`` up to
@@ -195,7 +195,8 @@ def pair_costs(X, V, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     gets coefficient 0 and distance +inf in its whole column. Binary mode sums
     the broadcast differences exactly as the Lloyd / K-median references do,
     so its distances, and the labels chosen from them, match theirs bit for
-    bit.
+    bit. The l2 free and normalized modes read each row's ||x||^2 from xx
+    when it is given.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
@@ -204,7 +205,7 @@ def pair_costs(X, V, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     mode = spec.constraint_mode
     lam, mu = (spec.reg.lambda_u, spec.reg.mu_u) if mode == "c1_free" else (0.0, 0.0)
     if spec.discrepancy == "l2" and mode != "binary":
-        return _l2_costs(X, V, lam, mu, np.einsum("mn,mn->m", X, X))
+        return _l2_costs(X, V, lam, mu, np.einsum("mn,mn->m", X, X) if xx is None else xx)
 
     M, K = X.shape[0], V.shape[0]
     T = np.ones((M, K)) if mode == "binary" else np.empty((M, K))

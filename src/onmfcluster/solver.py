@@ -38,7 +38,6 @@ from .distance import (
     DegenerateCentroidError,
     NoValidCentroidError,
     _l2_binary_labels,
-    _l2_costs,
     pair_costs,
 )
 from .model import FactorizationResult, Membership, ModelSpec, _data_matrix, as_data_matrix, objective
@@ -82,7 +81,8 @@ def init_centroids(X, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
     ``random_rows`` takes the first K pairwise distinct rows of a uniform
     random permutation of the rows. ``plusplus`` draws each next row with
     probability proportional to its distance (under the model's own distance
-    measure) to the nearest row chosen so far. Deterministic given the seed.
+    measure) to the nearest row chosen so far, never a row equal to a chosen
+    one. Deterministic given the seed.
     """
     return _init_centroids(as_data_matrix(X), config, spec)
 
@@ -101,6 +101,10 @@ def _init_centroids(X: np.ndarray, config: SolverConfig, spec: ModelSpec) -> np.
         dist = pair_costs(X, X[m:m + 1], spec)[1][:, 0]
         if np.isinf(dist[0]):
             raise DegenerateCentroidError("zero centroid under an l1 penalty")
+        # A membership penalty puts a row at a positive distance from itself,
+        # so the rows equal to the chosen one are taken out of the draw here.
+        if dist[m] > 0.0:
+            dist[(X == X[m]).all(axis=1)] = 0.0
         return dist
 
     chosen = [int(rng.integers(M))]
@@ -108,7 +112,7 @@ def _init_centroids(X: np.ndarray, config: SolverConfig, spec: ModelSpec) -> np.
     for _ in range(K - 1):
         total = float(nearest.sum())
         if total <= 0.0:
-            raise DuplicateRowsError("remaining rows coincide with chosen centroids")
+            raise DuplicateRowsError("every remaining row lies at distance 0 from a chosen centroid")
         nxt = int(rng.choice(M, p=nearest / total))
         chosen.append(nxt)
         nearest = np.minimum(nearest, distances_to(nxt))
@@ -156,11 +160,7 @@ def _nearest(
     """
     if spec.discrepancy == "l2" and spec.constraint_mode == "binary":
         return _l2_binary_labels(X, V, xx), np.ones(X.shape[0])
-    if spec.discrepancy == "l2":
-        # A normalized spec carries lambda_u = mu_u = 0.
-        T, D = _l2_costs(X, V, spec.reg.lambda_u, spec.reg.mu_u, xx)
-    else:
-        T, D = pair_costs(X, V, spec)
+    T, D = pair_costs(X, V, spec, xx)
     rows = np.arange(X.shape[0])
     labels = D.argmin(axis=1)
     if np.isinf(D[rows, labels]).any():

@@ -6,8 +6,10 @@ report lines.
 
 import contextlib
 import itertools
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +208,9 @@ def test_criterion_9_cli_golden_determinism(tmp_path):
         data = tmp_path / "toy.csv"
         data.write_text("0,0\n0,1\n10,10\n10,11\n")
         outputs = []
+        # The CLI runs in a child process, which finds the package in src/.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         for name in ("run_a", "run_b"):
             out = tmp_path / name
             proc = subprocess.run(
@@ -217,6 +222,7 @@ def test_criterion_9_cli_golden_determinism(tmp_path):
                 ],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(out)

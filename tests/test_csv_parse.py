@@ -84,6 +84,14 @@ def quoted_lines(n: int, newline: str = "\n") -> str:
     return '"' + 2 * line + " " * (n - 2 * len(line) - 1) + '7"'
 
 
+HALF = csv.field_size_limit() // 2
+
+
+def mid_block_field(n: int) -> str:
+    """A comma-free numeric field of n characters that starts in the middle of a block."""
+    return "1,2\n" * (HALF // 8) + "1," + "0" * (n - 1) + "3\n"
+
+
 @st.composite
 def long_cells(draw):
     """A numeric field whose text is within a few characters of the limit."""
@@ -136,6 +144,11 @@ def csv_texts(draw):
 @example("1,2\n" + "0" * 200000 + "3,-4\n")
 @example("1,2\n1," + "0" * csv.field_size_limit() + "3\n")
 @example("1\n" + quoted_lines(csv.field_size_limit() + 1) + "\n")
+@example(mid_block_field(csv.field_size_limit() - 1))
+@example(mid_block_field(csv.field_size_limit()))
+@example(mid_block_field(csv.field_size_limit() + 1))
+@example("1,2\n" * (3 * HALF // 4) + '"3",4\n')  # a quote only in the last, partial block
+@example("7\n" * (3 * HALF // 2 - 2) + '"8"\n')  # a quote only in the last, full block
 def test_load_csv_matches_the_cell_by_cell_reading(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x.csv"
@@ -152,6 +165,8 @@ def test_load_csv_matches_the_cell_by_cell_reading(text):
         ('"p\nq",r\n"1", 2 \n-0,0.5\n', [[1, 2], [-0.0, 0.5]]),
         ("x\n\n\n7\n", [[7]]),
         pytest.param("1," * 70000 + "2\n", [[1] * 70000 + [2]], id="line over the field limit"),
+        pytest.param("7\n" * (2 * HALF), [[7]] * (2 * HALF), id="one column over several blocks"),
+        pytest.param('"1","2"\n' * (HALF // 2), [[1, 2]] * (HALF // 2), id="every field quoted"),
     ],
 )
 def test_well_formed_files_never_reach_the_scan(tmp_path, monkeypatch, text, expected):

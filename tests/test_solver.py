@@ -71,6 +71,17 @@ class TestInitCentroids:
         groups = {0 if row[0] < 5 else 1 for row in V}
         assert groups == {0, 1}
 
+    @pytest.mark.parametrize("discrepancy, mode", CELLS)
+    def test_plusplus_rows_are_distinct_under_penalties(self, discrepancy, mode):
+        # A membership penalty puts a row at a positive distance from itself,
+        # so without care a chosen row, or a copy of it, is drawn again.
+        X = np.array([[1.0, 2.0], [5.0, 1.0], [2.0, 7.0], [1.0, 2.0], [0.0, 3.0], [-0.0, 3.0]])
+        lam, mu = (3.0, 1.0) if mode == "c1_free" else (0.0, 0.0)
+        spec = ModelSpec(discrepancy, mode, RegularizationParams(lam, 0.5, mu, 0.5))
+        for seed in range(50):
+            V = init_centroids(X, SolverConfig(n_clusters=4, seed=seed, init="plusplus"), spec)
+            assert len({tuple(row + 0.0) for row in V}) == 4, seed
+
     def test_more_clusters_than_rows(self):
         cfg = SolverConfig(n_clusters=5, seed=0)
         with pytest.raises(ValueError):
