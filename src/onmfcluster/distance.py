@@ -6,16 +6,25 @@ and the distance is the attained minimum (squared units for the l2
 discrepancy, plain units for l1).
 
 ``pair_costs`` is the one batched cost kernel: it returns the coefficient and
-distance of every (row, centroid) pair as two M x K matrices, and assignment
-and ``plusplus`` seeding read from it. Binary l2 assignment (Lloyd's step)
-alone takes a certified argmin off one K x M product, ``_l2_binary_labels``,
-whose reductions run along the long M axis. A row is settled there only
-when a single centroid lies within twice a rounding bound of its best. The
-bound, after Higham (2002), exceeds the error its derivation needs by more
-than the rounding of the threshold itself, so a settled row's label is the
-exact kernel's; every other row falls back to ``pair_costs``, which stays
-the exact kernel. A fit computes ||x||^2 once and hands it to both l2
-kernels.
+distance of every (row, centroid) pair as two M x K matrices. ``plusplus``
+seeding and the l2 free and normalized assignments read from it. Binary l2
+assignment (Lloyd's step) takes a certified argmin off one K x M product,
+``_l2_binary_labels``, whose reductions run along the long M axis. A row is
+settled there only when a single centroid lies within twice a rounding bound
+of its best. The bound, after Higham (2002), exceeds the error its
+derivation needs by more than the rounding of the threshold itself, so a
+settled row's label is the exact kernel's; every other row falls back to
+``pair_costs``, which stays the exact kernel. A fit computes ||x||^2 once
+and hands it to seeding and both l2 kernels.
+
+An l1 assignment, ``_l1_labels``, does not build the M x K matrix. It keeps
+a lower bound on every pair's distance from one assignment of a fit to the
+next, decays the bounds by how far each centroid moved (after Elkan 2003 and
+Hamerly 2010), and costs only each row's own pair and the pairs whose bound
+does not exceed that cost, through ``_l1_costs_at`` and the arithmetic
+``pair_costs`` uses. A margin derived from the rounding of the kernel, the
+sweep and the decay keeps every bound below the kernel's computed distance,
+so the labels and coefficients are ``pair_costs``' argmin bit for bit.
 The scalar functions remain the paper-level definitions and the oracles the
 kernel is tested against, except under l1, where they run its median sweep
 and ``scalar_prox.brute_force_min`` is the oracle; the closed-form and
@@ -30,7 +39,13 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ModelSpec
-from .scalar_prox import _check_penalties, _weighted_reg_medians, soft_threshold, weighted_reg_median
+from .scalar_prox import (
+    _FLAT_SLOPE_TOL,
+    _check_penalties,
+    _weighted_reg_medians,
+    soft_threshold,
+    weighted_reg_median,
+)
 
 
 class DegenerateCentroidError(ValueError):
@@ -214,20 +229,51 @@ def pair_costs(X, V, spec: ModelSpec, xx=None) -> tuple[np.ndarray, np.ndarray]:
     step = max(1, _CHUNK_ELEMENTS // (K * X.shape[1]))
     for lo in range(0, M, step):
         x = X[lo:lo + step, None, :]
-        if mode == "binary":
+        if spec.discrepancy == "l2":
             R = x - W
-            if spec.discrepancy == "l2":
-                np.multiply(R, R, out=R)
-            else:
-                np.abs(R, out=R)
-            D[lo:lo + step] = R.sum(axis=2)
-            continue
-        t = _weighted_reg_medians(x, W, lam, mu)
-        T[lo:lo + step] = t
-        R = t[:, :, None] * W
-        np.subtract(x, R, out=R)
-        D[lo:lo + step] = np.abs(R, out=R).sum(axis=2) + mu * t * t + lam * t
+            D[lo:lo + step] = np.multiply(R, R, out=R).sum(axis=2)
+        else:
+            T[lo:lo + step], D[lo:lo + step] = _l1_costs(x, W, mode, lam, mu)
     return T, D
+
+
+def _l1_costs(x, w, mode: str, lam: float, mu: float):
+    """Coefficients and l1 distances of the rows x against the centroid rows w.
+
+    x and w broadcast over their leading axes; binary mode's coefficient is 1.
+    Every l1 pair cost runs through here, so a pair costs the same bytes
+    whether ``pair_costs`` broadcasts it or ``_l1_costs_at`` gathers it.
+    """
+    if mode == "binary":
+        R = x - w
+        return 1.0, np.abs(R, out=R).sum(axis=-1)
+    t = _weighted_reg_medians(x, w, lam, mu)
+    R = t[..., None] * w
+    np.subtract(x, R, out=R)
+    return t, np.abs(R, out=R).sum(axis=-1) + mu * t * t + lam * t
+
+
+def _l1_costs_at(
+    X: np.ndarray, V: np.ndarray, pairs: np.ndarray, spec: ModelSpec, out: np.ndarray
+) -> np.ndarray:
+    """Cost the l1 pairs (m, k) with flat index k M + m: distances into out, coefficients returned.
+
+    The distance of pair i goes to ``out[pairs[i]]``, and it and the i-th
+    coefficient equal entry ``pairs[i]`` of the flattened transposes of
+    ``pair_costs(X, V, spec)`` bit for bit. The rows and centroids are
+    gathered in chunks of ``_CHUNK_ELEMENTS``, and the distances are written
+    in place, so the call holds only the coefficients beyond one chunk.
+    """
+    M, N = X.shape
+    mode = spec.constraint_mode
+    lam, mu = (spec.reg.lambda_u, spec.reg.mu_u) if mode == "c1_free" else (0.0, 0.0)
+    T = np.ones(pairs.size)
+    step = max(1, _CHUNK_ELEMENTS // N)
+    for lo in range(0, pairs.size, step):
+        chunk = pairs[lo:lo + step]
+        cols, rows = np.divmod(chunk, M)
+        T[lo:lo + step], out[chunk] = _l1_costs(X.take(rows, axis=0), V.take(cols, axis=0), mode, lam, mu)
+    return T
 
 
 _BINARY_L2 = ModelSpec("l2", "binary")
@@ -296,6 +342,152 @@ def _l2_binary_labels(X: np.ndarray, V: np.ndarray, xx: np.ndarray) -> np.ndarra
             raise NoValidCentroidError("all centroid rows are degenerate for this model")
         labels[recheck] = exact
     return labels
+
+
+class _L1Bounds:
+    """What one l1 assignment of a fit hands the next (see :func:`_l1_labels`).
+
+    ``lower[k, m]`` is at most the kernel's computed distance from row m to
+    row k of ``centroids``, ``labels`` is the last assignment's argmin and
+    ``norms`` holds each row's ||x||_1. ``lower`` is K x M so that the
+    per-row terms of its updates run along the long axis. A fit starts with
+    bounds that rule out no pair.
+    """
+
+    def __init__(self, X: np.ndarray, V: np.ndarray):
+        M = X.shape[0]
+        self.norms = X.sum(axis=1)
+        self.lower = np.full((V.shape[0], M), -np.inf)
+        self.labels = np.zeros(M, dtype=np.intp)
+        self.centroids = V
+
+
+def _l1_labels(X: np.ndarray, V: np.ndarray, spec: ModelSpec, bounds: _L1Bounds):
+    """Argmin over k of ``pair_costs(X, V, spec)[1]`` under l1, and its coefficient.
+
+    Ties go to the lowest index, as in the full kernel. ``bounds`` is
+    advanced from its centroids to V in four steps:
+
+    1. ``lower`` is decayed (below) into bounds on the distances to V;
+    2. each row's own pair (x_m, v_{a_m}), a_m its last label, is costed;
+    3. every other pair whose bound does not exceed the row's own cost is
+       costed, and so is a pair whose bound is NaN (an infinite distance
+       decayed);
+    4. ``_l1_costs_at`` writes the costed distances into ``lower``, and each
+       row takes the argmin of its column of ``lower``.
+
+    A pair left out has a computed distance above its row's own cost, so it
+    is neither the argmin nor tied with it; the entries that can win are
+    computed distances, and ``_l1_costs_at`` computes them with the full
+    kernel's arithmetic. So labels and coefficients are the full kernel's,
+    bit for bit. Bounds of -inf cost every pair, as in a fit's first call.
+
+    **The decay.** Let D(x, v) be the exact minimum over t >= 0 of
+    ||x - t v||_1 + lam t + mu t^2 (binary: t = 1, no penalty), and let a
+    centroid row move from v to v' by delta = ||v' - v||_1, with s = ||x||_1,
+    w = ||v||_1 and w' = ||v'||_1. At the minimizer t' for v',
+    ||x - t' v'||_1 >= ||x - t' v||_1 - t' delta, so
+    D(x, v') >= D(x, v) - t' delta; and t' w' <= s + ||x - t' v'||_1
+    <= s + D(x, v'). Eliminating t' gives, with b = delta / w',
+
+        D(x, v') >= (D(x, v) - s b) / (1 + b),
+
+    and in binary mode (t' = 1) D(x, v') >= D(x, v) - delta. The right
+    sides grow with D(x, v), so a lower bound may stand in for it. A
+    centroid row with w' = 0 has b = inf, and its bounds become -inf: its
+    pairs are always costed. A centroid row whose drift is exactly 0 keeps
+    its bounds: the kernel's arithmetic is deterministic, so they still
+    bound its computed distances.
+
+    **The margin.** With u = 2^-53 (Higham 2002, section 3.1), the kernel
+    computes f(t~) = ||x - t~ v||_1 + lam t~ + mu t~^2 at its coefficient
+    t~ from nonnegative terms, and t~ w <= s + f(t~); so its distance D~ lies
+    within 1.01 (N + 4) u (s + f(t~)) of f(t~), plus (N + 4) 2^-1075 for
+    products that underflow. f(t~) >= D(x, v), as for every t >= 0, and the
+    sweep's own error bounds f(t~) - D(x, v) from above:
+    - each breakpoint x_n / v_n is rounded by u of itself (or 2^-1075), which
+      moves the objective anywhere by at most u s + w 2^-1075;
+    - the sweep's slopes, cumulative sums of v, are within
+      1.01 (3 N + 4) u (w + lam) of exact, and a slope it treats as flat,
+      within ``_FLAT_SLOPE_TOL`` of 0 (mu = 0), gives the midpoint of its
+      interval; at t~ some subgradient of the objective is then within
+      tau = _FLAT_SLOPE_TOL + 1.01 (3 N + 4) u (w + lam) + 4.1 u mu t~ of 0;
+    - so f(t~) - D(x, v) <= tau |t~ - t*| + 2 u s, t* minimizing the
+      objective with the rounded breakpoints, and both lie in
+      [0, (s + f(t~)) / w] (to within u s / w) with lam t and mu t^2 below
+      f(t~). That is at most (_FLAT_SLOPE_TOL / w + (6.1 N + 14.2) u)
+      (s + f(t~)); mu < 2^1024 makes mu 2^-1074 / w < _FLAT_SLOPE_TOL / w.
+    In all, D~ - D(x, v) <= c (s + D~) + (N + 4)(1 + w) 2^-1074 with
+    c = (8 N + 24) u + 2 _FLAT_SLOPE_TOL / w (binary: no sweep). For c < 1/2
+    the right side grows with D~, so ``lower`` first drops by c (s + |lower|)
+    plus that floor, to bound D(x, v); a centroid row with c >= 1/2 gets
+    -inf.
+    Then it decays, with delta rounded up by a factor 1 + (8 N + 24) u.
+    Last it drops by (8 N + 24) u (s + |lower|) + (N + 4) 2^-1074, which
+    covers the new kernel's rounding, D~(x, v') >= D(x, v') - 1.01 (N + 4) u
+    (s + D(x, v')) - (N + 4) 2^-1075, and the decay's own rounding: where
+    the decayed value is positive, s b < lower, and the rounding of s, b, the
+    product, the difference and the quotient is below (5.1 N + 5) u
+    (s + decayed value). A value that is not positive bounds D~ >= 0 anyway.
+    """
+    L = bounds.lower
+    M = L.shape[1]
+    _l1_decay(L, bounds.norms, bounds.centroids, V, spec)
+    rows = np.arange(M)
+    own = bounds.labels * M + rows
+    flat = L.reshape(-1)
+    own_t = _l1_costs_at(X, V, own, spec, flat)
+    closed = L > flat[own]
+    closed.flat[own] = True
+    pairs = np.flatnonzero(~closed)
+    del closed
+    T = _l1_costs_at(X, V, pairs, spec, flat)
+    labels = L.argmin(axis=0)
+    if np.isinf(L[labels, rows]).any():
+        raise NoValidCentroidError("all centroid rows are degenerate for this model")
+    coeffs = own_t
+    moved = np.flatnonzero(labels != bounds.labels)
+    coeffs[moved] = T[np.searchsorted(pairs, labels[moved] * M + moved)]
+    bounds.labels, bounds.centroids = labels, V
+    return labels, coeffs
+
+
+def _l1_decay(L: np.ndarray, s: np.ndarray, V0: np.ndarray, V: np.ndarray, spec: ModelSpec) -> None:
+    """Turn L, bounds on the distances to V0, into bounds on those to V, in place.
+
+    s holds each row's ||x||_1; ``_l1_labels`` derives the steps.
+    """
+    N = V.shape[1]
+    slack = (8 * N + 24) * _UNIT_ROUNDOFF
+    drift = np.abs(V - V0).sum(axis=1)
+    moved = np.flatnonzero(drift > 0.0)
+    if not moved.size:
+        return
+    drift = drift[moved] * (1.0 + slack)
+    B = L[moved]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if spec.constraint_mode == "binary":
+            _widen(B, s, slack, 0.0)
+            B -= drift[:, None]
+        else:
+            w0, w = V0[moved].sum(axis=1), V[moved].sum(axis=1)
+            c = slack + 2.0 * _FLAT_SLOPE_TOL / w0
+            _widen(B, s, c[:, None], (N + 4) * (1.0 + w0[:, None]) * _TINY)
+            b = (drift / w)[:, None]
+            B -= b * s
+            B /= 1.0 + b
+            B[(c >= 0.5) | (w == 0.0)] = -np.inf
+        _widen(B, s, slack, (N + 4) * _TINY)
+    L[moved] = B
+
+
+def _widen(B: np.ndarray, s: np.ndarray, c, floor) -> None:
+    """Lower B by c (s + |B|) + floor, in place."""
+    E = np.abs(B)
+    E += s
+    E *= c
+    E += floor
+    B -= E
 
 
 def assign(x, V, spec: ModelSpec) -> tuple[int, float, float]:

@@ -81,9 +81,14 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
     S = math.prod(shape[:-1])
     w = np.broadcast_to(w, w.shape[:-1] + (N,))
     active = w > 0
-    bp = v / np.where(active, w, 1.0)
-    if not active.all():
+    if active.all():
+        bp = v / w
+        n_active = N
+    else:
+        bp = v / np.where(active, w, 1.0)
         np.copyto(bp, np.inf, where=~active)
+        w = np.where(active, w, 0.0)
+        n_active = np.broadcast_to(active.sum(axis=-1), shape[:-1]).reshape(S)
     # One stable argsort of the S slices, turned into flat indices so that
     # every gather is one np.take. The gathers lay the sorted slices out as
     # columns, so the cumulative sums and counts below run across all slices
@@ -101,7 +106,7 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
     # adding lam = 0 would change no value.
     slopes = np.empty((N + 1, S))
     slopes[0] = 0.0
-    weights = np.broadcast_to(np.where(active, w, 0.0), shape).reshape(S * N)
+    weights = np.broadcast_to(w, shape).reshape(S * N)
     np.take(weights, order, out=slopes[1:], mode="clip")
     np.cumsum(slopes[1:], axis=0, out=slopes[1:])
     total = slopes[-1].copy()
@@ -119,7 +124,6 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
         # total weight.
         j = (slopes <= -_FLAT_SLOPE_TOL).sum(axis=0)
         at = j * S + columns
-        n_active = np.broadcast_to(active.sum(axis=-1), shape[:-1]).reshape(S)
         flat = (np.abs(slopes.take(at)) <= _FLAT_SLOPE_TOL) & (j < n_active)
         lo_j = B.take(at)
         t = np.where(flat, 0.5 * (lo_j + B.take(at + S)), lo_j)

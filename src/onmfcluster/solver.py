@@ -10,18 +10,23 @@ objective trace is non-increasing in every configuration. The iterations
 are streamed: ``fit`` keeps only the previous step and the objective
 trace, and ``fit_history`` alone keeps every step.
 
-Assignment and ``plusplus`` seeding read every (row, centroid) cost from the
-batched kernel ``distance.pair_costs``: an assignment is the argmin of its
-M x K distance matrix. A fit validates X once and computes its squared row
-norms once, and every l2 assignment reads them: the free and normalized
-modes call the kernel's l2 matmul form with them, and binary l2 reads the
-argmin off one K x M product with a rounding certificate, recomputing only
-the rows the certificate leaves open with ``pair_costs``, so its labels are
-the exact kernel's. The centroid update and the objective read each row's
-cost from ``model.row_costs``. The scalar ``assign`` and
-``coefficient_and_distance`` remain the paper-level definitions the kernel
-is tested against; under l1 they run its median sweep, whose oracle is
-``brute_force_min``.
+Every assignment equals the argmin, lowest index on ties, of the M x K
+distance matrix of the batched kernel ``distance.pair_costs``, and
+``plusplus`` seeding reads its distances from that kernel. A fit validates X
+once and computes its squared row norms once, and seeding and every l2
+assignment read them: the free and normalized modes call the kernel's l2
+matmul form with them, and binary l2 reads the argmin off one K x M product
+with a rounding certificate, recomputing only the rows the certificate
+leaves open with ``pair_costs``, so its labels are the exact kernel's. An l1
+assignment builds no such matrix: the fit keeps a lower bound on each
+pair's distance, which ``distance._l1_labels`` decays by the centroids'
+drift, and it runs the median sweep only on each row's own pair and the
+pairs whose bound does not rule them out; the bounds carry a rounding
+margin, so the labels and coefficients stay the full kernel's bit for bit.
+The centroid update and the objective read each row's cost from
+``model.row_costs``. The scalar ``assign`` and ``coefficient_and_distance``
+remain the paper-level definitions the kernel is tested against; under l1
+they run its median sweep, whose oracle is ``brute_force_min``.
 """
 
 from __future__ import annotations
@@ -37,10 +42,12 @@ from .centroid import update_centroids
 from .distance import (
     DegenerateCentroidError,
     NoValidCentroidError,
+    _L1Bounds,
+    _l1_labels,
     _l2_binary_labels,
     pair_costs,
 )
-from .model import FactorizationResult, Membership, ModelSpec, _data_matrix, as_data_matrix, objective
+from .model import FactorizationResult, Membership, ModelSpec, _data_matrix, objective
 
 INIT_METHODS = ("random_rows", "plusplus")
 
@@ -84,10 +91,11 @@ def init_centroids(X, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
     measure) to the nearest row chosen so far, never a row equal to a chosen
     one. Deterministic given the seed.
     """
-    return _init_centroids(as_data_matrix(X), config, spec)
+    return _init_centroids(*_data_matrix(X), config, spec)
 
 
-def _init_centroids(X: np.ndarray, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
+def _init_centroids(X: np.ndarray, xx: np.ndarray, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
+    """``init_centroids`` on validated rows, with their squared norms xx."""
     M = X.shape[0]
     K = config.n_clusters
     if K > M:
@@ -98,7 +106,7 @@ def _init_centroids(X: np.ndarray, config: SolverConfig, spec: ModelSpec) -> np.
         return X[_distinct_prefix(X, rng.permutation(M), K)]
 
     def distances_to(m: int) -> np.ndarray:
-        dist = pair_costs(X, X[m:m + 1], spec)[1][:, 0]
+        dist = pair_costs(X, X[m:m + 1], spec, xx)[1][:, 0]
         if np.isinf(dist[0]):
             raise DegenerateCentroidError("zero centroid under an l1 penalty")
         # A membership penalty puts a row at a positive distance from itself,
@@ -149,16 +157,19 @@ class FitStep(NamedTuple):
 
 
 def _nearest(
-    X: np.ndarray, xx: np.ndarray, V: np.ndarray, spec: ModelSpec
+    X: np.ndarray, xx: np.ndarray, V: np.ndarray, spec: ModelSpec, bounds: _L1Bounds | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's best centroid (lowest index on ties) and its coefficient.
 
-    xx holds each row's ||x||^2, computed once per fit. A function of its own
-    so the cost matrices are freed before the centroid update and the
-    objective allocate theirs. Binary l2 takes its labels from the certified
-    matmul argmin, which equals the exact kernel's.
+    xx holds each row's ||x||^2, computed once per fit, and bounds the l1
+    assignments' state. A function of its own so the cost matrices are freed
+    before the centroid update and the objective allocate theirs. Binary l2
+    takes its labels from the certified matmul argmin and l1 from the
+    bounded sweep, and both equal the exact kernel's.
     """
-    if spec.discrepancy == "l2" and spec.constraint_mode == "binary":
+    if spec.discrepancy == "l1":
+        return _l1_labels(X, V, spec, bounds)
+    if spec.constraint_mode == "binary":
         return _l2_binary_labels(X, V, xx), np.ones(X.shape[0])
     T, D = pair_costs(X, V, spec, xx)
     rows = np.arange(X.shape[0])
@@ -171,16 +182,18 @@ def _nearest(
 def _steps(X, spec: ModelSpec, config: SolverConfig) -> Iterator[tuple[FitStep, bool]]:
     """Each iteration's step and whether it ends the run as converged.
 
-    X is validated once, and its squared row norms are kept for every
-    assignment. Only the previous step is kept, so a run's memory does not
-    grow with its iteration count.
+    X is validated once, and its squared row norms are kept for seeding and
+    every assignment; under l1 so are the bounds the assignments carry. Only
+    the previous step is kept, so a run's memory does not grow with its
+    iteration count.
     """
     X, xx = _data_matrix(X)
     K = config.n_clusters
-    V = _init_centroids(X, config, spec)
+    V = _init_centroids(X, xx, config, spec)
+    bounds = _L1Bounds(X, V) if spec.discrepancy == "l1" else None
     prev = None
     for _ in range(config.max_iter):
-        labels, coeffs = _nearest(X, xx, V, spec)
+        labels, coeffs = _nearest(X, xx, V, spec, bounds)
         membership = Membership(np.where(coeffs == 0.0, -1, labels), coeffs, K)
         V = update_centroids(X, membership, spec, V)
         step = FitStep(membership, V, objective(X, membership, V, spec))

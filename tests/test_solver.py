@@ -22,6 +22,8 @@ from onmfcluster import (
     fit_history,
     init_centroids,
 )
+from onmfcluster import solver
+from onmfcluster.distance import pair_costs
 from onmfcluster.model import row_costs
 from onmfcluster.solver import _distinct_prefix
 from reference import kmedian_history, lloyd_kmeans_history, random_rows_seeds
@@ -86,6 +88,30 @@ class TestInitCentroids:
         cfg = SolverConfig(n_clusters=5, seed=0)
         with pytest.raises(ValueError):
             init_centroids(FOUR_POINTS, cfg, ModelSpec())
+
+    @pytest.mark.parametrize("mode", ["c1_free", "normalized"])
+    def test_plusplus_reads_the_fits_squared_norms(self, mode, monkeypatch):
+        # The fit hands seeding the ||x||^2 it computed when it checked X, so
+        # no draw recomputes them, and the draws are the public function's.
+        X = np.random.default_rng(4).uniform(0, 10, (300, 5))
+        spec = ModelSpec("l2", mode, RegularizationParams(lambda_u=1.0 if mode == "c1_free" else 0.0))
+        config = SolverConfig(n_clusters=4, seed=2, init="plusplus", max_iter=1)
+        norms = []
+
+        def recording(X_, V, spec_, xx=None):
+            if V.shape[0] == 1:
+                norms.append(xx)
+            return pair_costs(X_, V, spec_, xx)
+
+        monkeypatch.setattr(solver, "pair_costs", recording)
+        step = fit_history(X, spec, config)[0]
+        assert len(norms) == 4
+        for xx in norms:
+            assert xx is not None and xx.tobytes() == np.einsum("mn,mn->m", X, X).tobytes()
+        monkeypatch.undo()
+        T, D = pair_costs(X, init_centroids(X, config, spec), spec)
+        labels = D.argmin(axis=1)
+        assert_array_equal(step.membership.labels, np.where(T[np.arange(300), labels] > 0, labels, -1))
 
 
 @st.composite
