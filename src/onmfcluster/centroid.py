@@ -9,9 +9,10 @@ the clusters, in order of size, are stacked into batches padded to a common
 width, each within the pair kernel's chunk budget of elements, and each
 batch takes one median sweep. With unit weights and no centroid penalties,
 as in K-median, the sweep's value is the plain column median, read off one
-stable sort per batch instead. In normalized mode every row is projected
-onto the unit sphere once. Under l2 that projection is the exact minimizer;
-under l1 a guard keeps the previous row where it is not. An empty cluster's
+sort per batch instead, stable only where a median is a signed zero. In
+normalized mode every row is projected onto the unit sphere once. Under l2
+that projection is the exact minimizer; under l1 a guard keeps the previous
+row where it is not. An empty cluster's
 row enters the objective only through its centroid penalty, so it takes its
 farthest data row only where that penalty does not grow: the update never
 raises the objective. Reseeding and the guard read each row's cost from
@@ -69,16 +70,22 @@ def _medians(P: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Column medians of each cluster stacked in P.
 
     P[b] holds cluster b's sizes[b] rows followed by rows of +inf; an even
-    count takes the midpoint of its two middle values. A stable sort puts
-    equal values, 0.0 and -0.0 included, in row order as the sweep's stable
-    argsort does, and the padding behind them, so these are the unit-weight,
-    unpenalized ``_weighted_reg_medians`` values bit for bit.
+    count takes the midpoint of its two middle values. Equal values have
+    equal bytes except 0.0 and -0.0, so only where a middle value is a zero
+    does the order of a sort matter: there P[b] is sorted again stably,
+    which puts equal values in row order as the sweep's stable argsort does.
+    So these are the unit-weight, unpenalized ``_weighted_reg_medians``
+    values bit for bit.
     """
-    S = np.sort(P, axis=1, kind="stable")
+    S = np.sort(P, axis=1)
     b = np.arange(P.shape[0])
-    out = S[b, sizes // 2]
+    lo, hi = (sizes - 1) // 2, sizes // 2
+    zero = np.flatnonzero(((S[b, lo] == 0.0) | (S[b, hi] == 0.0)).any(axis=1))
+    if zero.size:
+        S[zero] = np.sort(P[zero], axis=1, kind="stable")
+    out = S[b, hi]
     even = sizes % 2 == 0
-    out[even] = 0.5 * (S[b[even], sizes[even] // 2 - 1] + out[even])
+    out[even] = 0.5 * (S[b[even], lo[even]] + out[even])
     return out
 
 

@@ -16,7 +16,6 @@ import shutil
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -149,34 +148,6 @@ def _scan(path) -> np.ndarray:
     return data
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything one invocation needs: paths, model, and solver settings."""
-
-    input_path: str
-    output_dir: str
-    spec: ModelSpec
-    config: SolverConfig
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "input": self.input_path,
-            "out": self.output_dir,
-            "k": self.config.n_clusters,
-            "discrepancy": self.spec.discrepancy,
-            "mode": self.spec.constraint_mode,
-            "lambda_u": self.spec.reg.lambda_u,
-            "lambda_v": self.spec.reg.lambda_v,
-            "mu_u": self.spec.reg.mu_u,
-            "mu_v": self.spec.reg.mu_v,
-            "seed": self.config.seed,
-            "max_iter": self.config.max_iter,
-            "tol": self.config.tol,
-            "init": self.config.init,
-        }
-
-
 def _write_csv(path: Path, header: str | None, fmt: str, *columns) -> None:
     """Write ``fmt`` per row of the columns below an optional header, CRLF-terminated, in one ``%``."""
     flat = [None] * (len(columns) * len(columns[0]))
@@ -187,36 +158,55 @@ def _write_csv(path: Path, header: str | None, fmt: str, *columns) -> None:
         fh.write(body if header is None else header + "\r\n" + body)
 
 
-def run(manifest: RunManifest) -> int:
-    """Execute one clustering run and write the result files.
+def run(input_path, output_dir, spec: ModelSpec, config: SolverConfig) -> int:
+    """Cluster the CSV at input_path and write the result files into output_dir.
 
-    Writes assignments.csv, centroids.csv, trace.csv, and run.json into the
-    output directory; run.json lists under ``empty_clusters`` every cluster
-    the fit left without a member. A row whose coefficient was thresholded
-    to 0 has cluster -1 and unassigned 1. Each row's reported distance is
-    its share of the final objective, ``model.row_costs`` at the reported
-    cluster, coefficient and centroids: the column sums, with the centroid
-    penalties, to the last trace value.
+    Writes assignments.csv, centroids.csv, trace.csv, and run.json;
+    run.json records the paths, the model and the solver settings, and lists
+    under ``empty_clusters`` every cluster the fit left without a member. A
+    row whose coefficient was thresholded to 0 has cluster -1 and
+    unassigned 1. Each row's reported distance is its share of the final
+    objective, ``model.row_costs`` at the reported cluster, coefficient and
+    centroids: the column sums, with the centroid penalties, to the last
+    trace value.
     """
     try:
-        X = load_csv(manifest.input_path)
+        X = load_csv(input_path)
     except (OSError, CsvFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     started = time.perf_counter()
     try:
-        result = fit(X, manifest.spec, manifest.config)
+        result = fit(X, spec, config)
     except (DuplicateRowsError, NoValidCentroidError, DegenerateCentroidError) as exc:
         print(f"error: solver degeneracy: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - started
-
+    report = {
+        "wall_time_seconds": time.perf_counter() - started,
+        "format_version": FORMAT_VERSION,
+        "input": input_path,
+        "out": output_dir,
+        "k": config.n_clusters,
+        "discrepancy": spec.discrepancy,
+        "mode": spec.constraint_mode,
+        "lambda_u": spec.reg.lambda_u,
+        "lambda_v": spec.reg.lambda_v,
+        "mu_u": spec.reg.mu_u,
+        "mu_v": spec.reg.mu_v,
+        "seed": config.seed,
+        "max_iter": config.max_iter,
+        "tol": config.tol,
+        "init": config.init,
+        "converged": result.converged,
+        "empty_clusters": sorted(result.empty_clusters),
+        "iterations": result.iterations,
+    }
     try:
-        _write_results(Path(manifest.output_dir), X, result, manifest, elapsed)
+        _write_results(Path(output_dir), X, result, spec, report)
     except OSError as exc:
         print(f"error: cannot write the results: {exc}", file=sys.stderr)
         return 2
@@ -226,9 +216,7 @@ def run(manifest: RunManifest) -> int:
 _RESULT_FILES = ("assignments.csv", "centroids.csv", "trace.csv", "run.json")
 
 
-def _write_results(
-    out: Path, X: np.ndarray, result: FactorizationResult, manifest: RunManifest, elapsed: float
-) -> None:
+def _write_results(out: Path, X: np.ndarray, result: FactorizationResult, spec: ModelSpec, report: dict) -> None:
     """Write the result files into ``out`` all together or not at all.
 
     They are written into a temporary directory inside ``out``, which shares
@@ -240,7 +228,7 @@ def _write_results(
     staging = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
     placed = []
     try:
-        _write_files(staging, X, result, manifest, elapsed)
+        _write_files(staging, X, result, spec, report)
         for name in _RESULT_FILES:
             os.replace(staging / name, out / name)
             placed.append(out / name)
@@ -252,12 +240,10 @@ def _write_results(
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _write_files(
-    out: Path, X: np.ndarray, result: FactorizationResult, manifest: RunManifest, elapsed: float
-) -> None:
+def _write_files(out: Path, X: np.ndarray, result: FactorizationResult, spec: ModelSpec, report: dict) -> None:
     labels, coeffs = result.membership.labels, result.membership.coefficients
     V = result.centroids
-    dist = row_costs(X, result.membership, V, manifest.spec)
+    dist = row_costs(X, result.membership, V, spec)
 
     # 17 significant digits round-trip every float64 exactly.
     _write_csv(
@@ -269,16 +255,6 @@ def _write_files(
     _write_csv(out / "centroids.csv", None, ",".join(["%.17g"] * V.shape[1]), *V.T.tolist())
     trace = result.objective_trace.tolist()
     _write_csv(out / "trace.csv", "iteration,objective", "%d,%.17g", range(1, len(trace) + 1), trace)
-
-    report = manifest.to_dict()
-    report.update(
-        {
-            "converged": result.converged,
-            "empty_clusters": sorted(result.empty_clusters),
-            "iterations": result.iterations,
-            "wall_time_seconds": elapsed,
-        }
-    )
     with open(out / "run.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -330,13 +306,10 @@ def main(argv=None) -> int:
             seed=args.seed,
             init=_INIT_FLAGS[args.init],
         )
-        manifest = RunManifest(
-            input_path=args.input, output_dir=args.out, spec=spec, config=config
-        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(manifest)
+    return run(args.input, args.out, spec, config)
 
 
 if __name__ == "__main__":

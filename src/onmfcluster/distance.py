@@ -3,23 +3,25 @@
 For a data point x and a centroid v, the coefficient is the exact minimizer
 of the scalar subproblem ``D(x, t v) + mu_u t^2 + lambda_u |t|`` over t >= 0
 and the distance is the attained minimum (squared units for the l2
-discrepancy, plain units for l1).
+discrepancy, plain units for l1). An l1 coefficient past float64's range is
++inf, and so is its distance.
 
 ``pair_costs`` is the one batched cost kernel: it returns the coefficient and
-distance of every (row, centroid) pair as two M x K matrices. ``plusplus``
-seeding and the l2 free and normalized assignments read from it. Binary l2
-assignment (Lloyd's step) takes a certified argmin off one K x M product,
+distance of every (row, centroid) pair as two M x K matrices, and
+``plusplus`` seeding reads from it. ``nearest``, a fit's assignment, returns
+the argmin of that matrix and its coefficients bit for bit from the kernel
+that suits the model. Under l2 free and normalized it takes that argmin.
+Binary l2 (Lloyd's step) takes a certified argmin off one K x M product,
 ``_l2_binary_labels``, whose reductions run along the long M axis. A row is
 settled there only when a single centroid lies within twice a rounding bound
 of its best. The bound, after Higham (2002), exceeds the error its
 derivation needs by more than the rounding of the threshold itself, so a
 settled row's label is the exact kernel's; every other row falls back to
-``pair_costs``, which stays the exact kernel. A fit computes ||x||^2 once
-and hands it to seeding and both l2 kernels.
+``pair_costs``. A fit computes ||x||^2 once for seeding and both l2 kernels.
 
-An l1 assignment, ``_l1_labels``, does not build the M x K matrix. It keeps
-a lower bound on every pair's distance from one assignment of a fit to the
-next, decays the bounds by how far each centroid moved (after Elkan 2003 and
+Under l1, ``_l1_labels`` does not build the M x K matrix. It keeps a lower
+bound on every pair's distance from one assignment of a fit to the next,
+decays the bounds by how far each centroid moved (after Elkan 2003 and
 Hamerly 2010), and costs only each row's own pair and the pairs whose bound
 does not exceed that cost, through ``_l1_costs_at`` and the arithmetic
 ``pair_costs`` uses. A margin derived from the rounding of the kernel, the
@@ -28,7 +30,9 @@ so the labels and coefficients are ``pair_costs``' argmin bit for bit.
 The scalar functions remain the paper-level definitions and the oracles the
 kernel is tested against, except under l1, where they run its median sweep
 and ``scalar_prox.brute_force_min`` is the oracle; the closed-form and
-angle-form variants of the l2 distance cross-validate the direct one.
+angle-form variants of the l2 distance cross-validate the direct one. Every
+cost reads lambda_u and mu_u from ``spec.reg``, which ``ModelSpec`` keeps at
+0 outside ``c1_free``.
 
 These distances are generally not metrics: with a sparsity penalty,
 dist(x, x) can be strictly positive.
@@ -133,6 +137,8 @@ def distance_l1(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     """Regularized l1 projection distance of x onto the ray of v."""
     x, v = _pair(x, v)
     t = coefficient_l1(x, v, lambda_u, mu_u)
+    if t == np.inf:
+        return np.inf
     return float(np.abs(x - t * v).sum()) + mu_u * t * t + lambda_u * t
 
 
@@ -145,24 +151,18 @@ def coefficient_and_distance(x, v, spec: ModelSpec) -> tuple[float, float]:
     coefficient 0 with the full-norm distance.
     """
     x, v = _pair(x, v)
-    mode = spec.constraint_mode
-
-    if mode == "binary":
+    if spec.discrepancy == "l1":
+        t, d = _l1_costs(x, v, spec)
+        return float(t), float(d)
+    if spec.constraint_mode == "binary":
         r = x - v
-        if spec.discrepancy == "l2":
-            return 1.0, float(r @ r)
-        return 1.0, float(np.abs(r).sum())
-
-    lam, mu = (spec.reg.lambda_u, spec.reg.mu_u) if mode == "c1_free" else (0.0, 0.0)
-    if spec.discrepancy == "l2":
-        if float(v @ v) + mu <= 0.0:
-            if lam > 0.0:
-                raise DegenerateCentroidError("zero centroid under an l1 penalty")
-            return 0.0, float(x @ x)
-        return coefficient_l2(x, v, lam, mu), distance_l2(x, v, lam, mu)
-
-    t = float(_weighted_reg_medians(x, v, lam, mu))
-    return t, float(np.abs(x - t * v).sum()) + mu * t * t + lam * t
+        return 1.0, float(r @ r)
+    lam, mu = spec.reg.lambda_u, spec.reg.mu_u
+    if float(v @ v) + mu <= 0.0:
+        if lam > 0.0:
+            raise DegenerateCentroidError("zero centroid under an l1 penalty")
+        return 0.0, float(x @ x)
+    return coefficient_l2(x, v, lam, mu), distance_l2(x, v, lam, mu)
 
 
 # Row chunks keep every M x K x N temporary of the binary and l1 kernels near
@@ -218,7 +218,7 @@ def pair_costs(X, V, spec: ModelSpec, xx=None) -> tuple[np.ndarray, np.ndarray]:
     if X.ndim != 2 or X.shape[1] != V.shape[1]:
         raise ValueError(f"X has shape {X.shape}, centroids have shape {V.shape}")
     mode = spec.constraint_mode
-    lam, mu = (spec.reg.lambda_u, spec.reg.mu_u) if mode == "c1_free" else (0.0, 0.0)
+    lam, mu = spec.reg.lambda_u, spec.reg.mu_u
     if spec.discrepancy == "l2" and mode != "binary":
         return _l2_costs(X, V, lam, mu, np.einsum("mn,mn->m", X, X) if xx is None else xx)
 
@@ -233,24 +233,29 @@ def pair_costs(X, V, spec: ModelSpec, xx=None) -> tuple[np.ndarray, np.ndarray]:
             R = x - W
             D[lo:lo + step] = np.multiply(R, R, out=R).sum(axis=2)
         else:
-            T[lo:lo + step], D[lo:lo + step] = _l1_costs(x, W, mode, lam, mu)
+            T[lo:lo + step], D[lo:lo + step] = _l1_costs(x, W, spec)
     return T, D
 
 
-def _l1_costs(x, w, mode: str, lam: float, mu: float):
+def _l1_costs(x, w, spec: ModelSpec):
     """Coefficients and l1 distances of the rows x against the centroid rows w.
 
     x and w broadcast over their leading axes; binary mode's coefficient is 1.
     Every l1 pair cost runs through here, so a pair costs the same bytes
-    whether ``pair_costs`` broadcasts it or ``_l1_costs_at`` gathers it.
+    whether ``pair_costs`` broadcasts it, ``_l1_costs_at`` gathers it or
+    ``coefficient_and_distance`` takes it alone. A coefficient that overflows
+    costs +inf; it enters no product, where 0 * inf would make a NaN.
     """
-    if mode == "binary":
+    if spec.constraint_mode == "binary":
         R = x - w
         return 1.0, np.abs(R, out=R).sum(axis=-1)
+    lam, mu = spec.reg.lambda_u, spec.reg.mu_u
     t = _weighted_reg_medians(x, w, lam, mu)
-    R = t[..., None] * w
+    over = np.isinf(t)
+    s = np.where(over, 0.0, t)
+    R = s[..., None] * w
     np.subtract(x, R, out=R)
-    return t, np.abs(R, out=R).sum(axis=-1) + mu * t * t + lam * t
+    return t, np.where(over, np.inf, np.abs(R, out=R).sum(axis=-1) + mu * s * s + lam * s)
 
 
 def _l1_costs_at(
@@ -265,14 +270,12 @@ def _l1_costs_at(
     in place, so the call holds only the coefficients beyond one chunk.
     """
     M, N = X.shape
-    mode = spec.constraint_mode
-    lam, mu = (spec.reg.lambda_u, spec.reg.mu_u) if mode == "c1_free" else (0.0, 0.0)
     T = np.ones(pairs.size)
     step = max(1, _CHUNK_ELEMENTS // N)
     for lo in range(0, pairs.size, step):
         chunk = pairs[lo:lo + step]
         cols, rows = np.divmod(chunk, M)
-        T[lo:lo + step], out[chunk] = _l1_costs(X.take(rows, axis=0), V.take(cols, axis=0), mode, lam, mu)
+        T[lo:lo + step], out[chunk] = _l1_costs(X.take(rows, axis=0), V.take(cols, axis=0), spec)
     return T
 
 
@@ -336,11 +339,7 @@ def _l2_binary_labels(X: np.ndarray, V: np.ndarray, xx: np.ndarray) -> np.ndarra
     labels = index.astype(np.intp)
     recheck = np.flatnonzero(~accepted)
     if recheck.size:
-        D = pair_costs(X[recheck], V, _BINARY_L2)[1]
-        exact = D.argmin(axis=1)
-        if np.isinf(D[np.arange(recheck.size), exact]).any():
-            raise NoValidCentroidError("all centroid rows are degenerate for this model")
-        labels[recheck] = exact
+        labels[recheck] = _argmin(*pair_costs(X[recheck], V, _BINARY_L2))[0]
     return labels
 
 
@@ -465,7 +464,7 @@ def _l1_decay(L: np.ndarray, s: np.ndarray, V0: np.ndarray, V: np.ndarray, spec:
         return
     drift = drift[moved] * (1.0 + slack)
     B = L[moved]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if spec.constraint_mode == "binary":
             _widen(B, s, slack, 0.0)
             B -= drift[:, None]
@@ -490,6 +489,41 @@ def _widen(B: np.ndarray, s: np.ndarray, c, floor) -> None:
     B -= E
 
 
+def _argmin(T: np.ndarray, D: np.ndarray):
+    """Each row's least distance in D (lowest index on ties), with its coefficient in T and the distance.
+
+    Raises :class:`NoValidCentroidError` where a row has no centroid at a
+    finite distance.
+    """
+    rows = np.arange(D.shape[0])
+    labels = D.argmin(axis=1)
+    d = D[rows, labels]
+    if np.isinf(d).any():
+        raise NoValidCentroidError("all centroid rows are degenerate for this model")
+    return labels, T[rows, labels], d
+
+
+def nearest(X: np.ndarray, xx: np.ndarray, V: np.ndarray, spec: ModelSpec, state=None):
+    """The U-block: each row's best centroid, its coefficient, and the state for the next call.
+
+    X holds validated rows and xx their squared norms. The labels and
+    coefficients are those of ``_argmin(*pair_costs(X, V, spec, xx))`` bit
+    for bit; l1 reads them off the bounded sweep and binary l2 off the
+    certified product. ``state`` is None on a fit's first call and after
+    that what the previous call returned: the l1 bounds, which this call
+    creates (from bounds that rule out no pair) and advances. The cost
+    matrices are freed on return, before the centroid update and the
+    objective allocate theirs.
+    """
+    if spec.discrepancy == "l1":
+        state = _L1Bounds(X, V) if state is None else state
+        return (*_l1_labels(X, V, spec, state), state)
+    if spec.constraint_mode == "binary":
+        return _l2_binary_labels(X, V, xx), np.ones(X.shape[0]), None
+    labels, coeffs, _ = _argmin(*pair_costs(X, V, spec, xx))
+    return labels, coeffs, None
+
+
 def assign(x, V, spec: ModelSpec) -> tuple[int, float, float]:
     """Best cluster for a data point: (index, coefficient, distance).
 
@@ -501,8 +535,5 @@ def assign(x, V, spec: ModelSpec) -> tuple[int, float, float]:
     x = np.asarray(x, dtype=float).reshape(1, -1)
     if not (np.isfinite(x).all() and np.isfinite(V).all()):
         raise ValueError("x and V must be finite")
-    T, D = pair_costs(x, V, spec)
-    k = int(D[0].argmin())
-    if np.isinf(D[0, k]):
-        raise NoValidCentroidError("all centroid rows are degenerate for this model")
-    return k, float(T[0, k]), float(D[0, k])
+    k, t, d = _argmin(*pair_costs(x, V, spec))
+    return int(k[0]), float(t[0]), float(d[0])

@@ -10,23 +10,16 @@ objective trace is non-increasing in every configuration. The iterations
 are streamed: ``fit`` keeps only the previous step and the objective
 trace, and ``fit_history`` alone keeps every step.
 
-Every assignment equals the argmin, lowest index on ties, of the M x K
-distance matrix of the batched kernel ``distance.pair_costs``, and
-``plusplus`` seeding reads its distances from that kernel. A fit validates X
-once and computes its squared row norms once, and seeding and every l2
-assignment read them: the free and normalized modes call the kernel's l2
-matmul form with them, and binary l2 reads the argmin off one K x M product
-with a rounding certificate, recomputing only the rows the certificate
-leaves open with ``pair_costs``, so its labels are the exact kernel's. An l1
-assignment builds no such matrix: the fit keeps a lower bound on each
-pair's distance, which ``distance._l1_labels`` decays by the centroids'
-drift, and it runs the median sweep only on each row's own pair and the
-pairs whose bound does not rule them out; the bounds carry a rounding
-margin, so the labels and coefficients stay the full kernel's bit for bit.
-The centroid update and the objective read each row's cost from
-``model.row_costs``. The scalar ``assign`` and ``coefficient_and_distance``
-remain the paper-level definitions the kernel is tested against; under l1
-they run its median sweep, whose oracle is ``brute_force_min``.
+Every assignment is one call of ``distance.nearest``, which picks the
+kernel for the model and returns the argmin, lowest index on ties, of the
+batched kernel ``distance.pair_costs`` bit for bit. A fit validates X and
+computes its squared row norms once, for seeding (``plusplus`` reads its
+distances from ``pair_costs``) and every assignment, and hands each
+assignment the state the previous one returned. The centroid update and the
+objective read each row's cost from ``model.row_costs``. The scalar
+``assign`` and ``coefficient_and_distance`` remain the paper-level
+definitions the kernel is tested against; under l1 they run its median
+sweep, whose oracle is ``brute_force_min``.
 """
 
 from __future__ import annotations
@@ -39,14 +32,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .centroid import update_centroids
-from .distance import (
-    DegenerateCentroidError,
-    NoValidCentroidError,
-    _L1Bounds,
-    _l1_labels,
-    _l2_binary_labels,
-    pair_costs,
-)
+from .distance import DegenerateCentroidError, nearest, pair_costs
 from .model import FactorizationResult, Membership, ModelSpec, _data_matrix, objective
 
 INIT_METHODS = ("random_rows", "plusplus")
@@ -156,44 +142,20 @@ class FitStep(NamedTuple):
     objective: float
 
 
-def _nearest(
-    X: np.ndarray, xx: np.ndarray, V: np.ndarray, spec: ModelSpec, bounds: _L1Bounds | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's best centroid (lowest index on ties) and its coefficient.
-
-    xx holds each row's ||x||^2, computed once per fit, and bounds the l1
-    assignments' state. A function of its own so the cost matrices are freed
-    before the centroid update and the objective allocate theirs. Binary l2
-    takes its labels from the certified matmul argmin and l1 from the
-    bounded sweep, and both equal the exact kernel's.
-    """
-    if spec.discrepancy == "l1":
-        return _l1_labels(X, V, spec, bounds)
-    if spec.constraint_mode == "binary":
-        return _l2_binary_labels(X, V, xx), np.ones(X.shape[0])
-    T, D = pair_costs(X, V, spec, xx)
-    rows = np.arange(X.shape[0])
-    labels = D.argmin(axis=1)
-    if np.isinf(D[rows, labels]).any():
-        raise NoValidCentroidError("all centroid rows are degenerate for this model")
-    return labels, T[rows, labels]
-
-
 def _steps(X, spec: ModelSpec, config: SolverConfig) -> Iterator[tuple[FitStep, bool]]:
     """Each iteration's step and whether it ends the run as converged.
 
     X is validated once, and its squared row norms are kept for seeding and
-    every assignment; under l1 so are the bounds the assignments carry. Only
+    every assignment; so is the state each assignment hands the next. Only
     the previous step is kept, so a run's memory does not grow with its
     iteration count.
     """
     X, xx = _data_matrix(X)
     K = config.n_clusters
     V = _init_centroids(X, xx, config, spec)
-    bounds = _L1Bounds(X, V) if spec.discrepancy == "l1" else None
-    prev = None
+    state = prev = None
     for _ in range(config.max_iter):
-        labels, coeffs = _nearest(X, xx, V, spec, bounds)
+        labels, coeffs, state = nearest(X, xx, V, spec, state)
         membership = Membership(np.where(coeffs == 0.0, -1, labels), coeffs, K)
         V = update_centroids(X, membership, spec, V)
         step = FitStep(membership, V, objective(X, membership, V, spec))

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from onmfcluster.cli import (
     CsvFormatError,
     NegativeEntryError,
-    RunManifest,
     load_csv,
     main,
     run,
@@ -138,16 +137,11 @@ class TestRun:
 
     def test_centroids_round_trip(self, toy_csv, tmp_path):
         out = tmp_path / "out"
-        manifest = RunManifest(
-            input_path=str(toy_csv),
-            output_dir=str(out),
-            spec=ModelSpec("l2", "c1_free"),
-            config=SolverConfig(n_clusters=2, seed=3),
-        )
-        assert run(manifest) == 0
+        spec, config = ModelSpec("l2", "c1_free"), SolverConfig(n_clusters=2, seed=3)
+        assert run(str(toy_csv), str(out), spec, config) == 0
         from onmfcluster import fit
 
-        expected = fit(load_csv(toy_csv), manifest.spec, manifest.config).centroids
+        expected = fit(load_csv(toy_csv), spec, config).centroids
         reloaded = load_csv(out / "centroids.csv")
         assert_allclose(reloaded, expected, atol=1e-12, rtol=0)
         assert_array_equal(reloaded, expected)  # 17 digits round-trip exactly

@@ -27,6 +27,7 @@ from onmfcluster import (
 )
 from onmfcluster import solver
 from onmfcluster.cli import main
+from onmfcluster.distance import pair_costs
 
 # Row 0's squared norm, 1e400, overflows float64; before it was rejected the
 # fit returned the trace [nan, nan] with converged=True.
@@ -189,6 +190,30 @@ def test_coefficient_l2_names_an_overflowing_inner_product(x, v):
     # and fail with its "x must be finite", after overflow warnings.
     with pytest.raises(ValueError, match=r"<x, v> overflows float64"):
         coefficient_l2(x, v)
+
+
+# 6.36961687 / 5e-324 overflows float64, so the l1 coefficient is +inf. Its
+# distance used to come out NaN, after 0 * inf, and NaN won the argmin.
+@pytest.mark.parametrize("mode", ["c1_free", "normalized"])
+def test_an_overflowing_l1_coefficient_costs_inf(mode):
+    spec = ModelSpec("l1", mode)
+    T, D = pair_costs([[6.36961687]], [[5e-324]], spec)
+    assert T[0, 0] == D[0, 0] == np.inf
+    assert coefficient_and_distance([6.36961687], [5e-324], spec) == (np.inf, np.inf)
+    assert distance_l1([6.36961687], [5e-324]) == np.inf
+
+
+def test_assign_passes_over_an_overflowing_l1_coefficient():
+    assert assign([6.36961687], [[5e-324], [1.0]], ModelSpec("l1", "c1_free")) == (1, 6.36961687, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_l1_fit_runs_past_overflowing_coefficients(seed):
+    # 2e150 / 1e-160 overflows; with NaN distances five of these six seeds
+    # ended in "membership coefficients must be finite and nonnegative".
+    steps = fit_history([[1e-160], [1e150], [2e150]], ModelSpec("l1", "c1_free"), SolverConfig(2, seed=seed))
+    trace = [step.objective for step in steps]
+    assert np.isfinite(trace).all() and (np.diff(trace) <= 0).all()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
