@@ -130,16 +130,15 @@ def distance_l2_angle_form(x, v, lambda_u: float = 0.0) -> float:
 def coefficient_l1(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     """Regularized weighted median coefficient of x onto v (l1 discrepancy)."""
     x, v = _pair(x, v, lambda_u=lambda_u, mu_u=mu_u)
-    return weighted_reg_median(x, v, lambda_u, mu_u)
+    with np.errstate(over="ignore"):
+        return weighted_reg_median(x, v, lambda_u, mu_u)
 
 
 def distance_l1(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     """Regularized l1 projection distance of x onto the ray of v."""
     x, v = _pair(x, v)
     t = coefficient_l1(x, v, lambda_u, mu_u)
-    if t == np.inf:
-        return np.inf
-    return float(np.abs(x - t * v).sum()) + mu_u * t * t + lambda_u * t
+    return t if t == np.inf else float(np.abs(x - t * v).sum()) + mu_u * t * t + lambda_u * t
 
 
 def coefficient_and_distance(x, v, spec: ModelSpec) -> tuple[float, float]:
@@ -151,18 +150,19 @@ def coefficient_and_distance(x, v, spec: ModelSpec) -> tuple[float, float]:
     coefficient 0 with the full-norm distance.
     """
     x, v = _pair(x, v)
-    if spec.discrepancy == "l1":
-        t, d = _l1_costs(x, v, spec)
-        return float(t), float(d)
-    if spec.constraint_mode == "binary":
-        r = x - v
-        return 1.0, float(r @ r)
     lam, mu = spec.reg.lambda_u, spec.reg.mu_u
-    if float(v @ v) + mu <= 0.0:
-        if lam > 0.0:
-            raise DegenerateCentroidError("zero centroid under an l1 penalty")
-        return 0.0, float(x @ x)
-    return coefficient_l2(x, v, lam, mu), distance_l2(x, v, lam, mu)
+    if spec.discrepancy == "l2":
+        if spec.constraint_mode == "binary":
+            r = x - v
+            return 1.0, float(r @ r)
+        if float(v @ v) + mu <= 0.0:
+            if lam > 0.0:
+                raise DegenerateCentroidError("zero centroid under an l1 penalty")
+            return 0.0, float(x @ x)
+        return coefficient_l2(x, v, lam, mu), distance_l2(x, v, lam, mu)
+    with np.errstate(over="ignore"):
+        t = 1.0 if spec.constraint_mode == "binary" else float(_weighted_reg_medians(x, v, lam, mu))
+    return t, (t if t == np.inf else float(np.abs(x - t * v).sum()) + mu * t * t + lam * t)
 
 
 # Row chunks keep every M x K x N temporary of the binary and l1 kernels near
@@ -241,16 +241,17 @@ def _l1_costs(x, w, spec: ModelSpec):
     """Coefficients and l1 distances of the rows x against the centroid rows w.
 
     x and w broadcast over their leading axes; binary mode's coefficient is 1.
-    Every l1 pair cost runs through here, so a pair costs the same bytes
-    whether ``pair_costs`` broadcasts it, ``_l1_costs_at`` gathers it or
-    ``coefficient_and_distance`` takes it alone. A coefficient that overflows
-    costs +inf; it enters no product, where 0 * inf would make a NaN.
+    Both batched kernels cost their l1 pairs here, so ``pair_costs`` and
+    ``_l1_costs_at`` give a pair the same bytes. A coefficient that overflows
+    costs +inf without a warning and enters no product, where 0 * inf would
+    make a NaN.
     """
     if spec.constraint_mode == "binary":
         R = x - w
         return 1.0, np.abs(R, out=R).sum(axis=-1)
     lam, mu = spec.reg.lambda_u, spec.reg.mu_u
-    t = _weighted_reg_medians(x, w, lam, mu)
+    with np.errstate(over="ignore"):
+        t = _weighted_reg_medians(x, w, lam, mu)
     over = np.isinf(t)
     s = np.where(over, 0.0, t)
     R = s[..., None] * w

@@ -73,7 +73,7 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
     shape without the last axis. Inactive weights become +inf breakpoints of
     zero weight, which sort behind every active one and leave the slopes of
     the active pieces unchanged. A breakpoint past float64's range is +inf
-    too, and a minimizer there is returned as +inf.
+    too, with a warning, and a minimizer there is returned as +inf.
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -82,15 +82,14 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
     S = math.prod(shape[:-1])
     w = np.broadcast_to(w, w.shape[:-1] + (N,))
     active = w > 0
-    with np.errstate(over="ignore"):
-        if active.all():
-            bp = v / w
-            n_active = N
-        else:
-            bp = v / np.where(active, w, 1.0)
-            np.copyto(bp, np.inf, where=~active)
-            w = np.where(active, w, 0.0)
-            n_active = np.broadcast_to(active.sum(axis=-1), shape[:-1]).reshape(S)
+    if active.all():
+        bp = v / w
+        n_active = N
+    else:
+        bp = v / np.where(active, w, 1.0)
+        np.copyto(bp, np.inf, where=~active)
+        w = np.where(active, w, 0.0)
+        n_active = np.broadcast_to(active.sum(axis=-1), shape[:-1]).reshape(S)
     # One stable argsort of the S slices, turned into flat indices so that
     # every gather is one np.take. The gathers lay the sorted slices out as
     # columns, so the cumulative sums and counts below run across all slices

@@ -75,7 +75,8 @@ def init_centroids(X, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
     random permutation of the rows. ``plusplus`` draws each next row with
     probability proportional to its distance (under the model's own distance
     measure) to the nearest row chosen so far, never a row equal to a chosen
-    one. Deterministic given the seed.
+    one. Rows at +inf, where an l1 coefficient overflows against every chosen
+    row, are drawn first, uniformly. Deterministic given the seed.
     """
     return _init_centroids(*_data_matrix(X), config, spec)
 
@@ -93,7 +94,7 @@ def _init_centroids(X: np.ndarray, xx: np.ndarray, config: SolverConfig, spec: M
 
     def distances_to(m: int) -> np.ndarray:
         dist = pair_costs(X, X[m:m + 1], spec, xx)[1][:, 0]
-        if np.isinf(dist[0]):
+        if np.isinf(dist[m]):  # a row's own l1 coefficient cannot overflow
             raise DegenerateCentroidError("zero centroid under an l1 penalty")
         # A membership penalty puts a row at a positive distance from itself,
         # so the rows equal to the chosen one are taken out of the draw here.
@@ -104,10 +105,12 @@ def _init_centroids(X: np.ndarray, xx: np.ndarray, config: SolverConfig, spec: M
     chosen = [int(rng.integers(M))]
     nearest = distances_to(chosen[0])
     for _ in range(K - 1):
-        total = float(nearest.sum())
+        far = np.isinf(nearest)
+        weights = far if far.any() else nearest
+        total = float(weights.sum())
         if total <= 0.0:
             raise DuplicateRowsError("every remaining row lies at distance 0 from a chosen centroid")
-        nxt = int(rng.choice(M, p=nearest / total))
+        nxt = int(rng.choice(M, p=weights / total))
         chosen.append(nxt)
         nearest = np.minimum(nearest, distances_to(nxt))
     return X[chosen].copy()

@@ -232,19 +232,22 @@ def test_separated_blobs_rule_out_most_pairs(mode, costed):
     assert (share[2:] < 0.5).all(), share
 
 
-def test_matches_kmedian_per_iteration_at_scale(costed):
+@pytest.mark.parametrize("seed, M, N, K", [(0, 600, 8, 8), (2, 10000, 16, 10)], ids=["600x8", "10000x16"])
+def test_matches_kmedian_per_iteration_at_scale(costed, seed, M, N, K):
     # Blobs as overlapping as the benchmark's (sigma 3 around centres in
-    # [0, 10]^8), on which K-median runs 27 iterations: for 20 of them the
-    # labels are the oracle's while the bounds rule out most pairs.
-    X = _blobs(0, 600, 8, 8, width=10.0, sigma=3.0)
+    # [0, 10]^N), on which K-median runs at least 20 iterations: for 20 of
+    # them the labels are the oracle's, and the batched sorted medians its
+    # centroids bit for bit, while the bounds rule out most pairs.
+    X = _blobs(seed, M, N, K, width=10.0, sigma=3.0)
     spec = ModelSpec("l1", "binary")
-    config = SolverConfig(n_clusters=8, seed=0, max_iter=20, tol=0.0)
+    config = SolverConfig(n_clusters=K, seed=seed, max_iter=20, tol=0.0)
     ours = fit_history(X, spec, config)
-    ref = kmedian_history(X, 8, init_centroids(X, config, spec), max_iter=20)
+    ref = kmedian_history(X, K, init_centroids(X, config, spec), max_iter=20)
     assert len(ours) == len(ref) == 20
     for step, expected in zip(ours, ref):
         assert step.membership.labels.tobytes() == expected.assignments.astype(np.int64).tobytes()
-    assert sum(costed) < 0.5 * 20 * X.shape[0] * 8
+        assert step.centroids.tobytes() == expected.centroids.tobytes()
+    assert sum(costed) < 0.5 * 20 * M * K
 
 
 def test_bounded_assignment_peak_memory_stays_near_pair_costs_bound():

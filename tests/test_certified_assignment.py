@@ -7,7 +7,8 @@ must equal the argmin of the exact broadcast kernel on every input: exact
 ties, duplicated centroids, rows on the bisector of two centroids, entries on
 the threshold, huge entries, overflowing norms, K = 1 and random nonnegative
 data. On well-separated data no row may need the exact kernel, which catches
-a bound that is too loose.
+a bound that is too loose. At scale the fit's labels must stay the Lloyd
+oracle's at every iteration.
 """
 
 import numpy as np
@@ -15,12 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
-from onmfcluster import ModelSpec, NoValidCentroidError, SolverConfig, fit
+from onmfcluster import ModelSpec, NoValidCentroidError, SolverConfig, fit, fit_history, init_centroids
 from onmfcluster import distance
 from onmfcluster.distance import _l2_binary_labels, pair_costs
 from onmfcluster.model import _data_matrix
+from reference import lloyd_kmeans_history
 
 BINARY_L2 = ModelSpec("l2", "binary")
 
@@ -184,3 +186,19 @@ def test_separated_blobs_never_reach_the_exact_kernel(rechecked):
     result = fit(X, BINARY_L2, SolverConfig(n_clusters=10, seed=2, max_iter=20))
     assert result.iterations > 2
     assert rechecked == []
+
+
+def test_matches_lloyd_per_iteration_at_scale():
+    # Overlapping blobs (sigma 3 around centres in [0, 10]^32): the certified
+    # product settles most rows, and its labels must stay the oracle's, while
+    # the means differ from numpy's by tens of ulp.
+    rng = np.random.default_rng(2)
+    centres = rng.uniform(0, 10, (4, 32))
+    X = np.abs(centres[rng.integers(0, 4, 10000)] + rng.normal(0, 3, (10000, 32)))
+    cfg = SolverConfig(n_clusters=4, seed=2, max_iter=20, tol=0.0, init="plusplus")
+    ours = fit_history(X, BINARY_L2, cfg)
+    ref = lloyd_kmeans_history(X, 4, init_centroids(X, cfg, BINARY_L2), max_iter=cfg.max_iter)
+    assert len(ours) == len(ref)
+    for step, expected in zip(ours, ref):
+        assert_array_equal(step.membership.labels, expected.assignments)
+        assert_allclose(step.centroids, expected.centroids, rtol=1e-12, atol=0)

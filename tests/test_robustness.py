@@ -216,6 +216,22 @@ def test_l1_fit_runs_past_overflowing_coefficients(seed):
     assert np.isfinite(trace).all() and (np.diff(trace) <= 0).all()
 
 
+# Seeded from the row 5e-324, the other rows' l1 coefficients overflow, so
+# they lie at +inf. The chosen row's own distance is finite, so it is no
+# degenerate centroid, and the next draw takes a row at +inf.
+@pytest.mark.parametrize("tiny", [0, 1])
+def test_plusplus_draws_a_row_at_infinite_l1_distance(tiny):
+    X = np.array([[1.0], [2.0]])
+    X = np.insert(X, tiny, 5e-324, axis=0)
+    spec = ModelSpec("l1", "c1_free")
+    seed = next(s for s in range(100) if np.random.default_rng(s).integers(3) == tiny)
+    config = SolverConfig(2, seed=seed, init="plusplus")
+    V = solver.init_centroids(X, config, spec)
+    assert V[0, 0] == 5e-324 and V[1, 0] in (1.0, 2.0)
+    trace = [step.objective for step in fit_history(X, spec, config)]
+    assert np.isfinite(trace).all() and (np.diff(trace) <= 0).all()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
 @pytest.mark.parametrize(
     "name, weight", [(name, weight) for name, entry in sorted(POINTWISE.items()) for weight in entry[2]]
