@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import distance
-from .model import Membership, ModelSpec, RegularizationParams, dense_u, row_costs
+from .model import Membership, ModelSpec, RegularizationParams, _check_fit, dense_u, row_costs
 from .scalar_prox import _check_penalties, _weighted_reg_medians
 
 
@@ -135,13 +135,13 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
     row becomes e_j for the largest component j of X^T u_k - lambda_v / 2.
     Under l2 that is the exact minimizer over nonnegative unit rows. Under
     l1 it is not, so there a unit-norm previous row is kept whenever the
-    candidate would increase its cluster's cost.
+    candidate would increase its cluster's cost. X and ``previous`` must fit
+    the membership as in ``row_costs``, or ``ValueError`` is raised.
     """
     X = np.asarray(X, dtype=float)
     previous = np.asarray(previous, dtype=float)
+    _check_fit(X, membership, previous)
     n_clusters = membership.n_clusters
-    if previous.shape != (n_clusters, X.shape[1]):
-        raise ValueError("previous centroid matrix has inconsistent shape")
 
     reg = spec.reg
     labels, coeffs = membership.labels, membership.coefficients

@@ -188,8 +188,8 @@ def run(input_path, output_dir, spec: ModelSpec, config: SolverConfig) -> int:
     report = {
         "wall_time_seconds": time.perf_counter() - started,
         "format_version": FORMAT_VERSION,
-        "input": input_path,
-        "out": output_dir,
+        "input": os.fspath(input_path),
+        "out": os.fspath(output_dir),
         "k": config.n_clusters,
         "discrepancy": spec.discrepancy,
         "mode": spec.constraint_mode,

@@ -8,9 +8,12 @@ discrepancy, plain units for l1). An l1 coefficient past float64's range is
 
 ``pair_costs`` is the one batched cost kernel: it returns the coefficient and
 distance of every (row, centroid) pair as two M x K matrices, and
-``plusplus`` seeding reads from it. ``nearest``, a fit's assignment, returns
-the argmin of that matrix and its coefficients bit for bit from the kernel
-that suits the model. Under l2 free and normalized it takes that argmin.
+``plusplus`` seeding reads from it. Under l2 free and normalized it is one
+product; in binary mode and under l1 it runs ``_costs_at``, the one exact
+kernel of those cells, on every pair. ``nearest``, a fit's assignment,
+returns the argmin of that matrix and its coefficients bit for bit from the
+kernel that suits the model. Under l2 free and normalized it takes that
+argmin.
 Binary l2 (Lloyd's step) takes a certified argmin off one K x M product,
 ``_l2_binary_labels``, whose reductions run along the long M axis. A row is
 settled there only when a single centroid lies within twice a rounding bound
@@ -23,10 +26,10 @@ Under l1, ``_l1_labels`` does not build the M x K matrix. It keeps a lower
 bound on every pair's distance from one assignment of a fit to the next,
 decays the bounds by how far each centroid moved (after Elkan 2003 and
 Hamerly 2010), and costs only each row's own pair and the pairs whose bound
-does not exceed that cost, through ``_l1_costs_at`` and the arithmetic
-``pair_costs`` uses. A margin derived from the rounding of the kernel, the
-sweep and the decay keeps every bound below the kernel's computed distance,
-so the labels and coefficients are ``pair_costs``' argmin bit for bit.
+does not exceed that cost, through the same ``_costs_at``. A margin derived
+from the rounding of the kernel, the sweep and the decay keeps every bound
+below the kernel's computed distance, so the labels and coefficients are
+``pair_costs``' argmin bit for bit.
 The scalar functions remain the paper-level definitions and the oracles the
 kernel is tested against, except under l1, where they run its median sweep
 and ``scalar_prox.brute_force_min`` is the oracle; the closed-form and
@@ -165,11 +168,11 @@ def coefficient_and_distance(x, v, spec: ModelSpec) -> tuple[float, float]:
     return t, (t if t == np.inf else float(np.abs(x - t * v).sum()) + mu * t * t + lam * t)
 
 
-# Row chunks keep every M x K x N temporary of the binary and l1 kernels near
-# this many elements, and the l1 centroid update batches clusters within the
-# same budget. It is set by the peak-memory tests of both: at 8192 the l1
-# kernel peaks near 1.1 MiB on 4000 x 8 rows and 8 centroids, against a bound
-# of 1.5 MiB that 16384 exceeds. Larger chunks mean fewer numpy calls per row.
+# Pair chunks keep every temporary of the binary and l1 kernel near this
+# many elements, and the l1 centroid update batches clusters within the same
+# budget. It is set by the peak-memory tests of both: at 8192, l1 pair_costs
+# peaks near 1.35 MiB on 4000 x 8 rows and 8 centroids (tracemalloc), against
+# a bound of 1.49 MiB that 16384 exceeds. Larger chunks mean fewer numpy calls.
 _CHUNK_ELEMENTS = 8192
 
 
@@ -207,68 +210,54 @@ def pair_costs(X, V, spec: ModelSpec, xx=None) -> tuple[np.ndarray, np.ndarray]:
 
     Entry (m, k) equals ``coefficient_and_distance(X[m], V[k], spec)`` up to
     rounding. A degenerate centroid row (see :func:`coefficient_and_distance`)
-    gets coefficient 0 and distance +inf in its whole column. Binary mode sums
-    the broadcast differences exactly as the Lloyd / K-median references do,
-    so its distances, and the labels chosen from them, match theirs bit for
-    bit. The l2 free and normalized modes read each row's ||x||^2 from xx
-    when it is given.
+    gets coefficient 0 and distance +inf in its whole column. The l2 free and
+    normalized modes read each row's ||x||^2 from xx when it is given. Binary
+    mode and l1 return transposed views of ``_costs_at`` run on all K M
+    pairs; binary mode sums each pair's differences as the Lloyd / K-median
+    references do, so its distances, and their argmin, are theirs bit for bit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
     if X.ndim != 2 or X.shape[1] != V.shape[1]:
         raise ValueError(f"X has shape {X.shape}, centroids have shape {V.shape}")
-    mode = spec.constraint_mode
-    lam, mu = spec.reg.lambda_u, spec.reg.mu_u
-    if spec.discrepancy == "l2" and mode != "binary":
-        return _l2_costs(X, V, lam, mu, np.einsum("mn,mn->m", X, X) if xx is None else xx)
-
-    M, K = X.shape[0], V.shape[0]
-    T = np.ones((M, K)) if mode == "binary" else np.empty((M, K))
-    D = np.empty((M, K))
-    W = V[None, :, :]
-    step = max(1, _CHUNK_ELEMENTS // (K * X.shape[1]))
-    for lo in range(0, M, step):
-        x = X[lo:lo + step, None, :]
-        if spec.discrepancy == "l2":
-            R = x - W
-            D[lo:lo + step] = np.multiply(R, R, out=R).sum(axis=2)
-        else:
-            T[lo:lo + step], D[lo:lo + step] = _l1_costs(x, W, spec)
-    return T, D
+    if spec.discrepancy == "l2" and spec.constraint_mode != "binary":
+        xx = np.einsum("mn,mn->m", X, X) if xx is None else xx
+        return _l2_costs(X, V, spec.reg.lambda_u, spec.reg.mu_u, xx)
+    D = np.empty((V.shape[0], X.shape[0]))
+    T = _costs_at(X, V, np.arange(D.size), spec, D.reshape(-1))
+    return T.reshape(D.shape).T, D.T
 
 
-def _l1_costs(x, w, spec: ModelSpec):
-    """Coefficients and l1 distances of the rows x against the centroid rows w.
+def _costs(x: np.ndarray, w: np.ndarray, spec: ModelSpec):
+    """Coefficients and binary or l1 distances of the gathered rows x against the centroid rows w.
 
-    x and w broadcast over their leading axes; binary mode's coefficient is 1.
-    Both batched kernels cost their l1 pairs here, so ``pair_costs`` and
-    ``_l1_costs_at`` give a pair the same bytes. A coefficient that overflows
-    costs +inf without a warning and enters no product, where 0 * inf would
-    make a NaN.
+    x is overwritten. Binary mode's coefficient is 1, and its distance sums
+    the squared (l2) or absolute (l1) differences. An l1 coefficient that
+    overflows costs +inf without a warning and enters no product, where
+    0 * inf would make a NaN.
     """
     if spec.constraint_mode == "binary":
-        R = x - w
-        return 1.0, np.abs(R, out=R).sum(axis=-1)
+        R = np.subtract(x, w, out=x)
+        R = np.multiply(R, R, out=R) if spec.discrepancy == "l2" else np.abs(R, out=R)
+        return 1.0, R.sum(axis=-1)
     lam, mu = spec.reg.lambda_u, spec.reg.mu_u
     with np.errstate(over="ignore"):
         t = _weighted_reg_medians(x, w, lam, mu)
     over = np.isinf(t)
     s = np.where(over, 0.0, t)
-    R = s[..., None] * w
+    R = s[:, None] * w
     np.subtract(x, R, out=R)
     return t, np.where(over, np.inf, np.abs(R, out=R).sum(axis=-1) + mu * s * s + lam * s)
 
 
-def _l1_costs_at(
-    X: np.ndarray, V: np.ndarray, pairs: np.ndarray, spec: ModelSpec, out: np.ndarray
-) -> np.ndarray:
-    """Cost the l1 pairs (m, k) with flat index k M + m: distances into out, coefficients returned.
+def _costs_at(X: np.ndarray, V: np.ndarray, pairs: np.ndarray, spec: ModelSpec, out: np.ndarray) -> np.ndarray:
+    """Binary or l1 costs of the pairs (m, k) with flat index k M + m: distances into out, coefficients returned.
 
-    The distance of pair i goes to ``out[pairs[i]]``, and it and the i-th
-    coefficient equal entry ``pairs[i]`` of the flattened transposes of
-    ``pair_costs(X, V, spec)`` bit for bit. The rows and centroids are
-    gathered in chunks of ``_CHUNK_ELEMENTS``, and the distances are written
-    in place, so the call holds only the coefficients beyond one chunk.
+    The one exact kernel of these cells: ``pair_costs`` runs it on every pair
+    and ``_l1_labels`` on the pairs its bounds leave open. Pair i's distance
+    goes to ``out[pairs[i]]``. Rows and centroids are gathered in chunks of
+    ``_CHUNK_ELEMENTS`` for ``_costs``, and the distances are written in
+    place, so the call holds only the coefficients beyond one chunk.
     """
     M, N = X.shape
     T = np.ones(pairs.size)
@@ -276,21 +265,20 @@ def _l1_costs_at(
     for lo in range(0, pairs.size, step):
         chunk = pairs[lo:lo + step]
         cols, rows = np.divmod(chunk, M)
-        T[lo:lo + step], out[chunk] = _l1_costs(X.take(rows, axis=0), V.take(cols, axis=0), spec)
+        T[lo:lo + step], out[chunk] = _costs(X.take(rows, axis=0), V.take(cols, axis=0), spec)
     return T
 
 
-_BINARY_L2 = ModelSpec("l2", "binary")
 # The unit roundoff of float64, and its smallest subnormal: twice the largest
 # absolute error of a product that underflows.
 _UNIT_ROUNDOFF = 2.0**-53
 _TINY = 2.0**-1074
 
 
-def _l2_binary_labels(X: np.ndarray, V: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    """Argmin over k of ``pair_costs(X, V, l2/binary)[1]``, read off one product.
+def _l2_binary_labels(X: np.ndarray, V: np.ndarray, xx: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """Argmin over k of ``pair_costs(X, V, spec)[1]`` under binary l2, read off one product.
 
-    xx holds each row's ||x||^2. The exact kernel forms every broadcast
+    xx holds each row's ||x||^2. The exact kernel forms every pair's
     difference; here the K x M matrix E = ||v||^2 - 2 V X^T costs one
     product, and row m's distance to v_k is ||x_m||^2 + E[k, m], so ||x||^2
     enters only the bound. With best the smallest entry of column m, the row
@@ -340,7 +328,7 @@ def _l2_binary_labels(X: np.ndarray, V: np.ndarray, xx: np.ndarray) -> np.ndarra
     labels = index.astype(np.intp)
     recheck = np.flatnonzero(~accepted)
     if recheck.size:
-        labels[recheck] = _argmin(*pair_costs(X[recheck], V, _BINARY_L2))[0]
+        labels[recheck] = _argmin(*pair_costs(X[recheck], V, spec))[0]
     return labels
 
 
@@ -373,12 +361,12 @@ def _l1_labels(X: np.ndarray, V: np.ndarray, spec: ModelSpec, bounds: _L1Bounds)
     3. every other pair whose bound does not exceed the row's own cost is
        costed, and so is a pair whose bound is NaN (an infinite distance
        decayed);
-    4. ``_l1_costs_at`` writes the costed distances into ``lower``, and each
+    4. ``_costs_at`` writes the costed distances into ``lower``, and each
        row takes the argmin of its column of ``lower``.
 
     A pair left out has a computed distance above its row's own cost, so it
     is neither the argmin nor tied with it; the entries that can win are
-    computed distances, and ``_l1_costs_at`` computes them with the full
+    computed distances, and ``_costs_at`` computes them as the full
     kernel's arithmetic. So labels and coefficients are the full kernel's,
     bit for bit. Bounds of -inf cost every pair, as in a fit's first call.
 
@@ -409,16 +397,19 @@ def _l1_labels(X: np.ndarray, V: np.ndarray, spec: ModelSpec, bounds: _L1Bounds)
       moves the objective anywhere by at most u s + w 2^-1075;
     - the sweep's slopes, cumulative sums of v, are within
       1.01 (3 N + 4) u (w + lam) of exact, and a slope it treats as flat,
-      within ``_FLAT_SLOPE_TOL`` of 0 (mu = 0), gives the midpoint of its
-      interval; at t~ some subgradient of the objective is then within
-      tau = _FLAT_SLOPE_TOL + 1.01 (3 N + 4) u (w + lam) + 4.1 u mu t~ of 0;
+      within ``_FLAT_SLOPE_TOL`` (w + lam) of 0 (mu = 0), gives the midpoint
+      of its interval; at t~ some subgradient of the objective is then
+      within tau = (_FLAT_SLOPE_TOL + 1.01 (3 N + 4) u)(w + lam)
+      + 4.1 u mu t~ of 0;
     - so f(t~) - D(x, v) <= tau |t~ - t*| + 2 u s, t* minimizing the
       objective with the rounded breakpoints, and both lie in
       [0, (s + f(t~)) / w] (to within u s / w) with lam t and mu t^2 below
-      f(t~). That is at most (_FLAT_SLOPE_TOL / w + (6.1 N + 14.2) u)
-      (s + f(t~)); mu < 2^1024 makes mu 2^-1074 / w < _FLAT_SLOPE_TOL / w.
+      f(t~), so (w + lam) |t~ - t*| <= 2 (s + f(t~)). That is at most
+      (2 _FLAT_SLOPE_TOL + (6.1 N + 14.2) u)(s + f(t~)), plus the
+      mu 2^-1074 (s + f(t~)) / w that breakpoints which underflow add to
+      mu t^2; mu < 2^1024 keeps that below _FLAT_SLOPE_TOL (s + f(t~)) / w.
     In all, D~ - D(x, v) <= c (s + D~) + (N + 4)(1 + w) 2^-1074 with
-    c = (8 N + 24) u + 2 _FLAT_SLOPE_TOL / w (binary: no sweep). For c < 1/2
+    c = (8 N + 24) u + _FLAT_SLOPE_TOL (2 + 1 / w) (binary: no sweep). For c < 1/2
     the right side grows with D~, so ``lower`` first drops by c (s + |lower|)
     plus that floor, to bound D(x, v); a centroid row with c >= 1/2 gets
     -inf.
@@ -436,12 +427,12 @@ def _l1_labels(X: np.ndarray, V: np.ndarray, spec: ModelSpec, bounds: _L1Bounds)
     rows = np.arange(M)
     own = bounds.labels * M + rows
     flat = L.reshape(-1)
-    own_t = _l1_costs_at(X, V, own, spec, flat)
+    own_t = _costs_at(X, V, own, spec, flat)
     closed = L > flat[own]
     closed.flat[own] = True
     pairs = np.flatnonzero(~closed)
     del closed
-    T = _l1_costs_at(X, V, pairs, spec, flat)
+    T = _costs_at(X, V, pairs, spec, flat)
     labels = L.argmin(axis=0)
     if np.isinf(L[labels, rows]).any():
         raise NoValidCentroidError("all centroid rows are degenerate for this model")
@@ -471,7 +462,7 @@ def _l1_decay(L: np.ndarray, s: np.ndarray, V0: np.ndarray, V: np.ndarray, spec:
             B -= drift[:, None]
         else:
             w0, w = V0[moved].sum(axis=1), V[moved].sum(axis=1)
-            c = slack + 2.0 * _FLAT_SLOPE_TOL / w0
+            c = slack + _FLAT_SLOPE_TOL * (2.0 + 1.0 / w0)
             _widen(B, s, c[:, None], (N + 4) * (1.0 + w0[:, None]) * _TINY)
             b = (drift / w)[:, None]
             B -= b * s
@@ -520,7 +511,7 @@ def nearest(X: np.ndarray, xx: np.ndarray, V: np.ndarray, spec: ModelSpec, state
         state = _L1Bounds(X, V) if state is None else state
         return (*_l1_labels(X, V, spec, state), state)
     if spec.constraint_mode == "binary":
-        return _l2_binary_labels(X, V, xx), np.ones(X.shape[0]), None
+        return _l2_binary_labels(X, V, xx, spec), np.ones(X.shape[0]), None
     labels, coeffs, _ = _argmin(*pair_costs(X, V, spec, xx))
     return labels, coeffs, None
 

@@ -189,6 +189,17 @@ class FactorizationResult:
         return frozenset(set(range(m.n_clusters)) - set(m.labels[m.coefficients > 0].tolist()))
 
 
+def _check_fit(X: np.ndarray, membership: Membership, V: np.ndarray) -> None:
+    """Raise ``ValueError`` unless X and V are 2-D and fit the membership's rows and clusters."""
+    if X.ndim != 2 or V.ndim != 2:
+        raise ValueError("X and V must be 2-D")
+    if (X.shape[0], V.shape[0], X.shape[1]) != (membership.n_rows, membership.n_clusters, V.shape[1]):
+        raise ValueError(
+            f"X {X.shape} and V {V.shape} do not fit a membership of "
+            f"{membership.n_rows} rows and {membership.n_clusters} clusters"
+        )
+
+
 def row_costs(X, membership: Membership, V, spec: ModelSpec) -> np.ndarray:
     """Each row's residual plus its membership penalty.
 
@@ -200,13 +211,7 @@ def row_costs(X, membership: Membership, V, spec: ModelSpec) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
-    if X.ndim != 2 or V.ndim != 2:
-        raise ValueError("X and V must be 2-D")
-    if (X.shape[0], V.shape[0], X.shape[1]) != (membership.n_rows, membership.n_clusters, V.shape[1]):
-        raise ValueError(
-            f"X {X.shape} and V {V.shape} do not fit a membership of "
-            f"{membership.n_rows} rows and {membership.n_clusters} clusters"
-        )
+    _check_fit(X, membership, V)
     coeffs = membership.coefficients
     R = V[np.maximum(membership.labels, 0)]  # label -1 has coefficient 0
     R *= coeffs[:, None]

@@ -10,10 +10,10 @@ shapes:
 The quadratic family is solved in closed form by soft thresholding; the
 weighted-l1 family by one exact breakpoint sweep (the weighted, regularized
 median), batched over slices, which every l1 path runs: the pair kernel on
-chunks of rows, the centroid update on batches of clusters, each within the
-same budget of elements. ``brute_force_min``
-is an independent grid + golden-section oracle used to cross-check both
-closed forms, and the only independent check of the sweep.
+chunks of gathered pairs, the centroid update on batches of clusters, each
+within the same budget of elements. ``brute_force_min`` is an independent
+grid + golden-section oracle used to cross-check both closed forms, and the
+only independent check of the sweep.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 PROBLEM_KINDS = ("quadratic", "weighted_l1")
 
-# Slopes of adjacent affine pieces closer than this are treated as a flat
-# minimizer interval (possible only for mu = 0).
+# A slope within _FLAT_SLOPE_TOL (total weight + lambda) of 0, a band on the
+# slice's own scale, is treated as a flat minimizer interval (mu = 0 only).
 _FLAT_SLOPE_TOL = 1e-12
 
 
@@ -119,13 +119,15 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
     columns = np.arange(S)
 
     if mu == 0.0:
-        # Slopes are nondecreasing, so j indexes the first interval with
-        # slope >= 0. The final slope lam + total is nonnegative, so j is in
-        # range; it can fall inside the tolerance band only for vanishing
-        # total weight.
-        j = (slopes <= -_FLAT_SLOPE_TOL).sum(axis=0)
+        # Slopes are nondecreasing, so j indexes the first interval whose
+        # slope is not below the band. The band scales with the slice's
+        # slopes, so the result scales with the data. The final slope
+        # lam + total is nonnegative, so j is in range, also where a slice
+        # without weight makes the band 0.
+        tol = _FLAT_SLOPE_TOL * (total + lam)
+        j = (slopes < -tol).sum(axis=0)
         at = j * S + columns
-        flat = (np.abs(slopes.take(at)) <= _FLAT_SLOPE_TOL) & (j < n_active)
+        flat = (np.abs(slopes.take(at)) <= tol) & (j < n_active)
         lo_j = B.take(at)
         t = np.where(flat, 0.5 * (lo_j + B.take(at + S)), lo_j)
         return t.reshape(shape[:-1])

@@ -3,7 +3,7 @@
 ``_l2_binary_labels`` reads each row's argmin off the K x M matrix
 ||v||^2 - 2 <x, v> and sends every row with more or fewer than one entry
 within twice the rounding bound of its best to ``pair_costs``. Its labels
-must equal the argmin of the exact broadcast kernel on every input: exact
+must equal the argmin of the exact pair kernel on every input: exact
 ties, duplicated centroids, rows on the bisector of two centroids, entries on
 the threshold, huge entries, overflowing norms, K = 1 and random nonnegative
 data. On well-separated data no row may need the exact kernel, which catches
@@ -42,7 +42,7 @@ def rechecked(monkeypatch):
 
 def _certified(X, V):
     """The certified labels, with ||x||^2 as the solver computes it."""
-    return _l2_binary_labels(X, V, _data_matrix(X)[1])
+    return _l2_binary_labels(X, V, _data_matrix(X)[1], BINARY_L2)
 
 
 def _exact(X, V):

@@ -146,6 +146,18 @@ class TestRun:
         assert_allclose(reloaded, expected, atol=1e-12, rtol=0)
         assert_array_equal(reloaded, expected)  # 17 digits round-trip exactly
 
+    def test_run_takes_path_arguments(self, toy_csv, tmp_path):
+        # run.json records the paths as the strings they name; the result
+        # files equal those of a run given strings.
+        spec, config = ModelSpec("l1", "normalized"), SolverConfig(n_clusters=2, seed=3)
+        by_path, by_str = tmp_path / "p", tmp_path / "s"
+        assert run(toy_csv, by_path, spec, config) == 0
+        assert run(str(toy_csv), str(by_str), spec, config) == 0
+        report = json.loads((by_path / "run.json").read_text())
+        assert (report["input"], report["out"]) == (str(toy_csv), str(by_path))
+        for name in ("assignments.csv", "centroids.csv", "trace.csv"):
+            assert (by_path / name).read_bytes() == (by_str / name).read_bytes()
+
     def test_k_exceeding_rows_exits_2(self, toy_csv, tmp_path, capsys):
         code = main(["--input", str(toy_csv), "--out", str(tmp_path / "out"), "--k", "9"])
         assert code == 2

@@ -206,14 +206,19 @@ def test_l2_distances_never_round_negative_or_overflow(scale, reg):
         assert np.isfinite(D).all() and (D >= 0.0).all()
 
 
-def test_pair_costs_peak_memory_stays_near_its_results():
-    # Row chunking bounds every M x K x N temporary; without it the l1 sweep
-    # holds several 4000 x 8 x 8 arrays of 2 MB each.
+CHUNKED_CELLS = [("l1", "c1_free"), ("l1", "normalized"), ("l1", "binary"), ("l2", "binary")]
+
+
+@pytest.mark.parametrize("discrepancy, mode", CHUNKED_CELLS)
+def test_pair_costs_peak_memory_stays_near_its_results(discrepancy, mode):
+    # Pair chunking bounds every temporary; without it the l1 sweep holds
+    # several arrays of 4000 x 8 pairs by 8 entries, 2 MB each.
     rng = np.random.default_rng(5)
     M, K = 4000, 8
     X = rng.uniform(0, 10, (M, 8))
     V = rng.uniform(0, 10, (K, 8))
-    spec = ModelSpec("l1", "c1_free", RegularizationParams(lambda_u=1.0, mu_u=0.5))
+    reg = RegularizationParams(lambda_u=1.0, mu_u=0.5) if mode == "c1_free" else RegularizationParams()
+    spec = ModelSpec(discrepancy, mode, reg)
     tracemalloc.start()
     try:
         pair_costs(X, V, spec)
@@ -221,9 +226,6 @@ def test_pair_costs_peak_memory_stays_near_its_results():
     finally:
         tracemalloc.stop()
     assert peak < 2 * M * K * 8 + 2**20
-
-
-CHUNKED_CELLS = [("l1", "c1_free"), ("l1", "normalized"), ("l1", "binary"), ("l2", "binary")]
 
 
 @pytest.mark.parametrize("discrepancy, mode", CHUNKED_CELLS)

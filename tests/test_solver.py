@@ -349,6 +349,47 @@ class TestNormalizedMode:
         assert_array_equal(res.membership.labels, expected)
 
 
+SCALE = 2.0**-47
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    mode=st.sampled_from(["c1_free", "normalized", "binary"]),
+    init=st.sampled_from(["random_rows", "plusplus"]),
+    penalized=st.booleans(),
+)
+def test_l1_fits_scale_exactly_with_the_data(seed, mode, init, penalized):
+    # A power-of-two scale moves every l1 breakpoint, slope and residual
+    # exactly, so every label stays and every value scales. Penalties scale
+    # where the objective does: lambda_u, mu_u and 1 / mu_v with the data
+    # (normalized centroids do not scale, so that mode runs without them).
+    # A normalized fit's first coefficients are measured against raw seed
+    # rows, so its coefficients and objective scale from step 2 on.
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 1, (40, 3))
+    reg = scaled_reg = RegularizationParams()
+    if penalized and mode != "normalized":
+        lam, mu = (0.5, 1.0) if mode == "c1_free" else (0.0, 0.0)
+        reg = RegularizationParams(lambda_u=lam, mu_u=mu, lambda_v=0.5, mu_v=1.0)
+        scaled_reg = RegularizationParams(lambda_u=lam * SCALE, mu_u=mu * SCALE, lambda_v=0.5, mu_v=1.0 / SCALE)
+    config = SolverConfig(n_clusters=3, seed=seed, max_iter=30, tol=0.0, init=init)
+    ours = fit_history(X, ModelSpec("l1", mode, reg), config)
+    scaled = fit_history(X * SCALE, ModelSpec("l1", mode, scaled_reg), config)
+    assert len(scaled) == len(ours)
+    for i, (a, b) in enumerate(zip(ours, scaled)):
+        assert b.membership.labels.tobytes() == a.membership.labels.tobytes()
+        if mode == "normalized":
+            assert b.centroids.tobytes() == a.centroids.tobytes()
+            if i > 0:
+                assert b.membership.coefficients.tobytes() == (a.membership.coefficients * SCALE).tobytes()
+                assert b.objective == a.objective * SCALE
+        else:
+            assert b.membership.coefficients.tobytes() == a.membership.coefficients.tobytes()
+            assert b.centroids.tobytes() == (a.centroids * SCALE).tobytes()
+            assert b.objective == a.objective * SCALE
+
+
 class TestZeroRows:
     def _sparse_setup(self):
         # Row 4 is tiny: lambda_u/2 = 2 exceeds its inner product with any

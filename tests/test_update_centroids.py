@@ -331,3 +331,16 @@ def test_kmedian_update_keeps_the_sweeps_signed_zero():
     # picks a zero of the other sign.
     unstable = [np.partition(X_k, X_k.shape[0] // 2, axis=0)[X_k.shape[0] // 2] for X_k in groups]
     assert (np.signbit(unstable) != np.signbit(expected)).any()
+
+
+@pytest.mark.parametrize("discrepancy, mode", CELLS)
+@pytest.mark.parametrize("rows", [2, 6, None], ids=["short", "long", "1-D"])
+def test_update_rejects_data_that_does_not_fit_the_membership(discrepancy, mode, rows):
+    # Four member rows; six rows of X once gave l1 the first four rows'
+    # centroids and l2 a numpy error from inside the product, two rows an
+    # IndexError under l1.
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0, 1, 3) if rows is None else rng.uniform(0, 1, (rows, 3))
+    membership = Membership(np.array([0, 0, 1, 1]), np.ones(4), 2)
+    with pytest.raises(ValueError, match="must be 2-D|do not fit a membership"):
+        update_centroids(X, membership, ModelSpec(discrepancy, mode), rng.uniform(0, 1, (2, 3)))
