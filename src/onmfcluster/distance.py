@@ -8,12 +8,15 @@ discrepancy, plain units for l1). An l1 coefficient past float64's range is
 
 ``pair_costs`` is the one batched cost kernel: it returns the coefficient and
 distance of every (row, centroid) pair as two M x K matrices, and
-``plusplus`` seeding reads from it. Under l2 free and normalized it is one
-product; in binary mode and under l1 it runs ``_costs_at``, the one exact
-kernel of those cells, on every pair. ``nearest``, a fit's assignment,
-returns the argmin of that matrix and its coefficients bit for bit from the
-kernel that suits the model. Under l2 free and normalized it takes that
-argmin.
+``plusplus`` seeding reads from it. Every cell computes them K x M and
+returns transposed views, so that reductions over the centroids run along
+the long M axis. Under l2 free and normalized it is one product, V X^T; in
+binary mode and under l1 it runs ``_costs_at``, the one exact kernel of
+those cells, on every pair. ``nearest``, a fit's assignment, returns the
+argmin of that matrix and its coefficients bit for bit from the kernel that
+suits the model. Under l2 free and normalized it takes that argmin, with
+``_column_min``: one ``min`` and one ``max`` along M in place of an
+``argmin`` along the short K axis.
 Binary l2 (Lloyd's step) takes a certified argmin off one K x M product,
 ``_l2_binary_labels``, whose reductions run along the long M axis. A row is
 settled there only when a single centroid lies within twice a rounding bound
@@ -171,8 +174,9 @@ def coefficient_and_distance(x, v, spec: ModelSpec) -> tuple[float, float]:
 # Pair chunks keep every temporary of the binary and l1 kernel near this
 # many elements, and the l1 centroid update batches clusters within the same
 # budget. It is set by the peak-memory tests of both: at 8192, l1 pair_costs
-# peaks near 1.35 MiB on 4000 x 8 rows and 8 centroids (tracemalloc), against
-# a bound of 1.49 MiB that 16384 exceeds. Larger chunks mean fewer numpy calls.
+# peaks near 1.12 MiB on 4000 x 8 rows and 8 centroids (tracemalloc), against
+# a bound of 1.24 MiB that 16384 (1.74 MiB) exceeds. Larger chunks mean fewer
+# numpy calls.
 _CHUNK_ELEMENTS = 8192
 
 
@@ -184,24 +188,24 @@ def _l2_costs(
     # ||x||^2 from xx. Unlike the expanded ||x||^2 - (lam - 2 <x, v>)^2 /
     # (4 denom), this form never squares <x, v> (which overflows once ||x||^2
     # passes about 1e154), and the clamp at 0 absorbs the rounding of exact
-    # fits. The M x K arithmetic runs in place, A's buffer becoming D, to
-    # keep the peak memory low.
-    denom = np.einsum("kn,kn->k", V, V) + mu
-    degenerate = denom <= 0.0
-    A = X @ V.T
+    # fits. The matrices are K x M, from one product with the X.T view, so
+    # that the argmin's reductions run along the long axis; the arithmetic
+    # runs in place, A's buffer becoming D, to keep the peak memory low.
+    denom = (np.einsum("kn,kn->k", V, V) + mu)[:, None]
+    degenerate = np.flatnonzero(denom <= 0.0)
+    A = V @ X.T
     A -= lam / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         T = np.divide(A, denom)
     np.maximum(T, 0.0, out=T)
-    # Degenerate columns are rare; they are written only when they exist.
-    if degenerate.any():
-        T[:, degenerate] = 0.0
-    xx = xx[:, None]
+    # Degenerate rows are rare; they are written only when they exist.
+    if degenerate.size:
+        T[degenerate] = 0.0
     D = np.multiply(T, A, out=A)
     np.subtract(xx, D, out=D)
     np.maximum(D, 0.0, out=D)
-    if degenerate.any():
-        D[:, degenerate] = np.inf if lam > 0.0 else xx
+    if degenerate.size:
+        D[degenerate] = np.inf if lam > 0.0 else xx
     return T, D
 
 
@@ -210,11 +214,14 @@ def pair_costs(X, V, spec: ModelSpec, xx=None) -> tuple[np.ndarray, np.ndarray]:
 
     Entry (m, k) equals ``coefficient_and_distance(X[m], V[k], spec)`` up to
     rounding. A degenerate centroid row (see :func:`coefficient_and_distance`)
-    gets coefficient 0 and distance +inf in its whole column. The l2 free and
-    normalized modes read each row's ||x||^2 from xx when it is given. Binary
-    mode and l1 return transposed views of ``_costs_at`` run on all K M
-    pairs; binary mode sums each pair's differences as the Lloyd / K-median
-    references do, so its distances, and their argmin, are theirs bit for bit.
+    gets coefficient 0 and distance +inf in its whole column. Every cell
+    computes K x M matrices and returns their transposed views, so that a
+    reduction over the centroids runs along the long M axis. The l2 free and
+    normalized modes take one product with ``X.T`` and read each row's
+    ||x||^2 from xx when it is given. Binary mode and l1 run ``_costs_at`` on
+    all K M pairs; binary mode sums each pair's differences as the Lloyd /
+    K-median references do, so its distances, and their argmin, are theirs
+    bit for bit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
@@ -222,9 +229,10 @@ def pair_costs(X, V, spec: ModelSpec, xx=None) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"X has shape {X.shape}, centroids have shape {V.shape}")
     if spec.discrepancy == "l2" and spec.constraint_mode != "binary":
         xx = np.einsum("mn,mn->m", X, X) if xx is None else xx
-        return _l2_costs(X, V, spec.reg.lambda_u, spec.reg.mu_u, xx)
+        T, D = _l2_costs(X, V, spec.reg.lambda_u, spec.reg.mu_u, xx)
+        return T.T, D.T
     D = np.empty((V.shape[0], X.shape[0]))
-    T = _costs_at(X, V, np.arange(D.size), spec, D.reshape(-1))
+    T = _costs_at(X, V, range(D.size), spec, D.reshape(-1))
     return T.reshape(D.shape).T, D.T
 
 
@@ -250,20 +258,24 @@ def _costs(x: np.ndarray, w: np.ndarray, spec: ModelSpec):
     return t, np.where(over, np.inf, np.abs(R, out=R).sum(axis=-1) + mu * s * s + lam * s)
 
 
-def _costs_at(X: np.ndarray, V: np.ndarray, pairs: np.ndarray, spec: ModelSpec, out: np.ndarray) -> np.ndarray:
+def _costs_at(X: np.ndarray, V: np.ndarray, pairs, spec: ModelSpec, out: np.ndarray) -> np.ndarray:
     """Binary or l1 costs of the pairs (m, k) with flat index k M + m: distances into out, coefficients returned.
 
     The one exact kernel of these cells: ``pair_costs`` runs it on every pair
-    and ``_l1_labels`` on the pairs its bounds leave open. Pair i's distance
-    goes to ``out[pairs[i]]``. Rows and centroids are gathered in chunks of
-    ``_CHUNK_ELEMENTS`` for ``_costs``, and the distances are written in
-    place, so the call holds only the coefficients beyond one chunk.
+    and ``_l1_labels`` on the pairs its bounds leave open. pairs is an index
+    array or a ``range``, and pair i's distance goes to ``out[pairs[i]]``.
+    Rows and centroids are gathered in chunks of ``_CHUNK_ELEMENTS`` for
+    ``_costs``, each chunk's index is built on its own, and the distances are
+    written in place, so the call holds only the coefficients beyond one
+    chunk.
     """
     M, N = X.shape
-    T = np.ones(pairs.size)
+    T = np.ones(len(pairs))
     step = max(1, _CHUNK_ELEMENTS // N)
-    for lo in range(0, pairs.size, step):
+    for lo in range(0, len(pairs), step):
         chunk = pairs[lo:lo + step]
+        # np.asarray would read a range element by element.
+        chunk = np.arange(chunk.start, chunk.stop) if isinstance(chunk, range) else chunk
         cols, rows = np.divmod(chunk, M)
         T[lo:lo + step], out[chunk] = _costs(X.take(rows, axis=0), V.take(cols, axis=0), spec)
     return T
@@ -424,8 +436,7 @@ def _l1_labels(X: np.ndarray, V: np.ndarray, spec: ModelSpec, bounds: _L1Bounds)
     L = bounds.lower
     M = L.shape[1]
     _l1_decay(L, bounds.norms, bounds.centroids, V, spec)
-    rows = np.arange(M)
-    own = bounds.labels * M + rows
+    own = bounds.labels * M + np.arange(M)
     flat = L.reshape(-1)
     own_t = _costs_at(X, V, own, spec, flat)
     closed = L > flat[own]
@@ -433,8 +444,8 @@ def _l1_labels(X: np.ndarray, V: np.ndarray, spec: ModelSpec, bounds: _L1Bounds)
     pairs = np.flatnonzero(~closed)
     del closed
     T = _costs_at(X, V, pairs, spec, flat)
-    labels = L.argmin(axis=0)
-    if np.isinf(L[labels, rows]).any():
+    best, labels = _column_min(L)
+    if np.isinf(best).any():
         raise NoValidCentroidError("all centroid rows are degenerate for this model")
     coeffs = own_t
     moved = np.flatnonzero(labels != bounds.labels)
@@ -481,18 +492,39 @@ def _widen(B: np.ndarray, s: np.ndarray, c, floor) -> None:
     B -= E
 
 
+def _column_min(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's least value in the K x M matrix D and the lowest index that has it.
+
+    Equals ``D.min(axis=0), D.argmin(axis=0)``, but every reduction runs
+    along the long M axis, where numpy's loops are fast: one ``min``, then one
+    ``max`` over the equality mask times the reversed indices K - 1 - k,
+    whose largest entry is the lowest index that attains the minimum. A
+    column that holds a NaN has a NaN minimum and no equal entry; it takes
+    ``argmin``'s answer, its first NaN.
+    """
+    K = D.shape[0]
+    best = D.min(axis=0)
+    reverse = np.arange(K - 1, -1, -1, dtype=np.min_scalar_type(K))[:, None]
+    labels = (K - 1) - np.max((D == best) * reverse, axis=0).astype(np.intp)
+    nan = np.flatnonzero(np.isnan(best))
+    if nan.size:
+        labels[nan] = D[:, nan].argmin(axis=0)
+    return best, labels
+
+
 def _argmin(T: np.ndarray, D: np.ndarray):
     """Each row's least distance in D (lowest index on ties), with its coefficient in T and the distance.
 
-    Raises :class:`NoValidCentroidError` where a row has no centroid at a
-    finite distance.
+    T and D are the M x K views ``pair_costs`` returns; the labels come from
+    ``_column_min`` on the K x M matrices beneath them, and the coefficients
+    from one flat ``take``. Raises :class:`NoValidCentroidError` where a row
+    has no centroid at a finite distance.
     """
-    rows = np.arange(D.shape[0])
-    labels = D.argmin(axis=1)
-    d = D[rows, labels]
+    d, labels = _column_min(D.T)
     if np.isinf(d).any():
         raise NoValidCentroidError("all centroid rows are degenerate for this model")
-    return labels, T[rows, labels], d
+    M = labels.size
+    return labels, T.T.take(labels * M + np.arange(M)), d
 
 
 def nearest(X: np.ndarray, xx: np.ndarray, V: np.ndarray, spec: ModelSpec, state=None):

@@ -207,14 +207,18 @@ def row_costs(X, membership: Membership, V, spec: ModelSpec) -> np.ndarray:
     mu_u u^2 (squared norm for l2, absolute sum for l1); a row without an
     assignment, or with coefficient 0, costs its full norm. For a membership
     the solver assigned against V this is the distance the assignment chose.
-    Zero-weight penalty terms are skipped, never evaluated as 0 * inf.
+    Zero-weight penalty terms are skipped, never evaluated as 0 * inf. The
+    centroid rows are gathered with one ``take`` and scaled only when some
+    coefficient differs from 1, so a binary membership costs no multiply;
+    scaling by 1 is exact, so the costs are the same either way.
     """
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
     _check_fit(X, membership, V)
     coeffs = membership.coefficients
-    R = V[np.maximum(membership.labels, 0)]  # label -1 has coefficient 0
-    R *= coeffs[:, None]
+    R = V.take(np.maximum(membership.labels, 0), axis=0)
+    if (coeffs != 1.0).any():  # label -1 has coefficient 0, so it scales
+        R *= coeffs[:, None]
     np.subtract(X, R, out=R)
     cost = (np.multiply(R, R, out=R) if spec.discrepancy == "l2" else np.abs(R, out=R)).sum(axis=1)
     if spec.reg.lambda_u:
@@ -232,11 +236,14 @@ def objective(X, membership: Membership, V, spec: ModelSpec) -> float:
     Raises ``ValueError`` if the objective is not finite.
     """
     V = np.asarray(V, dtype=float)
-    value = float(row_costs(X, membership, V, spec).sum())
-    if spec.reg.lambda_v:
-        value += spec.reg.lambda_v * float(np.abs(V).sum())
-    if spec.reg.mu_v:
-        value += spec.reg.mu_v * float((V * V).sum())
+    costs = row_costs(X, membership, V, spec)
+    # A sum that overflows is reported by the check below, not as a warning.
+    with np.errstate(over="ignore"):
+        value = float(costs.sum())
+        if spec.reg.lambda_v:
+            value += spec.reg.lambda_v * float(np.abs(V).sum())
+        if spec.reg.mu_v:
+            value += spec.reg.mu_v * float((V * V).sum())
     if not np.isfinite(value):
         raise ValueError(f"objective is {value}: the data or penalty weights overflow float64")
     return value

@@ -107,7 +107,11 @@ def _init_centroids(X: np.ndarray, xx: np.ndarray, config: SolverConfig, spec: M
     for _ in range(K - 1):
         far = np.isinf(nearest)
         weights = far if far.any() else nearest
-        total = float(weights.sum())
+        with np.errstate(over="ignore"):
+            total = float(weights.sum())
+        if total == np.inf:  # finite distances whose sum overflows
+            weights = weights / weights.max()
+            total = float(weights.sum())
         if total <= 0.0:
             raise DuplicateRowsError("every remaining row lies at distance 0 from a chosen centroid")
         nxt = int(rng.choice(M, p=weights / total))

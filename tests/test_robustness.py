@@ -66,6 +66,28 @@ def test_objective_raises_when_not_finite():
         objective(X, membership, V, spec)
 
 
+def test_objective_raises_when_its_row_costs_sum_past_float64():
+    # Each row costs about 1.7e308, which is finite; their sum is not.
+    X = np.array([[1.3e154], [1.3e154]])
+    membership = Membership([0, 0], [1.0, 1.0], 1)
+    with pytest.raises(ValueError, match="overflow float64"):
+        objective(X, membership, np.zeros((1, 1)), ModelSpec("l2", "binary"))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_plusplus_seeds_rows_whose_distances_sum_past_float64(seed):
+    # One column, rows near 0 and near 1.3e154: every squared norm is finite,
+    # but the squared distances across the two groups, about 1.7e308 each,
+    # sum to +inf. Before the weights were rescaled, seeding raised.
+    rng = np.random.default_rng(0)
+    X = np.concatenate([rng.uniform(0, 1, (2000, 1)), 1.3e154 * rng.uniform(0.99, 1.0, (2000, 1))])
+    config = SolverConfig(n_clusters=3, seed=seed, init="plusplus")
+    res = fit(X, ModelSpec("l2", "binary"), config)
+    assert np.isfinite(res.objective_trace).all()
+    labels = res.membership.labels
+    assert not set(labels[:2000]) & set(labels[2000:])
+
+
 @pytest.mark.parametrize("tol", [0.0, 0.5])
 def test_a_rising_step_never_reports_convergence(monkeypatch, tol):
     # The solver's updates never raise the objective, so step 2 is forced to
