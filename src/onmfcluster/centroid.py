@@ -136,7 +136,8 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
     Under l2 that is the exact minimizer over nonnegative unit rows. Under
     l1 it is not, so there a unit-norm previous row is kept whenever the
     candidate would increase its cluster's cost. X and ``previous`` must fit
-    the membership as in ``row_costs``, or ``ValueError`` is raised.
+    the membership as in ``row_costs``, or ``ValueError`` is raised; so it
+    is under l2 where a weighted mean overflows.
     """
     X = np.asarray(X, dtype=float)
     previous = np.asarray(previous, dtype=float)
@@ -152,11 +153,18 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
     V = previous.copy()
     if spec.discrepancy == "l2" or normalized:
         U = dense_u(membership)
-        A = U.T @ X
+        # Under l1, A only ranks a zero row's components, where +inf still ranks.
+        with np.errstate(over="ignore"):
+            A = U.T @ X
         A -= reg.lambda_v / 2.0
     if spec.discrepancy == "l2":
-        d = np.einsum("mk,mk->k", U, U)[full] + reg.mu_v
-        V[full] = np.maximum(A[full] / d[:, None], 0.0)
+        with np.errstate(all="ignore"):
+            W = A[full] / (np.einsum("mk,mk->k", U, U)[full] + reg.mu_v)[:, None]
+        if not np.isfinite(W).all():
+            raise ValueError(
+                "the l2 centroid update (U^T X over the squared coefficient sums) overflows float64; rescale the data"
+            )
+        V[full] = np.maximum(W, 0.0)
     else:
         rows = np.flatnonzero(members)
         rows = rows[np.argsort(labels[rows], kind="stable")]

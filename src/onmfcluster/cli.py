@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distance import DegenerateCentroidError, NoValidCentroidError
+from .distance import NoValidCentroidError
 from .model import FactorizationResult, ModelSpec, RegularizationParams, row_costs
 from .solver import DuplicateRowsError, SolverConfig, fit
 
@@ -179,7 +179,7 @@ def run(input_path, output_dir, spec: ModelSpec, config: SolverConfig) -> int:
     started = time.perf_counter()
     try:
         result = fit(X, spec, config)
-    except (DuplicateRowsError, NoValidCentroidError, DegenerateCentroidError) as exc:
+    except (DuplicateRowsError, NoValidCentroidError) as exc:
         print(f"error: solver degeneracy: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -3,42 +3,26 @@
 For a data point x and a centroid v, the coefficient is the exact minimizer
 of the scalar subproblem ``D(x, t v) + mu_u t^2 + lambda_u |t|`` over t >= 0
 and the distance is the attained minimum (squared units for the l2
-discrepancy, plain units for l1). An l1 coefficient past float64's range is
-+inf, and so is its distance.
+discrepancy, plain units for l1). Every cost reads lambda_u and mu_u from
+``spec.reg``, which ``ModelSpec`` keeps at 0 outside ``c1_free``.
 
-``pair_costs`` is the one batched cost kernel: it returns the coefficient and
-distance of every (row, centroid) pair as two M x K matrices, and
-``plusplus`` seeding reads from it. Every cell computes them K x M and
-returns transposed views, so that reductions over the centroids run along
-the long M axis. Under l2 free and normalized it is one product, V X^T; in
-binary mode and under l1 it runs ``_costs_at``, the one exact kernel of
-those cells, on every pair. ``nearest``, a fit's assignment, returns the
-argmin of that matrix and its coefficients bit for bit from the kernel that
-suits the model. Under l2 free and normalized it takes that argmin, with
-``_column_min``: one ``min`` and one ``max`` along M in place of an
-``argmin`` along the short K axis.
-Binary l2 (Lloyd's step) takes a certified argmin off one K x M product,
-``_l2_binary_labels``, whose reductions run along the long M axis. A row is
-settled there only when a single centroid lies within twice a rounding bound
-of its best. The bound, after Higham (2002), exceeds the error its
-derivation needs by more than the rounding of the threshold itself, so a
-settled row's label is the exact kernel's; every other row falls back to
-``pair_costs``. A fit computes ||x||^2 once for seeding and both l2 kernels.
+The degenerate-centroid rule: a pair without a usable coefficient (a zero
+centroid under an l2 sparsity penalty with mu_u = 0, or an l1 coefficient
+past float64's range) costs +inf. Every argmin skips it,
+``NoValidCentroidError`` is raised where a row has no centroid at a finite
+distance, and ``plusplus`` seeding reads the same costs. The scalar l2
+functions raise ``DegenerateCentroidError`` on such a centroid instead.
 
-Under l1, ``_l1_labels`` does not build the M x K matrix. It keeps a lower
-bound on every pair's distance from one assignment of a fit to the next,
-decays the bounds by how far each centroid moved (after Elkan 2003 and
-Hamerly 2010), and costs only each row's own pair and the pairs whose bound
-does not exceed that cost, through the same ``_costs_at``. A margin derived
-from the rounding of the kernel, the sweep and the decay keeps every bound
-below the kernel's computed distance, so the labels and coefficients are
-``pair_costs``' argmin bit for bit.
+``pair_costs`` is the one batched cost kernel, and ``nearest``, a fit's
+assignment, returns its argmin bit for bit: under l2 free and normalized
+off the kernel itself, in binary l2 off ``_l2_binary_labels`` and under l1
+off ``_l1_labels``. ``_costs_at`` costs every binary and l1 pair. A fit
+computes ||x||^2 once for seeding and both l2 kernels.
+
 The scalar functions remain the paper-level definitions and the oracles the
 kernel is tested against, except under l1, where they run its median sweep
 and ``scalar_prox.brute_force_min`` is the oracle; the closed-form and
-angle-form variants of the l2 distance cross-validate the direct one. Every
-cost reads lambda_u and mu_u from ``spec.reg``, which ``ModelSpec`` keeps at
-0 outside ``c1_free``.
+angle-form variants of the l2 distance cross-validate the direct one.
 
 These distances are generally not metrics: with a sparsity penalty,
 dist(x, x) can be strictly positive.
@@ -236,40 +220,21 @@ def pair_costs(X, V, spec: ModelSpec, xx=None) -> tuple[np.ndarray, np.ndarray]:
     return T.reshape(D.shape).T, D.T
 
 
-def _costs(x: np.ndarray, w: np.ndarray, spec: ModelSpec):
-    """Coefficients and binary or l1 distances of the gathered rows x against the centroid rows w.
-
-    x is overwritten. Binary mode's coefficient is 1, and its distance sums
-    the squared (l2) or absolute (l1) differences. An l1 coefficient that
-    overflows costs +inf without a warning and enters no product, where
-    0 * inf would make a NaN.
-    """
-    if spec.constraint_mode == "binary":
-        R = np.subtract(x, w, out=x)
-        R = np.multiply(R, R, out=R) if spec.discrepancy == "l2" else np.abs(R, out=R)
-        return 1.0, R.sum(axis=-1)
-    lam, mu = spec.reg.lambda_u, spec.reg.mu_u
-    with np.errstate(over="ignore"):
-        t = _weighted_reg_medians(x, w, lam, mu)
-    over = np.isinf(t)
-    s = np.where(over, 0.0, t)
-    R = s[:, None] * w
-    np.subtract(x, R, out=R)
-    return t, np.where(over, np.inf, np.abs(R, out=R).sum(axis=-1) + mu * s * s + lam * s)
-
-
 def _costs_at(X: np.ndarray, V: np.ndarray, pairs, spec: ModelSpec, out: np.ndarray) -> np.ndarray:
     """Binary or l1 costs of the pairs (m, k) with flat index k M + m: distances into out, coefficients returned.
 
     The one exact kernel of these cells: ``pair_costs`` runs it on every pair
     and ``_l1_labels`` on the pairs its bounds leave open. pairs is an index
     array or a ``range``, and pair i's distance goes to ``out[pairs[i]]``.
-    Rows and centroids are gathered in chunks of ``_CHUNK_ELEMENTS`` for
-    ``_costs``, each chunk's index is built on its own, and the distances are
-    written in place, so the call holds only the coefficients beyond one
-    chunk.
+    Rows and centroids are gathered in chunks of ``_CHUNK_ELEMENTS``, each
+    chunk's index is built on its own, and the distances are written in
+    place, so the call holds only the coefficients beyond one chunk. Binary
+    mode's coefficient is 1, and its distance sums the squared (l2) or
+    absolute (l1) differences. An l1 coefficient that overflows costs +inf
+    without a warning and enters no product, where 0 * inf would make a NaN.
     """
     M, N = X.shape
+    lam, mu = spec.reg.lambda_u, spec.reg.mu_u
     T = np.ones(len(pairs))
     step = max(1, _CHUNK_ELEMENTS // N)
     for lo in range(0, len(pairs), step):
@@ -277,7 +242,20 @@ def _costs_at(X: np.ndarray, V: np.ndarray, pairs, spec: ModelSpec, out: np.ndar
         # np.asarray would read a range element by element.
         chunk = np.arange(chunk.start, chunk.stop) if isinstance(chunk, range) else chunk
         cols, rows = np.divmod(chunk, M)
-        T[lo:lo + step], out[chunk] = _costs(X.take(rows, axis=0), V.take(cols, axis=0), spec)
+        x, w = X.take(rows, axis=0), V.take(cols, axis=0)
+        if spec.constraint_mode == "binary":
+            R = np.subtract(x, w, out=x)
+            R = np.multiply(R, R, out=R) if spec.discrepancy == "l2" else np.abs(R, out=R)
+            out[chunk] = R.sum(axis=-1)
+        else:
+            with np.errstate(over="ignore"):
+                t = _weighted_reg_medians(x, w, lam, mu)
+            over = np.isinf(t)
+            s = np.where(over, 0.0, t)
+            R = s[:, None] * w
+            np.subtract(x, R, out=R)
+            T[lo:lo + step] = t
+            out[chunk] = np.where(over, np.inf, np.abs(R, out=R).sum(axis=-1) + mu * s * s + lam * s)
     return T
 
 

@@ -32,7 +32,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .centroid import update_centroids
-from .distance import DegenerateCentroidError, nearest, pair_costs
+from .distance import nearest, pair_costs
 from .model import FactorizationResult, Membership, ModelSpec, _data_matrix, objective
 
 INIT_METHODS = ("random_rows", "plusplus")
@@ -75,8 +75,9 @@ def init_centroids(X, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
     random permutation of the rows. ``plusplus`` draws each next row with
     probability proportional to its distance (under the model's own distance
     measure) to the nearest row chosen so far, never a row equal to a chosen
-    one. Rows at +inf, where an l1 coefficient overflows against every chosen
-    row, are drawn first, uniformly. Deterministic given the seed.
+    one. Rows at +inf from every chosen row are drawn first, uniformly: after
+    a degenerate draw, such as a zero row under an l2 sparsity penalty, that
+    is every other row. Deterministic given the seed.
     """
     return _init_centroids(*_data_matrix(X), config, spec)
 
@@ -94,8 +95,6 @@ def _init_centroids(X: np.ndarray, xx: np.ndarray, config: SolverConfig, spec: M
 
     def distances_to(m: int) -> np.ndarray:
         dist = pair_costs(X, X[m:m + 1], spec, xx)[1][:, 0]
-        if np.isinf(dist[m]):  # a row's own l1 coefficient cannot overflow
-            raise DegenerateCentroidError("zero centroid under an l1 penalty")
         # A membership penalty puts a row at a positive distance from itself,
         # so the rows equal to the chosen one are taken out of the draw here.
         if dist[m] > 0.0:

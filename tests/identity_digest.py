@@ -1,15 +1,26 @@
-"""One sha256 per (discrepancy, mode) cell over a fixed stream of fits.
+"""Two sha256 lines per (discrepancy, mode) cell: a fixed stream of fits, and of pair-kernel calls.
 
     PYTHONPATH=src python tests/identity_digest.py
 
-Runs 432 ``fit_history`` calls, 72 per cell: both inits, unpenalized and
-penalized, on uniform data rounded to a grid (ties and exact zeros) and on
-blobs, nine seeds each, from 100 x 3 rows with 2 clusters to 2100 x 19 with
-10, at most 20 iterations. Each cell's digest covers every step's labels,
-coefficients, centroids and objective, as bytes. Two checkouts whose fits
-are byte-identical print the same lines, so a change that claims to keep
-every fit's bytes runs this on both sides and compares the output. pytest
-does not collect this file.
+The fit line runs 432 ``fit_history`` calls, 72 per cell: both inits,
+unpenalized and penalized, on uniform data rounded to a grid (ties and exact
+zeros) and on blobs, nine seeds each, from 100 x 3 rows with 2 clusters to
+2100 x 19 with 10, at most 20 iterations. Each cell's digest covers every
+step's labels, coefficients, centroids and objective, as bytes.
+
+The pair line covers ``pair_costs``' coefficient and distance matrices and
+``nearest``'s labels and coefficients on the same data, against centroid
+rows that no fit need pick: data rows plus a zero row, a duplicated row, a
+row of 5e-324 entries whose l1 coefficients overflow and a row mixing such
+entries with data, then those rows with every entry scaled by a factor in
+[0.5, 2), which ``nearest`` takes with the state of its first call.
+``c1_free`` runs without membership penalties, with lambda_u alone (a zero
+centroid is then degenerate under l2) and with lambda_u and mu_u. A change
+in a pair that no row picks shows here only.
+
+Two checkouts whose fits and pair costs are byte-identical print the same
+lines, so a change that claims to keep those bytes runs this on both sides
+and compares the output. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ import itertools
 import numpy as np
 
 from onmfcluster import ModelSpec, RegularizationParams, SolverConfig, fit_history
+from onmfcluster.distance import nearest, pair_costs
 
 CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
 SEEDS = range(9)
@@ -65,10 +77,48 @@ def cell_digest(discrepancy: str, mode: str) -> tuple[str, int, int]:
     return h.hexdigest(), runs, steps
 
 
+def centroid_rows(X: np.ndarray, K: int, seed: int) -> np.ndarray:
+    """K data rows, then a zero row, a copy of the first, a row of 5e-324 and one mixing 5e-324 with data."""
+    rng = np.random.default_rng([seed, 2])
+    V = X[rng.choice(X.shape[0], K, replace=False)]
+    mixed = np.where(rng.random(X.shape[1]) < 0.5, 5e-324, V[0])
+    return np.vstack([V, np.zeros(X.shape[1]), V[0], np.full(X.shape[1], 5e-324), mixed])
+
+
+def pair_specs(discrepancy: str, mode: str) -> list[ModelSpec]:
+    if mode != "c1_free":
+        return [ModelSpec(discrepancy, mode)]
+    return [
+        ModelSpec(discrepancy, mode, RegularizationParams(**membership))
+        for membership in ({}, dict(lambda_u=2.0), dict(lambda_u=2.0, mu_u=0.5))
+    ]
+
+
+def pair_digest(discrepancy: str, mode: str) -> tuple[str, int]:
+    """The cell's pair-kernel sha256 and its call count."""
+    h = hashlib.sha256()
+    calls = 0
+    for spec_, kind, seed in itertools.product(pair_specs(discrepancy, mode), ["uniform", "blobs"], SEEDS):
+        X = data(kind, seed)
+        xx = np.einsum("mn,mn->m", X, X)
+        V = centroid_rows(X, shape(seed)[2], seed)
+        state = None
+        for W in (V, V * np.random.default_rng([seed, 3]).uniform(0.5, 2.0, V.shape)):
+            for matrix in pair_costs(X, W, spec_):
+                h.update(matrix.tobytes())
+            labels, coeffs, state = nearest(X, xx, W, spec_, state)
+            h.update(labels.tobytes())
+            h.update(coeffs.tobytes())
+            calls += 1
+    return h.hexdigest(), calls
+
+
 def main() -> None:
     for discrepancy, mode in CELLS:
         digest, runs, steps = cell_digest(discrepancy, mode)
         print(f"{discrepancy:2} {mode:10} runs={runs} steps={steps} {digest}")
+        digest, calls = pair_digest(discrepancy, mode)
+        print(f"{discrepancy:2} {mode:10} pair calls={calls} {digest}")
 
 
 if __name__ == "__main__":

@@ -65,6 +65,19 @@ def test_negative_membership_weight_rejected(centroid):
         centroid([[1.0, 2.0], [3.0, 4.0]], [-1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "centroid, u_k, message",
+    [
+        (centroid_l1, [1.0], "equal positive length"),
+        (centroid_l2, [1.0, 1.0, 1.0], "equal positive length"),
+        (centroid_l2, [0.0, 0.0], r"\|\|u_k\|\|\^2 \+ mu_v must be positive"),
+    ],
+)
+def test_malformed_cluster_rejected(centroid, u_k, message):
+    with pytest.raises(ValueError, match=message):
+        centroid([[1.0, 2.0], [3.0, 4.0]], u_k)
+
+
 @pytest.mark.parametrize("discrepancy", ["l1", "l2"])
 def test_component_update_never_increases_scalar_objective(discrepancy):
     # Each component solves its own scalar problem exactly, so the new value

@@ -1,6 +1,10 @@
 """Unit tests for CSV ingestion and the command-line runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +254,25 @@ class TestRun:
         )
         assert json.loads((out / "run.json").read_text())["empty_clusters"] == [1]
 
+    @pytest.mark.parametrize(
+        "X, k, code",
+        [
+            (np.vstack([np.zeros((6, 2)), np.random.default_rng(1).uniform(1, 5, (6, 2))]), 2, 0),
+            (np.vstack([np.zeros((3, 2)), [[1.0, 2.0]]]), 1, 3),
+        ],
+        ids=["fits-through", "no-valid-centroid"],
+    )
+    def test_a_zero_draw_under_a_sparsity_penalty(self, tmp_path, capsys, X, k, code):
+        # plusplus seed 1 draws a zero row first, whose pairs cost +inf. With
+        # a second centroid the fit runs through it; alone it leaves the
+        # other rows without a valid centroid.
+        path = tmp_path / "zeros.csv"
+        np.savetxt(path, X, fmt="%.17g", delimiter=",")
+        argv = ["--input", str(path), "--out", str(tmp_path / "o"), "--k", str(k),
+                "--lambda-u", "1", "--init", "plusplus", "--seed", "1"]
+        assert main(argv) == code
+        assert ("error: solver degeneracy: " in capsys.readouterr().err) == (code == 3)
+
     def test_duplicate_rows_exit_3(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("1,1\n1,1\n1,1\n")
@@ -323,3 +346,37 @@ def test_distance_column_is_each_rows_share_of_the_objective(tmp_path, discrepan
     assert_array_equal(table[:, 1] == -1, table[:, 4] == 1)
     if "--lambda-u" in extra:
         assert zero[-2:].all()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _child(*args, cwd):
+    """Run ``python *args`` in a child process that finds the package in src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["onmfcluster", "onmfcluster.cli"])
+def test_help_exits_0(module, tmp_path):
+    proc = _child("-W", "error", "-m", module, "--help", cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: onmfcluster")
+
+
+@pytest.mark.parametrize("module", ["onmfcluster", "onmfcluster.cli"])
+def test_entry_point_writes_the_in_process_result_files(module, toy_csv, tmp_path):
+    # Both runs write into the same directory, so run.json differs only in
+    # its wall time.
+    out = tmp_path / "out"
+    argv = _toy_args(toy_csv, out, "--lambda-v", "0.5")
+    assert main(argv) == 0
+    expected = {name: (out / name).read_bytes() for name in ("assignments.csv", "centroids.csv", "trace.csv")}
+    report = json.loads((out / "run.json").read_text())
+    proc = _child("-W", "error", "-m", module, *argv, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert {name: (out / name).read_bytes() for name in expected} == expected
+    child_report = json.loads((out / "run.json").read_text())
+    del child_report["wall_time_seconds"], report["wall_time_seconds"]
+    assert child_report == report

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from onmfcluster import (
     DegenerateCentroidError,
@@ -11,6 +11,7 @@ from onmfcluster import (
     NoValidCentroidError,
     RegularizationParams,
     ScalarProxProblem,
+    SolverConfig,
     assign,
     brute_force_min,
     coefficient_l1,
@@ -19,7 +20,10 @@ from onmfcluster import (
     distance_l2,
     distance_l2_angle_form,
     distance_l2_closed_form,
+    fit,
+    init_centroids,
 )
+from onmfcluster.distance import _argmin, pair_costs
 
 
 class TestCoefficientL2:
@@ -209,3 +213,32 @@ class TestAssign:
         assert k == 0
         assert_allclose(coeff, np.sqrt(2.0))
         assert_allclose(dist, float(((np.array([2.0, 0.0]) - np.sqrt(2) * v) ** 2).sum()))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: coefficient_l2([1.0, 2.0], [1.0]), ValueError, "equal length"),
+        (lambda: distance_l1([1.0], [1.0, 2.0]), ValueError, "equal length"),
+        (lambda: distance_l2_closed_form([1.0, 2.0], [0.0, 0.0]), DegenerateCentroidError, "zero norm"),
+        (lambda: pair_costs(np.ones((3, 2)), np.ones((2, 3)), ModelSpec()), ValueError, "shape"),
+        (lambda: pair_costs(np.ones((2, 3, 2)), np.ones((2, 2)), ModelSpec()), ValueError, "shape"),
+    ],
+)
+def test_malformed_pairs_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+# Seeded from the row 5e-324, the row 6.36961687's l1 coefficient overflows,
+# so that row has no centroid at a finite distance, in the bounded
+# assignment as in the full kernel.
+@pytest.mark.parametrize("mode", ["c1_free", "normalized"])
+def test_an_l1_row_with_no_finite_centroid_raises(mode):
+    X = np.array([[5e-324], [6.36961687]])
+    spec, config = ModelSpec("l1", mode), SolverConfig(n_clusters=1, seed=0)
+    assert_array_equal(init_centroids(X, config, spec), X[:1])
+    with pytest.raises(NoValidCentroidError):
+        fit(X, spec, config)
+    with pytest.raises(NoValidCentroidError):
+        _argmin(*pair_costs(X, X[:1], spec))

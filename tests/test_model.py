@@ -46,6 +46,18 @@ class TestMembership:
         with pytest.raises(ValueError):
             Membership(np.array([-1]), np.array([1.0]), 1)
 
+    @pytest.mark.parametrize(
+        "labels, coefficients, n_clusters, message",
+        [
+            ([0, 1], [1.0], 2, "1-D of equal length"),
+            ([[0]], [[1.0]], 1, "1-D of equal length"),
+            ([-1], [0.0], 0, "n_clusters must be >= 1"),
+        ],
+    )
+    def test_malformed_membership_rejected(self, labels, coefficients, n_clusters, message):
+        with pytest.raises(ValueError, match=message):
+            Membership(labels, coefficients, n_clusters)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_coefficients_rejected(self, value):
         with pytest.raises(ValueError, match="finite"):
@@ -100,6 +112,11 @@ class TestDataMatrix:
     def test_wrong_rank_rejected(self):
         with pytest.raises(ValueError):
             as_data_matrix([1.0, 2.0])
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_no_rows_or_no_columns_rejected(self, shape):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            as_data_matrix(np.zeros(shape))
 
 
 class TestObjective:

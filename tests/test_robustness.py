@@ -23,6 +23,7 @@ from onmfcluster import (
     fit_history,
     objective,
     soft_threshold,
+    update_centroids,
     weighted_reg_median,
 )
 from onmfcluster import solver
@@ -86,6 +87,52 @@ def test_plusplus_seeds_rows_whose_distances_sum_past_float64(seed):
     assert np.isfinite(res.objective_trace).all()
     labels = res.membership.labels
     assert not set(labels[:2000]) & set(labels[2000:])
+
+
+# One column, 2000 rows in [0, 1) and 2000 in [1.2e154, 1.3e154). Against a
+# small seed row the large rows' l2 coefficients near 1e154, so at seed 1 the
+# first centroid update's U^T X overflows. It used to stop on a matmul
+# overflow warning, or without warnings as errors on "objective is nan".
+_TWO_SCALES_RNG = np.random.default_rng(0)
+TWO_SCALES = np.concatenate(
+    [_TWO_SCALES_RNG.uniform(0.0, 1.0, 2000), _TWO_SCALES_RNG.uniform(1.2e154, 1.3e154, 2000)]
+)[:, None]
+UPDATE_OVERFLOW = r"l2 centroid update \(U\^T X over the squared coefficient sums\) overflows float64"
+
+
+@pytest.mark.parametrize("mode", ["c1_free", "normalized"])
+def test_an_overflowing_l2_centroid_update_is_named(mode):
+    with pytest.raises(ValueError, match=UPDATE_OVERFLOW):
+        fit(TWO_SCALES, ModelSpec("l2", mode), SolverConfig(n_clusters=3, seed=1, init="plusplus"))
+
+
+def test_an_l2_centroid_update_whose_squared_coefficients_underflow_is_named():
+    # (1e-170)^2 underflows to 0, so the weighted mean 1e-170 / 0 is +inf.
+    membership = Membership([0], [1e-170], 1)
+    with pytest.raises(ValueError, match=UPDATE_OVERFLOW):
+        update_centroids([[1.0]], membership, ModelSpec("l2", "c1_free"), [[1.0]])
+
+
+# The other l2 c1_free seeds stay finite. Under l1 normalized, U^T X only
+# ranks a zero row's components, so its overflow no longer stops the fit.
+@pytest.mark.parametrize(
+    "discrepancy, mode, seed",
+    [("l2", "c1_free", s) for s in (0, 2, 3, 4)] + [("l1", "normalized", s) for s in range(5)],
+)
+def test_fits_past_a_centroid_update_that_stays_finite(discrepancy, mode, seed):
+    config = SolverConfig(n_clusters=3, seed=seed, init="plusplus", max_iter=5)
+    assert np.isfinite(fit(TWO_SCALES, ModelSpec(discrepancy, mode), config).objective_trace).all()
+
+
+def test_cli_exits_2_on_an_overflowing_centroid_update(tmp_path, capsys):
+    path = tmp_path / "two_scales.csv"
+    np.savetxt(path, TWO_SCALES, fmt="%.17g")
+    argv = ["--input", str(path), "--out", str(tmp_path / "o"), "--k", "3",
+            "--discrepancy", "l2", "--init", "plusplus", "--seed", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the l2 centroid update") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("tol", [0.0, 0.5])
@@ -239,8 +286,7 @@ def test_l1_fit_runs_past_overflowing_coefficients(seed):
 
 
 # Seeded from the row 5e-324, the other rows' l1 coefficients overflow, so
-# they lie at +inf. The chosen row's own distance is finite, so it is no
-# degenerate centroid, and the next draw takes a row at +inf.
+# they lie at +inf, and the next draw takes one of them.
 @pytest.mark.parametrize("tiny", [0, 1])
 def test_plusplus_draws_a_row_at_infinite_l1_distance(tiny):
     X = np.array([[1.0], [2.0]])

@@ -97,6 +97,13 @@ class TestScalarProxProblem:
         with pytest.raises(ValueError):
             ScalarProxProblem("cubic", np.array([1.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("l1_weight", [0.0, 1.0])
+    def test_no_curvature_takes_zero(self, l1_weight):
+        # With zero weights and no l2 weight the quadratic objective is
+        # ||targets||^2 + l1_weight t, which t = 0 minimizes.
+        p = ScalarProxProblem("quadratic", np.array([1.0, 2.0]), np.zeros(2), l1_weight)
+        assert solve_closed_form(p) == 0.0
+
     def test_value_shapes(self):
         p = ScalarProxProblem("quadratic", np.array([2.0]), np.array([1.0]), 2.0)
         assert p.value(1.0) == 3.0

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from onmfcluster import (
     DuplicateRowsError,
     ModelSpec,
+    NoValidCentroidError,
     RegularizationParams,
     SolverConfig,
     coefficient_and_distance,
@@ -30,6 +31,10 @@ from reference import kmedian_history, lloyd_kmeans_history, random_rows_seeds
 
 CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
+# Under an l2 sparsity penalty with mu_u = 0 a zero centroid has no
+# coefficient, so the pair kernel costs every pair with it +inf.
+LASSO = ModelSpec("l2", "c1_free", RegularizationParams(lambda_u=1.0))
+ZERO_ROWS = np.vstack([np.zeros((6, 2)), np.random.default_rng(1).uniform(1, 5, (6, 2))])
 
 
 class TestInitCentroids:
@@ -83,6 +88,33 @@ class TestInitCentroids:
         for seed in range(50):
             V = init_centroids(X, SolverConfig(n_clusters=4, seed=seed, init="plusplus"), spec)
             assert len({tuple(row + 0.0) for row in V}) == 4, seed
+
+    @pytest.mark.parametrize("init", ["random_rows", "plusplus"])
+    @pytest.mark.parametrize("seed", [1, 6, 9, 11])
+    def test_a_degenerate_draw_is_fit_through(self, init, seed):
+        # plusplus draws a zero row first at these seeds. Every other row is
+        # then at +inf, so the second draw is uniform over them, and the zero
+        # centroid's empty cluster is reseeded, as after a random_rows draw.
+        config = SolverConfig(n_clusters=2, seed=seed, init=init)
+        V = init_centroids(ZERO_ROWS, config, LASSO)
+        if init == "plusplus":
+            assert_array_equal(V[0], [0.0, 0.0])
+            assert (V[1] > 0.0).all()
+        trace = [step.objective for step in fit_history(ZERO_ROWS, LASSO, config)]
+        assert np.isfinite(trace).all() and (np.diff(trace) <= 0.0).all()
+
+    @pytest.mark.parametrize("init", ["random_rows", "plusplus"])
+    def test_all_zero_rows_are_duplicates_under_a_sparsity_penalty(self, init):
+        with pytest.raises(DuplicateRowsError):
+            fit(np.zeros((5, 3)), LASSO, SolverConfig(n_clusters=2, seed=0, init=init))
+
+    @pytest.mark.parametrize("init, seed", [("plusplus", 1), ("random_rows", 0), ("random_rows", 1)])
+    def test_a_lone_zero_centroid_is_no_valid_centroid(self, init, seed):
+        X = np.vstack([np.zeros((3, 2)), [[1.0, 2.0]]])
+        config = SolverConfig(n_clusters=1, seed=seed, init=init)
+        assert_array_equal(init_centroids(X, config, LASSO), [[0.0, 0.0]])
+        with pytest.raises(NoValidCentroidError):
+            fit(X, LASSO, config)
 
     def test_more_clusters_than_rows(self):
         cfg = SolverConfig(n_clusters=5, seed=0)
@@ -195,6 +227,20 @@ class TestFitBasics:
     def test_non_integral_counts_and_seed_rejected(self, field, value):
         # Caught at construction, not as a TypeError from slicing or range mid-fit.
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(**{"n_clusters": 2, field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_clusters", 0, "n_clusters must be >= 1"),
+            ("max_iter", 0, "max_iter must be >= 1"),
+            ("seed", -1, "seed must fit"),
+            ("seed", 2**64, "seed must fit"),
+            ("init", "kmeans", "init must be one of"),
+        ],
+    )
+    def test_out_of_range_settings_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
             SolverConfig(**{"n_clusters": 2, field: value})
 
     def test_config_has_no_policy_fields(self):
