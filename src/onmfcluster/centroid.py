@@ -16,7 +16,8 @@ row where it is not. An empty cluster's
 row enters the objective only through its centroid penalty, so it takes its
 farthest data row only where that penalty does not grow: the update never
 raises the objective. Reseeding and the guard read each row's cost from
-``model.row_costs``, the cost the objective sums.
+``model.row_costs``, whose sum with the centroid penalties is the objective
+to rounding.
 """
 
 from __future__ import annotations

@@ -168,7 +168,8 @@ def run(input_path, output_dir, spec: ModelSpec, config: SolverConfig) -> int:
     unassigned 1. Each row's reported distance is its share of the final
     objective, ``model.row_costs`` at the reported cluster, coefficient and
     centroids: the column sums, with the centroid penalties, to the last
-    trace value.
+    trace value up to rounding, as the objective sums its fit term over all
+    entries at once rather than row by row.
     """
     try:
         X = load_csv(input_path)

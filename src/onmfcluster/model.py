@@ -5,8 +5,10 @@ pair per data row, so the pairwise-orthogonality constraint on the membership
 matrix (at most one nonzero per row) holds by construction and cannot be
 violated at runtime.
 
-``row_costs`` is each row's share of the objective; ``objective``, the
-centroid update's guard and reseeding, and the CLI's distance column read it.
+``objective`` is the paper's three terms, the discrepancy ||X - UV|| (squared
+l2 or l1) and the elastic nets on U and on V, each one flat reduction.
+``row_costs`` splits the discrepancy and the U penalty by row; the centroid
+update's guard and reseeding, and the CLI's distance column read it.
 """
 
 from __future__ import annotations
@@ -93,6 +95,22 @@ class Membership:
         if (coeffs[labels < 0] != 0).any():
             raise ValueError("rows without a label must have coefficient 0")
 
+    @classmethod
+    def _of(cls, labels: np.ndarray, coefficients: np.ndarray, n_clusters: int) -> Membership:
+        """A membership of int64 labels and float64 coefficients that hold its invariants.
+
+        The arrays are taken as they are and marked read-only, without the
+        constructor's copies and checks, so the caller must have just made
+        them and keep no writable reference.
+        """
+        labels.setflags(write=False)
+        coefficients.setflags(write=False)
+        membership = object.__new__(cls)
+        object.__setattr__(membership, "labels", labels)
+        object.__setattr__(membership, "coefficients", coefficients)
+        object.__setattr__(membership, "n_clusters", n_clusters)
+        return membership
+
     @property
     def n_rows(self) -> int:
         return self.labels.shape[0]
@@ -159,7 +177,7 @@ class ModelSpec:
 class FactorizationResult:
     """Final state of an alternating-minimization run.
 
-    ``objective_trace`` holds the objective after every full iteration and is
+    ``objective_trace`` holds :func:`objective` after every full iteration and is
     non-increasing (within 1e-10 per step) in every mode and penalty setting,
     empty clusters included. Rows whose coefficient was thresholded to zero
     carry label -1 and make up ``unassigned_rows``; clusters with no row of
@@ -200,6 +218,25 @@ def _check_fit(X: np.ndarray, membership: Membership, V: np.ndarray) -> None:
         )
 
 
+def _residuals(X, membership: Membership, V) -> np.ndarray:
+    """X - u V[label], row by row, in a new array.
+
+    The centroid rows are gathered with one ``take`` and scaled only when
+    some coefficient differs from 1, so a binary membership costs no
+    multiply; scaling by 1 is exact, so the residuals are the same either
+    way. A row without an assignment has coefficient 0 and keeps x_m.
+    """
+    X = np.asarray(X, dtype=float)
+    V = np.asarray(V, dtype=float)
+    _check_fit(X, membership, V)
+    coeffs = membership.coefficients
+    R = V.take(np.maximum(membership.labels, 0), axis=0)
+    if (coeffs != 1.0).any():
+        R *= coeffs[:, None]
+    np.subtract(X, R, out=R)
+    return R
+
+
 def row_costs(X, membership: Membership, V, spec: ModelSpec) -> np.ndarray:
     """Each row's residual plus its membership penalty.
 
@@ -207,19 +244,11 @@ def row_costs(X, membership: Membership, V, spec: ModelSpec) -> np.ndarray:
     mu_u u^2 (squared norm for l2, absolute sum for l1); a row without an
     assignment, or with coefficient 0, costs its full norm. For a membership
     the solver assigned against V this is the distance the assignment chose.
-    Zero-weight penalty terms are skipped, never evaluated as 0 * inf. The
-    centroid rows are gathered with one ``take`` and scaled only when some
-    coefficient differs from 1, so a binary membership costs no multiply;
-    scaling by 1 is exact, so the costs are the same either way.
+    Zero-weight penalty terms are skipped, never evaluated as 0 * inf. Their
+    sum with the centroid penalties is :func:`objective` to rounding.
     """
-    X = np.asarray(X, dtype=float)
-    V = np.asarray(V, dtype=float)
-    _check_fit(X, membership, V)
+    R = _residuals(X, membership, V)
     coeffs = membership.coefficients
-    R = V.take(np.maximum(membership.labels, 0), axis=0)
-    if (coeffs != 1.0).any():  # label -1 has coefficient 0, so it scales
-        R *= coeffs[:, None]
-    np.subtract(X, R, out=R)
     cost = (np.multiply(R, R, out=R) if spec.discrepancy == "l2" else np.abs(R, out=R)).sum(axis=1)
     if spec.reg.lambda_u:
         cost += spec.reg.lambda_u * coeffs
@@ -228,22 +257,36 @@ def row_costs(X, membership: Membership, V, spec: ModelSpec) -> np.ndarray:
     return cost
 
 
+def _objective_terms(X, membership: Membership, V, spec: ModelSpec) -> tuple[float, float, float]:
+    """The three terms :func:`objective` adds: (fit, penalty_u, penalty_v), inf on overflow."""
+    V = np.asarray(V, dtype=float)
+    R = _residuals(X, membership, V)
+    reg = spec.reg
+    with np.errstate(over="ignore"):
+        fit = float((np.square(R, out=R) if spec.discrepancy == "l2" else np.abs(R, out=R)).sum())
+        penalty_u = _penalty(reg.lambda_u, membership.coefficients, reg.mu_u)
+        return fit, penalty_u, _penalty(reg.lambda_v, V, reg.mu_v)
+
+
+def _penalty(lam: float, A: np.ndarray, mu: float) -> float:
+    """lam ||A||_1 + mu ||A||_F^2, each term skipped where its weight is 0."""
+    value = lam * float(np.abs(A).sum()) if lam else 0.0
+    if mu:
+        value += mu * float((A * A).sum())
+    return value
+
+
 def objective(X, membership: Membership, V, spec: ModelSpec) -> float:
     """Evaluate the full model objective: data fit plus elastic net penalties.
 
-    The sum of :func:`row_costs` plus the centroid penalties
-    lambda_v ||V||_1 + mu_v ||V||_F^2, whose zero-weight terms are skipped.
-    Raises ``ValueError`` if the objective is not finite.
+    fit + penalty_u + penalty_v, in that order: fit is ||X - UV||_F^2 (l2)
+    or ||X - UV||_1 (l1), one flat sum over the residuals, penalty_u =
+    lambda_u sum(u) + mu_u sum(u^2) and penalty_v = lambda_v ||V||_1 +
+    mu_v ||V||_F^2. A zero-weight term is skipped, never evaluated as
+    0 * inf. Raises ``ValueError`` if the objective is not finite.
     """
-    V = np.asarray(V, dtype=float)
-    costs = row_costs(X, membership, V, spec)
-    # A sum that overflows is reported by the check below, not as a warning.
-    with np.errstate(over="ignore"):
-        value = float(costs.sum())
-        if spec.reg.lambda_v:
-            value += spec.reg.lambda_v * float(np.abs(V).sum())
-        if spec.reg.mu_v:
-            value += spec.reg.mu_v * float((V * V).sum())
+    fit, penalty_u, penalty_v = _objective_terms(X, membership, V, spec)
+    value = fit + penalty_u + penalty_v
     if not np.isfinite(value):
         raise ValueError(f"objective is {value}: the data or penalty weights overflow float64")
     return value

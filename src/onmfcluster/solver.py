@@ -15,8 +15,10 @@ kernel for the model and returns the argmin, lowest index on ties, of the
 batched kernel ``distance.pair_costs`` bit for bit. A fit validates X and
 computes its squared row norms once, for seeding (``plusplus`` reads its
 distances from ``pair_costs``) and every assignment, and hands each
-assignment the state the previous one returned. The centroid update and the
-objective read each row's cost from ``model.row_costs``. The scalar
+assignment the state the previous one returned. The centroid update reads
+each row's cost from ``model.row_costs``; the objective is the paper's three
+terms, each one flat reduction, and each step's ``Membership`` takes the
+arrays the loop just made without copying or checking them again. The scalar
 ``assign`` and ``coefficient_and_distance`` remain the paper-level
 definitions the kernel is tested against; under l1 they run its median
 sweep, whose oracle is ``brute_force_min``.
@@ -162,7 +164,7 @@ def _steps(X, spec: ModelSpec, config: SolverConfig) -> Iterator[tuple[FitStep, 
     state = prev = None
     for _ in range(config.max_iter):
         labels, coeffs, state = nearest(X, xx, V, spec, state)
-        membership = Membership(np.where(coeffs == 0.0, -1, labels), coeffs, K)
+        membership = Membership._of(np.where(coeffs == 0.0, -1, labels), coeffs, K)
         V = update_centroids(X, membership, spec, V)
         step = FitStep(membership, V, objective(X, membership, V, spec))
         converged = False

@@ -1,4 +1,4 @@
-"""Two sha256 lines per (discrepancy, mode) cell: a fixed stream of fits, and of pair-kernel calls.
+"""Three sha256 lines per (discrepancy, mode) cell: a fixed stream of fits, its states, and pair-kernel calls.
 
     PYTHONPATH=src python tests/identity_digest.py
 
@@ -7,6 +7,12 @@ unpenalized and penalized, on uniform data rounded to a grid (ties and exact
 zeros) and on blobs, nine seeds each, from 100 x 3 rows with 2 clusters to
 2100 x 19 with 10, at most 20 iterations. Each cell's digest covers every
 step's labels, coefficients, centroids and objective, as bytes.
+
+The state line covers the same steps without their objectives: every step's
+labels, coefficients and centroids, as bytes, and each run's step count. A
+change that moves only the objective's last bits keeps it, unless a moved
+objective changes where the ``tol`` test stops a run; the step counts then
+differ, and the first state the two sides disagree on names the run.
 
 The pair line covers ``pair_costs``' coefficient and distance matrices and
 ``nearest``'s labels and coefficients on the same data, against centroid
@@ -59,22 +65,25 @@ def spec(discrepancy: str, mode: str, penalized: bool) -> ModelSpec:
     return ModelSpec(discrepancy, mode, RegularizationParams(lambda_v=0.1, mu_v=0.05, **membership))
 
 
-def cell_digest(discrepancy: str, mode: str) -> tuple[str, int, int]:
-    """The cell's sha256, its run count and its step count."""
-    h = hashlib.sha256()
+def cell_digest(discrepancy: str, mode: str) -> tuple[str, str, int, int]:
+    """The cell's sha256, its state sha256, its run count and its step count."""
+    h, states = hashlib.sha256(), hashlib.sha256()
     runs = steps = 0
     for init, penalized, kind, seed in itertools.product(
         ["random_rows", "plusplus"], [False, True], ["uniform", "blobs"], SEEDS
     ):
         config = SolverConfig(n_clusters=shape(seed)[2], seed=seed, init=init, max_iter=20)
-        for step in fit_history(data(kind, seed), spec(discrepancy, mode, penalized), config):
-            h.update(step.membership.labels.tobytes())
-            h.update(step.membership.coefficients.tobytes())
-            h.update(step.centroids.tobytes())
+        history = fit_history(data(kind, seed), spec(discrepancy, mode, penalized), config)
+        for step in history:
+            state = (step.membership.labels, step.membership.coefficients, step.centroids)
+            for array in state:
+                h.update(array.tobytes())
+                states.update(array.tobytes())
             h.update(np.float64(step.objective).tobytes())
-            steps += 1
+        states.update(np.int64(len(history)).tobytes())
+        steps += len(history)
         runs += 1
-    return h.hexdigest(), runs, steps
+    return h.hexdigest(), states.hexdigest(), runs, steps
 
 
 def centroid_rows(X: np.ndarray, K: int, seed: int) -> np.ndarray:
@@ -115,8 +124,9 @@ def pair_digest(discrepancy: str, mode: str) -> tuple[str, int]:
 
 def main() -> None:
     for discrepancy, mode in CELLS:
-        digest, runs, steps = cell_digest(discrepancy, mode)
+        digest, states, runs, steps = cell_digest(discrepancy, mode)
         print(f"{discrepancy:2} {mode:10} runs={runs} steps={steps} {digest}")
+        print(f"{discrepancy:2} {mode:10} states runs={runs} steps={steps} {states}")
         digest, calls = pair_digest(discrepancy, mode)
         print(f"{discrepancy:2} {mode:10} pair calls={calls} {digest}")
 

@@ -6,7 +6,9 @@ assignment, coordinate medians with the midpoint convention). Both share the
 solver's conventions exactly: lowest-index tie-breaks, an empty cluster
 takes the farthest row (the solver's rule when no centroid penalty applies),
 objective recorded after each full iteration, stop on unchanged assignments. ``random_rows_seeds`` is the row-by-row loop the solver's
-``random_rows`` seeding must reproduce.
+``random_rows`` seeding must reproduce. ``plain_terms`` are the model
+objective's three terms written in plain numpy, and ``plain_objective``
+their sum.
 """
 
 from __future__ import annotations
@@ -111,3 +113,24 @@ def random_rows_seeds(X, n_clusters: int, seed: int) -> list[int]:
         if len(chosen) == n_clusters:
             break
     return chosen
+
+
+def plain_terms(X, labels, coefficients, V, spec) -> tuple[float, float, float]:
+    """fit, lambda_u sum(u) + mu_u sum(u^2) and lambda_v ||V||_1 + mu_v ||V||_F^2.
+
+    fit is the squared l2 norm or the l1 norm of X - U V, one flat sum over
+    the residual matrix; a row with label -1 has coefficient 0 and keeps x_m.
+    """
+    u = np.asarray(coefficients, dtype=float)
+    R = X - u[:, None] * V[np.maximum(labels, 0)]
+    fit = np.square(R).sum() if spec.discrepancy == "l2" else np.abs(R).sum()
+    reg = spec.reg
+    penalty_u = reg.lambda_u * u.sum() + reg.mu_u * (u * u).sum()
+    penalty_v = reg.lambda_v * np.abs(V).sum() + reg.mu_v * (V * V).sum()
+    return float(fit), float(penalty_u), float(penalty_v)
+
+
+def plain_objective(X, labels, coefficients, V, spec) -> float:
+    """The sum of the three ``plain_terms``, added in their order."""
+    fit, penalty_u, penalty_v = plain_terms(X, labels, coefficients, V, spec)
+    return fit + penalty_u + penalty_v

@@ -249,7 +249,7 @@ class TestRun:
             b"iteration,objective\r\n"
             b"1,57.151731561783954\r\n"
             b"2,47.857827934300587\r\n"
-            b"3,41.626431540831234\r\n"
+            b"3,41.626431540831227\r\n"
             b"4,37.153409469855077\r\n"
         )
         assert json.loads((out / "run.json").read_text())["empty_clusters"] == [1]

@@ -1,7 +1,11 @@
 """Unit tests for the core data types and the objective."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from onmfcluster import (
@@ -13,6 +17,10 @@ from onmfcluster import (
     dense_u,
     objective,
 )
+from onmfcluster.model import _objective_terms
+from reference import plain_objective, plain_terms
+
+CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
 
 
 class TestMembership:
@@ -176,3 +184,33 @@ class TestObjective:
             objective(np.ones((1, 2)), m, np.ones((2, 2)), spec)
         with pytest.raises(ValueError):
             objective(np.ones((1, 3)), m, np.ones((1, 2)), spec)
+
+
+WEIGHTS = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
+
+
+@st.composite
+def objective_problems(draw):
+    """A cell, penalty weights on and off, and a membership with label -1 rows."""
+    discrepancy, mode = draw(st.sampled_from(CELLS))
+    free = mode == "c1_free"
+    reg = RegularizationParams(
+        draw(WEIGHTS) if free else 0.0, draw(WEIGHTS), draw(WEIGHTS) if free else 0.0, draw(WEIGHTS)
+    )
+    M, N, K = draw(st.integers(1, 60)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(0, 10, (M, N)) * (rng.random((M, N)) < 0.8)
+    V = rng.uniform(0, 10, (K, N))
+    labels = np.where(rng.random(M) < 0.8, rng.integers(0, K, M), -1)
+    coeffs = rng.uniform(0.01, 3.0, M) if mode != "binary" else np.ones(M)
+    membership = Membership(labels, np.where(labels >= 0, coeffs, 0.0), K)
+    return X, membership, V, ModelSpec(discrepancy, mode, reg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(objective_problems())
+def test_objective_is_the_plain_three_term_formula_bit_for_bit(problem):
+    X, membership, V, spec = problem
+    plain = membership.labels, membership.coefficients, V, spec
+    assert objective(X, membership, V, spec) == plain_objective(X, *plain)
+    assert _objective_terms(X, membership, V, spec) == plain_terms(X, *plain)

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from onmfcluster import (
     DuplicateRowsError,
+    Membership,
     ModelSpec,
     NoValidCentroidError,
     RegularizationParams,
@@ -27,7 +28,7 @@ from onmfcluster import solver
 from onmfcluster.distance import pair_costs
 from onmfcluster.model import row_costs
 from onmfcluster.solver import _distinct_prefix
-from reference import kmedian_history, lloyd_kmeans_history, random_rows_seeds
+from reference import kmedian_history, lloyd_kmeans_history, plain_objective, random_rows_seeds
 
 CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
@@ -461,6 +462,39 @@ class TestZeroRows:
         X, spec = self._sparse_setup()
         res = fit(X, spec, SolverConfig(n_clusters=2, seed=1))
         assert res.unassigned_rows == {4}
+
+
+@settings(max_examples=150, deadline=None)
+@given(penalized_runs())
+def test_every_step_records_the_plain_three_term_objective(run):
+    X, spec, config = run
+    for step in fit_history(X, spec, config):
+        m = step.membership
+        assert step.objective == plain_objective(X, m.labels, m.coefficients, step.centroids, spec)
+
+
+@pytest.mark.parametrize("discrepancy, mode", CELLS)
+def test_each_step_membership_is_the_one_the_constructor_builds(discrepancy, mode):
+    # The loop hands its arrays to the membership without the constructor's
+    # copies and checks; they must be what the constructor would have made.
+    rng = np.random.default_rng(zlib.crc32(f"membership/{discrepancy}/{mode}".encode()))
+    X = rng.uniform(0, 10, (60, 4))
+    X[rng.random(60) < 0.3] *= 1e-3
+    lambda_u = (1.5 * X.sum(axis=1).mean() if discrepancy == "l1" else 4.0) if mode == "c1_free" else 0.0
+    spec = ModelSpec(discrepancy, mode, RegularizationParams(lambda_u=lambda_u, lambda_v=0.5))
+    thresholded = 0
+    for init in ["random_rows", "plusplus"]:
+        for step in fit_history(X, spec, SolverConfig(n_clusters=4, seed=5, init=init)):
+            m = step.membership
+            built = Membership(m.labels, m.coefficients, m.n_clusters)
+            assert m.n_clusters == built.n_clusters == 4
+            pairs = (m.labels, built.labels, np.int64), (m.coefficients, built.coefficients, np.float64)
+            for ours, theirs, dtype in pairs:
+                assert ours.dtype == theirs.dtype == dtype
+                assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+                assert not ours.flags.writeable and not theirs.flags.writeable
+            thresholded += int((m.labels == -1).sum())
+    assert (thresholded > 0) == (mode == "c1_free")
 
 
 @pytest.mark.parametrize("discrepancy, mode", CELLS)
