@@ -3,19 +3,21 @@
 ``centroid_l2`` soft-thresholds the weighted component means, ``centroid_l1``
 takes weighted regularized medians; they are the paper-level definitions and
 the oracles ``update_centroids`` is tested against. ``update_centroids``
-updates every cluster in one batched pass: under l2 all thresholded means
-come from one product U^T X, under l1 the rows are grouped by label once and
-the clusters, in order of size, are stacked into batches padded to a common
-width, each within the pair kernel's chunk budget of elements, and each
-batch takes one median sweep. With unit weights and no centroid penalties,
-as in K-median, the sweep's value is the plain column median, read off one
-sort per batch instead, stable only where a median is a signed zero. In
-normalized mode every row is projected onto the unit sphere once. Under l2
-that projection is the exact minimizer; under l1 a guard keeps the previous
-row where it is not. An empty cluster's
-row enters the objective only through its centroid penalty, so it takes its
-farthest data row only where that penalty does not grow: the update never
-raises the objective. Reseeding and the guard read each row's cost from
+updates every cluster in one batched pass. Under l2 all thresholded means
+come from one scatter of the coefficients into U, one product U^T X and one
+division by ||u_k||^2 + mu_v; in binary mode, where every coefficient is 1,
+||u_k||^2 is the member count. Under l1 the rows are grouped by label once
+and the clusters, in order of size, are stacked into batches padded to a
+common width, each within the pair kernel's chunk budget of elements, and
+each batch takes one median sweep. With unit weights and no centroid
+penalties, as in K-median, the sweep's value is the plain column median,
+read off one sort per batch instead, stable only where a median is a signed
+zero. In normalized mode every row is projected onto the unit sphere once.
+Under l2 that projection is the exact minimizer; under l1 a guard keeps the
+previous row where it is not. An empty cluster's row enters the
+objective only through its centroid penalty, so it takes its farthest data
+row only where that penalty does not grow: the update never raises the
+objective. Reseeding and the guard read each row's cost from
 ``model.row_costs``, whose sum with the centroid penalties is the objective
 to rounding.
 """
@@ -115,11 +117,15 @@ def _add_penalties(costs: np.ndarray, W: np.ndarray, reg: RegularizationParams) 
 
 
 def _unit_rows(W: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Project W's rows onto the unit sphere in place; a zero row becomes e_j for the largest A[k, j]."""
+    """Project W's rows onto the unit sphere in place; a zero row becomes e_j for the largest A[k, j].
+
+    Every row is divided in one step, a zero row by 1, which keeps its bytes.
+    """
     norms = np.sqrt(np.einsum("kn,kn->k", W, W))
     zero = norms == 0.0
-    W[~zero] /= norms[~zero, None]
-    W[zero, A[zero].argmax(axis=1)] = 1.0
+    W /= np.where(zero, 1.0, norms)[:, None]
+    if zero.any():
+        W[zero, A[zero].argmax(axis=1)] = 1.0
     return W
 
 
@@ -139,6 +145,13 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
     candidate would increase its cluster's cost. X and ``previous`` must fit
     the membership as in ``row_costs``, or ``ValueError`` is raised; so it
     is under l2 where a weighted mean overflows.
+
+    Under l2 the rows are one product U^T X divided by each cluster's
+    ||u_k||^2 + mu_v, in place outside normalized mode. In binary mode,
+    where every coefficient is exactly 1, ||u_k||^2 is the member count,
+    which is exact; any other membership sums the squares of U. Under l1,
+    U^T X is formed only in normalized mode, where it ranks a zero row's
+    components.
     """
     X = np.asarray(X, dtype=float)
     previous = np.asarray(previous, dtype=float)
@@ -147,26 +160,40 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
 
     reg = spec.reg
     labels, coeffs = membership.labels, membership.coefficients
+    # A solver's binary membership labels every row with coefficient 1; only
+    # the l2 update reads the counts this gives.
+    unit = spec.discrepancy == "l2" and spec.constraint_mode == "binary" and bool((coeffs == 1.0).all())
     members = coeffs > 0
-    sizes = np.bincount(labels[members], minlength=n_clusters)
+    sizes = np.bincount(labels if unit else labels[members], minlength=n_clusters)
     full = sizes > 0
+    empty = np.flatnonzero(~full)
     normalized = spec.constraint_mode == "normalized"
-    V = previous.copy()
     if spec.discrepancy == "l2" or normalized:
         U = dense_u(membership)
         # Under l1, A only ranks a zero row's components, where +inf still ranks.
         with np.errstate(over="ignore"):
             A = U.T @ X
-        A -= reg.lambda_v / 2.0
+        if reg.lambda_v:
+            A -= reg.lambda_v / 2.0
     if spec.discrepancy == "l2":
+        # A unit coefficient squares to 1, so ||u_k||^2 is the member count, exactly.
+        squares = sizes if unit else np.einsum("mk,mk->k", U, U)
         with np.errstate(all="ignore"):
-            W = A[full] / (np.einsum("mk,mk->k", U, U)[full] + reg.mu_v)[:, None]
-        if not np.isfinite(W).all():
+            # In place, except where a normalized zero row still ranks its components by A.
+            W = np.divide(A, (squares + reg.mu_v)[:, None], out=None if normalized else A)
+        # Only the clusters with members must be finite: an empty one's
+        # quotient may be 0/0, and it is replaced below.
+        finite = np.isfinite(W)
+        if not finite.all() and not finite[full].all():
             raise ValueError(
                 "the l2 centroid update (U^T X over the squared coefficient sums) overflows float64; rescale the data"
             )
-        V[full] = np.maximum(W, 0.0)
+        np.maximum(W, 0.0, out=W)
+        # An empty cluster keeps its previous row until the reseeding below.
+        W[empty] = previous[empty]
+        V = W
     else:
+        V = previous.copy()
         rows = np.flatnonzero(members)
         rows = rows[np.argsort(labels[rows], kind="stable")]
         starts = np.cumsum(sizes) - sizes
@@ -191,7 +218,6 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
 
     if normalized:
         _unit_rows(V, A)
-    empty = np.flatnonzero(~full)
     if empty.size:
         farthest = np.argsort(-row_costs(X, membership, previous, spec), kind="stable")[: empty.size]
         empty = empty[: farthest.size]

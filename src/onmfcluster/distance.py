@@ -178,7 +178,8 @@ def _l2_costs(
     denom = (np.einsum("kn,kn->k", V, V) + mu)[:, None]
     degenerate = np.flatnonzero(denom <= 0.0)
     A = V @ X.T
-    A -= lam / 2.0
+    if lam:
+        A -= lam / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         T = np.divide(A, denom)
     np.maximum(T, 0.0, out=T)
@@ -329,7 +330,9 @@ class _L1Bounds:
     row k of ``centroids``, ``labels`` is the last assignment's argmin and
     ``norms`` holds each row's ||x||_1. ``lower`` is K x M so that the
     per-row terms of its updates run along the long axis. A fit starts with
-    bounds that rule out no pair.
+    bounds that rule out no pair. In binary mode the solver's ``Membership``
+    takes ``labels`` as it is and marks it read-only, so each assignment
+    replaces it and never writes it in place.
     """
 
     def __init__(self, X: np.ndarray, V: np.ndarray):

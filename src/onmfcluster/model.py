@@ -119,12 +119,13 @@ class Membership:
 def dense_u(membership: Membership) -> np.ndarray:
     """Expand a sparse membership into the dense M x K coefficient matrix.
 
-    At most one entry per row is nonzero, so the columns of the result are
-    pairwise orthogonal by construction.
+    One scatter writes each row's coefficient at (row, label). At most one
+    entry per row is nonzero, so the columns of the result are pairwise
+    orthogonal by construction. An unlabelled row has coefficient 0, so its
+    write, which label -1 sends to column K - 1, leaves a zero there.
     """
     U = np.zeros((membership.n_rows, membership.n_clusters))
-    assigned = membership.labels >= 0
-    U[np.nonzero(assigned)[0], membership.labels[assigned]] = membership.coefficients[assigned]
+    U[np.arange(membership.n_rows), membership.labels] = membership.coefficients
     return U
 
 

@@ -18,10 +18,11 @@ distances from ``pair_costs``) and every assignment, and hands each
 assignment the state the previous one returned. The centroid update reads
 each row's cost from ``model.row_costs``; the objective is the paper's three
 terms, each one flat reduction, and each step's ``Membership`` takes the
-arrays the loop just made without copying or checking them again. The scalar
-``assign`` and ``coefficient_and_distance`` remain the paper-level
-definitions the kernel is tested against; under l1 they run its median
-sweep, whose oracle is ``brute_force_min``.
+arrays the loop just made without copying or checking them again. Binary
+labels go in as the kernel returns them: every binary coefficient is 1, so
+no row is unlabelled. The scalar ``assign`` and ``coefficient_and_distance``
+remain the paper-level definitions the kernel is tested against; under l1
+they run its median sweep, whose oracle is ``brute_force_min``.
 """
 
 from __future__ import annotations
@@ -164,7 +165,9 @@ def _steps(X, spec: ModelSpec, config: SolverConfig) -> Iterator[tuple[FitStep, 
     state = prev = None
     for _ in range(config.max_iter):
         labels, coeffs, state = nearest(X, xx, V, spec, state)
-        membership = Membership._of(np.where(coeffs == 0.0, -1, labels), coeffs, K)
+        if spec.constraint_mode != "binary":
+            labels = np.where(coeffs == 0.0, -1, labels)
+        membership = Membership._of(labels, coeffs, K)
         V = update_centroids(X, membership, spec, V)
         step = FitStep(membership, V, objective(X, membership, V, spec))
         converged = False

@@ -1,4 +1,4 @@
-"""Three sha256 lines per (discrepancy, mode) cell: a fixed stream of fits, its states, and pair-kernel calls.
+"""Four sha256 lines per (discrepancy, mode) cell: a fixed stream of fits, its states, pair-kernel calls and hand-built updates.
 
     PYTHONPATH=src python tests/identity_digest.py
 
@@ -24,6 +24,17 @@ entries with data, then those rows with every entry scaled by a factor in
 centroid is then degenerate under l2) and with lambda_u and mu_u. A change
 in a pair that no row picks shows here only.
 
+The hand line covers ``update_centroids``, then ``row_costs`` and
+``objective`` at the centroids it returns, on memberships that no
+``fit_history`` builds, without and with the cell's penalties: every row
+labelled with coefficients that include 0.0 and -0.0; the same with
+unlabelled rows (coefficient 0.0 or -0.0) and an empty last cluster; every
+row labelled with coefficient 1; and that with the empty cluster. The first
+two are binary memberships with coefficients outside {0, 1} in the binary
+cell. The first five data rows are zero and make up cluster 0 alone, so in
+normalized mode its centroid is a zero row that becomes a unit vector. The
+public functions' bytes then sit beside the fit loop's.
+
 Two checkouts whose fits and pair costs are byte-identical print the same
 lines, so a change that claims to keep those bytes runs this on both sides
 and compares the output. pytest does not collect this file.
@@ -36,8 +47,10 @@ import itertools
 
 import numpy as np
 
-from onmfcluster import ModelSpec, RegularizationParams, SolverConfig, fit_history
+from onmfcluster import Membership, ModelSpec, RegularizationParams, SolverConfig, fit_history, objective
+from onmfcluster import update_centroids
 from onmfcluster.distance import nearest, pair_costs
+from onmfcluster.model import row_costs
 
 CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
 SEEDS = range(9)
@@ -122,6 +135,54 @@ def pair_digest(discrepancy: str, mode: str) -> tuple[str, int]:
     return h.hexdigest(), calls
 
 
+def hand_memberships(M: int, K: int, seed: int) -> list[Membership]:
+    """The four memberships of the hand line; rows 0 to 4 alone make up cluster 0."""
+    rng = np.random.default_rng([seed, 4])
+    labels = rng.integers(1, K, M)
+    labels[:5] = 0
+    labels[5:5 + K] = np.arange(K)
+    labels[5] = min(1, K - 1)
+    coeffs = rng.uniform(0.5, 2.0, M)
+    coeffs[rng.random(M) < 0.2] = 1.0
+    coeffs[rng.random(M) < 0.1] = 0.0
+    coeffs[rng.random(M) < 0.1] = -0.0
+    coeffs[:5 + K] = 1.0
+    out = (rng.random(M) < 0.1) | (labels == K - 1)
+    out[:5] = False
+    zeros = np.where(rng.random(M) < 0.5, 0.0, -0.0)
+    ones = np.ones(M)
+    return [
+        Membership(labels, coeffs, K),
+        Membership(np.where(out, -1, labels), np.where(out, zeros, coeffs), K),
+        Membership(labels, ones, K),
+        Membership(np.where(out, -1, labels), np.where(out, zeros, ones), K),
+    ]
+
+
+def hand_digest(discrepancy: str, mode: str) -> tuple[str, int]:
+    """The cell's sha256 of hand-built updates, their row costs and objectives, and its update count."""
+    h = hashlib.sha256()
+    calls = 0
+    for penalized, kind, seed in itertools.product([False, True], ["uniform", "blobs"], SEEDS):
+        X = data(kind, seed)
+        X[:5] = 0.0
+        M, K = X.shape[0], shape(seed)[2]
+        spec_ = spec(discrepancy, mode, penalized)
+        rng = np.random.default_rng([seed, 5])
+        previous = X[rng.choice(M, K, replace=False)]
+        if mode == "normalized":
+            # Every other previous row on the sphere, as after a first update.
+            norms = np.linalg.norm(previous[::2], axis=1, keepdims=True)
+            previous[::2] = np.divide(previous[::2], norms, out=previous[::2], where=norms > 0)
+        for membership in hand_memberships(M, K, seed):
+            V = update_centroids(X, membership, spec_, previous)
+            h.update(V.tobytes())
+            h.update(row_costs(X, membership, V, spec_).tobytes())
+            h.update(np.float64(objective(X, membership, V, spec_)).tobytes())
+            calls += 1
+    return h.hexdigest(), calls
+
+
 def main() -> None:
     for discrepancy, mode in CELLS:
         digest, states, runs, steps = cell_digest(discrepancy, mode)
@@ -129,6 +190,8 @@ def main() -> None:
         print(f"{discrepancy:2} {mode:10} states runs={runs} steps={steps} {states}")
         digest, calls = pair_digest(discrepancy, mode)
         print(f"{discrepancy:2} {mode:10} pair calls={calls} {digest}")
+        digest, calls = hand_digest(discrepancy, mode)
+        print(f"{discrepancy:2} {mode:10} hand calls={calls} {digest}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ takes the farthest row (the solver's rule when no centroid penalty applies),
 objective recorded after each full iteration, stop on unchanged assignments. ``random_rows_seeds`` is the row-by-row loop the solver's
 ``random_rows`` seeding must reproduce. ``plain_terms`` are the model
 objective's three terms written in plain numpy, and ``plain_objective``
-their sum.
+their sum. ``plain_l2_update`` is the l2 centroid update of the clusters
+with members, as a masked dense U, one product and a division.
 """
 
 from __future__ import annotations
@@ -134,3 +135,31 @@ def plain_objective(X, labels, coefficients, V, spec) -> float:
     """The sum of the three ``plain_terms``, added in their order."""
     fit, penalty_u, penalty_v = plain_terms(X, labels, coefficients, V, spec)
     return fit + penalty_u + penalty_v
+
+
+def plain_l2_update(X, labels, coefficients, n_clusters: int, spec, previous) -> np.ndarray:
+    """The l2 centroid update of every cluster with a member of positive coefficient; other rows keep previous.
+
+    U is filled through a mask of the labelled rows. Such a cluster k takes
+    max((U^T X - lambda_v / 2)[k] / (sum_m U[m, k]^2 + mu_v), 0), and in
+    normalized mode every row is then divided by its norm, a zero row of a
+    cluster with members becoming e_j for the largest entry of its row of
+    U^T X - lambda_v / 2.
+    """
+    labels = np.asarray(labels)
+    u = np.asarray(coefficients, dtype=float)
+    U = np.zeros((labels.size, n_clusters))
+    assigned = labels >= 0
+    U[np.nonzero(assigned)[0], labels[assigned]] = u[assigned]
+    A = U.T @ X - spec.reg.lambda_v / 2.0
+    full = np.bincount(labels[u > 0], minlength=n_clusters) > 0
+    V = np.array(previous, dtype=float)
+    V[full] = np.maximum(A[full] / (np.einsum("mk,mk->k", U, U)[full] + spec.reg.mu_v)[:, None], 0.0)
+    if spec.constraint_mode == "normalized":
+        norms = np.sqrt(np.einsum("kn,kn->k", V, V))
+        for k in range(n_clusters):
+            if norms[k] > 0.0:
+                V[k] /= norms[k]
+            elif full[k]:
+                V[k, A[k].argmax()] = 1.0
+    return V

@@ -5,8 +5,11 @@ it cluster by cluster against ``centroid_l2``/``centroid_l1`` (projected onto
 the unit sphere in normalized mode), check the normalized-mode guard and the
 reseeding of empty clusters, and check ``row_costs`` against a per-row
 residual and against the distances the assignment chose, in all six
-(discrepancy, mode) cells. Memberships include unlabelled rows and labelled
-rows with coefficient 0.
+(discrepancy, mode) cells. Memberships include unlabelled rows, labelled
+rows with coefficient 0 and binary memberships with coefficients outside
+{0, 1}. The l2 update must also equal the plain masked arithmetic of
+``reference.plain_l2_update`` bit for bit, and the zero rows of an l1
+normalized update rank their components by X^T u_k - lambda_v / 2.
 """
 
 import itertools
@@ -33,6 +36,7 @@ from onmfcluster.centroid import _medians
 from onmfcluster.distance import pair_costs
 from onmfcluster.model import row_costs
 from onmfcluster.scalar_prox import _weighted_reg_medians
+from reference import plain_l2_update
 
 CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
 ENTRIES = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
@@ -65,7 +69,10 @@ def updates(draw):
     spec = _spec(draw, discrepancy, mode, draw(LAMBDA_V), draw(PENALTIES))
     X = _with_null_rows(draw, (M, N))
     labels = draw(arrays(np.int64, M, elements=st.integers(-1, K - 1)))
-    elements = st.sampled_from([0.0, 1.0]) if mode == "binary" else COEFFICIENTS
+    # Binary memberships that a fit builds have coefficients in {0, 1}; some
+    # built by hand do not.
+    unit = mode == "binary" and draw(st.booleans())
+    elements = st.sampled_from([0.0, 1.0]) if unit else COEFFICIENTS
     coeffs = draw(arrays(float, M, elements=elements))
     coeffs[labels < 0] = 0.0
     previous = _with_null_rows(draw, (K, N))
@@ -192,6 +199,45 @@ def test_update_matches_the_per_cluster_definitions(update):
             _assert_one_of(V[k], options)
         else:
             assert any(np.array_equal(V[k], o) for o in options), (k, V[k], options)
+
+
+@PROPERTY
+@given(updates())
+@example((np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), Membership([0, 0, 1], [0.5, 1.0, 1.0], 2),
+          ModelSpec("l2", "binary"), np.zeros((2, 2))))
+@example(_empty_cluster_update("l2", "normalized", lambda_v=1.0))
+def test_l2_update_is_the_plain_arithmetic_bit_for_bit(update):
+    # One scatter, the member counts of a unit binary membership, and the
+    # division in place must give the masked, copied arithmetic's bytes; a
+    # binary membership whose coefficients are not all 1 keeps its sums of
+    # squares, where the counts would give [[1.75, 2.5], ...] above.
+    X, membership, spec, previous = update
+    spec = ModelSpec("l2", spec.constraint_mode, spec.reg)
+    V = update_centroids(X, membership, spec, previous)
+    labels, coeffs = membership.labels, membership.coefficients
+    expected = plain_l2_update(X, labels, coeffs, membership.n_clusters, spec, previous)
+    full = np.bincount(labels[coeffs > 0], minlength=membership.n_clusters) > 0
+    assert V[full].tobytes() == expected[full].tobytes()
+
+
+def _zero_median_update():
+    # lambda_v = 100 thresholds every median to 0, so clusters 0 and 1 are
+    # zero rows, and cluster 2 is empty; the previous rows are off the sphere.
+    X = np.array([[3.0, 1.0], [2.0, 1.0], [0.0, 5.0]])
+    membership = Membership([0, 0, 1], [1.0, 2.0, 0.5], 3)
+    spec = ModelSpec("l1", "normalized", RegularizationParams(lambda_v=100.0))
+    return X, membership, spec, np.full((3, 2), 2.0)
+
+
+def test_l1_normalized_zero_rows_rank_by_the_product():
+    X, membership, spec, previous = _zero_median_update()
+    V = update_centroids(X, membership, spec, previous)
+    # X^T u_k - lambda_v / 2 for clusters 0 and 1.
+    A = np.array([1.0 * X[0] + 2.0 * X[1], 0.5 * X[2]]) - 50.0
+    assert_array_equal(V[:2], np.eye(2)[A[:2].argmax(axis=1)])
+    # Row 1 is the farthest from its previous row (a tie with row 2, the lower
+    # index first), and its unit row has the smaller centroid penalty.
+    assert_array_equal(V[2], X[1] / np.linalg.norm(X[1]))
 
 
 @st.composite
