@@ -231,7 +231,8 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
             fit = np.bincount(labels[members], row_costs(X, membership, W, spec)[members], n_clusters)
             return _add_penalties(fit, W, reg)
 
-        # The very first update starts from raw data rows, which are never kept.
+        # Normalized seeds are unit rows, so the guard holds from the first
+        # update on; a zero seed row is not feasible and is never kept.
         feasible = full & (np.abs(np.einsum("kn,kn->k", previous, previous) - 1.0) <= 1e-9)
         keep = feasible & (block_costs(V) > block_costs(previous))
         V[keep] = previous[keep]

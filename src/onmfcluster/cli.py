@@ -3,6 +3,19 @@
 Exit codes: 0 on success, 2 for input errors (unreadable or malformed CSV,
 invalid parameters, an output path that cannot be written), 3 for solver
 degeneracy (duplicate rows at seeding, no valid centroid).
+
+A command-line run (``python -m onmfcluster``, ``python -m onmfcluster.cli``
+or the ``onmfcluster`` script) goes through :func:`entry`. Once ``main`` has
+returned, every result file is written, closed and moved into place and the
+staging directory is gone, so nothing the run owes its caller is left; the
+interpreter's teardown would only free numpy's modules and objects, tens of
+milliseconds that the caller waits for, as long as a small fit. So
+``entry`` flushes stdout and stderr and ends the process with
+``os._exit``. It exits normally instead where ``main`` raises (argparse's
+``--help`` and usage errors included) or a tracer, profiler or monitoring
+tool watches the process (coverage, cProfile, pdb), since those write their
+results at exit. ``main`` itself returns the exit code, so in-process
+callers are unaffected.
 """
 
 from __future__ import annotations
@@ -148,12 +161,27 @@ def _scan(path) -> np.ndarray:
     return data
 
 
-def _write_csv(path: Path, header: str | None, fmt: str, *columns) -> None:
-    """Write ``fmt`` per row of the columns below an optional header, CRLF-terminated, in one ``%``."""
-    flat = [None] * (len(columns) * len(columns[0]))
-    for j, column in enumerate(columns):
-        flat[j::len(columns)] = column
-    body = ((fmt + "\r\n") * len(columns[0])) % tuple(flat)
+def _write_csv(path: Path, header: str | None, formats: list[str], *columns: np.ndarray) -> None:
+    """Write a row per entry of the columns below an optional header, CRLF-terminated, in one ``%``.
+
+    Column j is formatted with ``formats[j]``. A column whose entries all
+    share one bit pattern, such as binary mode's coefficient 1, is formatted
+    once into the row format; bits, not ``==``, decide, so a column mixing
+    -0.0 and 0.0 is still formatted row by row.
+    """
+    rows = len(columns[0])
+    specs, varying = [], []
+    for spec, column in zip(formats, columns):
+        bits = column.view(f"u{column.itemsize}")
+        if (bits == bits[0]).all():
+            specs.append(spec % column[0].item())
+        else:
+            specs.append(spec)
+            varying.append(column.tolist())
+    flat = [None] * (len(varying) * rows)
+    for j, column in enumerate(varying):
+        flat[j::len(varying)] = column
+    body = ((",".join(specs) + "\r\n") * rows) % tuple(flat)
     with open(path, "w", newline="") as fh:
         fh.write(body if header is None else header + "\r\n" + body)
 
@@ -250,12 +278,12 @@ def _write_files(out: Path, X: np.ndarray, result: FactorizationResult, spec: Mo
     _write_csv(
         out / "assignments.csv",
         "row_index,cluster,coefficient,distance,unassigned",
-        "%d,%d,%.17g,%.17g,%d",
-        range(X.shape[0]), labels.tolist(), coeffs.tolist(), dist.tolist(), (labels < 0).tolist(),
+        ["%d", "%d", "%.17g", "%.17g", "%d"],
+        np.arange(X.shape[0]), labels, coeffs, dist, labels < 0,
     )
-    _write_csv(out / "centroids.csv", None, ",".join(["%.17g"] * V.shape[1]), *V.T.tolist())
-    trace = result.objective_trace.tolist()
-    _write_csv(out / "trace.csv", "iteration,objective", "%d,%.17g", range(1, len(trace) + 1), trace)
+    _write_csv(out / "centroids.csv", None, ["%.17g"] * V.shape[1], *V.T)
+    trace = result.objective_trace
+    _write_csv(out / "trace.csv", "iteration,objective", ["%d", "%.17g"], np.arange(1, trace.size + 1), trace)
     with open(out / "run.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -313,5 +341,28 @@ def main(argv=None) -> int:
     return run(args.input, args.out, spec, config)
 
 
+def entry() -> int:
+    """Run ``main`` on the command line and end the process once it returns.
+
+    With no trace, profile or monitoring function set, stdout and stderr are
+    flushed and the process ends at once with ``main``'s exit code, skipping
+    the interpreter's teardown; otherwise the code is returned for the normal
+    exit. An exception from ``main`` propagates, so that exit is normal too.
+    pdb traces only while a breakpoint is set: after ``continue`` with none,
+    the run ends here rather than back at pdb's prompt.
+    """
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+, where cProfile and coverage may use it
+    watched = sys.gettrace() is not None or sys.getprofile() is not None or (
+        monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
+    )
+    if not watched:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None where the descriptor was closed at start-up
+                stream.flush()
+        os._exit(code)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

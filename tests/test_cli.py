@@ -1,5 +1,8 @@
 """Unit tests for CSV ingestion and the command-line runner."""
 
+import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -13,12 +16,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 from onmfcluster.cli import (
     CsvFormatError,
     NegativeEntryError,
+    _write_csv,
     load_csv,
     main,
     run,
 )
 from onmfcluster.model import Membership, ModelSpec, RegularizationParams, row_costs
-from onmfcluster.solver import SolverConfig
+from onmfcluster.solver import SolverConfig, fit
 
 TOY = "0,0\n0,1\n10,10\n10,11\n"
 
@@ -348,12 +352,58 @@ def test_distance_column_is_each_rows_share_of_the_objective(tmp_path, discrepan
         assert zero[-2:].all()
 
 
+@pytest.mark.parametrize(
+    "mode, extra",
+    [("binary", []), ("c1-free", ["--lambda-u", "1e6"])],
+    ids=["binary", "every-row-thresholded"],
+)
+def test_assignments_equal_the_per_row_formatting(tmp_path, mode, extra):
+    # Binary mode's coefficient 1 and unassigned 0, and a thresholded run's
+    # cluster -1, coefficient 0 and unassigned 1, are each one value over the
+    # whole run, which the writer formats once.
+    X = np.random.default_rng(3).uniform(0, 10, (30, 3))
+    path = tmp_path / "x.csv"
+    np.savetxt(path, X, fmt="%.17g", delimiter=",")
+    out = tmp_path / "out"
+    argv = ["--input", str(path), "--out", str(out), "--k", "3", "--mode", mode, "--seed", "2", *extra]
+    assert main(argv) == 0
+    spec = ModelSpec("l2", mode.replace("-", "_"), RegularizationParams(lambda_u=1e6 if extra else 0.0))
+    result = fit(X, spec, SolverConfig(n_clusters=3, seed=2))
+    labels, coeffs = result.membership.labels, result.membership.coefficients
+    if extra:
+        assert (labels == -1).all() and (coeffs == 0.0).all()
+    dist = row_costs(X, result.membership, result.centroids, spec)
+    rows = "".join(
+        "%d,%d,%.17g,%.17g,%d\r\n" % (m, labels[m], coeffs[m], dist[m], labels[m] < 0) for m in range(len(X))
+    )
+    expected = "row_index,cluster,coefficient,distance,unassigned\r\n" + rows
+    assert (out / "assignments.csv").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[0.0, -0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0], [1.5, 1.5]],
+    ids=["zero-first", "minus-zero-first", "minus-zeros", "equal"],
+)
+def test_only_a_column_of_one_bit_pattern_is_formatted_once(tmp_path, column):
+    # -0.0 == 0.0, but they print as "-0" and "0", so equal values are not
+    # enough to format a column once.
+    column = np.array(column)
+    _write_csv(tmp_path / "t.csv", "i,x", ["%d", "%.17g"], np.arange(column.size), column)
+    expected = "i,x\r\n" + "".join("%d,%.17g\r\n" % (i, x) for i, x in enumerate(column))
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def _child(*args, cwd):
-    """Run ``python *args`` in a child process that finds the package in src/."""
-    env = dict(os.environ)
+    """Run ``python *args`` in a child process that finds the package in src/.
+
+    Its stdout is block-buffered, as on any pipe, so output the child does not
+    flush before it ends is lost.
+    """
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
 
@@ -368,15 +418,66 @@ def test_help_exits_0(module, tmp_path):
 @pytest.mark.parametrize("module", ["onmfcluster", "onmfcluster.cli"])
 def test_entry_point_writes_the_in_process_result_files(module, toy_csv, tmp_path):
     # Both runs write into the same directory, so run.json differs only in
-    # its wall time.
+    # its wall time. The child ends without interpreter teardown, after which
+    # only the four result files are there: no staging directory is left.
     out = tmp_path / "out"
-    argv = _toy_args(toy_csv, out, "--lambda-v", "0.5")
-    assert main(argv) == 0
-    expected = {name: (out / name).read_bytes() for name in ("assignments.csv", "centroids.csv", "trace.csv")}
-    report = json.loads((out / "run.json").read_text())
-    proc = _child("-W", "error", "-m", module, *argv, cwd=tmp_path)
+    for mode in (["--lambda-v", "0.5"], ["--mode", "c1-free", "--lambda-u", "1"], ["--mode", "normalized"]):
+        argv = _toy_args(toy_csv, out, *mode)
+        assert main(argv) == 0
+        expected = {name: (out / name).read_bytes() for name in ("assignments.csv", "centroids.csv", "trace.csv")}
+        report = json.loads((out / "run.json").read_text())
+        proc = _child("-W", "error", "-m", module, *argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert sorted(p.name for p in out.iterdir()) == sorted([*expected, "run.json"])
+        assert {name: (out / name).read_bytes() for name in expected} == expected
+        child_report = json.loads((out / "run.json").read_text())
+        del child_report["wall_time_seconds"], report["wall_time_seconds"]
+        assert child_report == report
+
+
+@pytest.mark.parametrize("module", ["onmfcluster", "onmfcluster.cli"])
+def test_a_failed_command_line_run_exits_with_its_code_and_message(module, tmp_path):
+    # stderr is a pipe here, as under the benchmark, so the message must be
+    # flushed before the process ends.
+    (tmp_path / "equal.csv").write_text("1,2\n1,2\n")
+    for name, code, message in [("missing.csv", 2, "error: "), ("equal.csv", 3, "error: solver degeneracy: ")]:
+        proc = _child("-m", module, "--input", name, "--out", "o", "--k", "2", cwd=tmp_path)
+        assert proc.returncode == code
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+
+def test_a_command_line_run_skips_teardown_after_flushing(toy_csv, tmp_path):
+    # An exit handler stands for the interpreter's teardown: it does not run,
+    # while output written before the run, with no line break, still arrives.
+    code = "import atexit, runpy; atexit.register(print, 'teardown'); print('before', end=''); "
+    code += "runpy.run_module('onmfcluster', run_name='__main__')"
+    proc = _child("-c", code, *_toy_args(toy_csv, tmp_path / "out"), cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "before", "")
+    assert (tmp_path / "out" / "run.json").exists()
+
+
+def test_a_command_line_run_without_stdout_exits_0(toy_csv, tmp_path):
+    # sys.stdout is None where descriptor 1 was closed at start-up.
+    code = "import runpy, sys; sys.stdout = None; runpy.run_module('onmfcluster', run_name='__main__')"
+    proc = _child("-c", code, *_toy_args(toy_csv, tmp_path / "out"), cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert {name: (out / name).read_bytes() for name in expected} == expected
-    child_report = json.loads((out / "run.json").read_text())
-    del child_report["wall_time_seconds"], report["wall_time_seconds"]
-    assert child_report == report
+    assert (tmp_path / "out" / "run.json").exists()
+
+
+def test_a_profiled_command_line_run_exits_normally(toy_csv, tmp_path):
+    # A profiler writes its results at exit, so the run must not skip it.
+    proc = _child("-m", "cProfile", "-m", "onmfcluster", *_toy_args(toy_csv, tmp_path / "out"), cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
+
+
+def test_the_console_script_is_the_function_python_m_runs():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["onmfcluster"].partition(":")
+    target = getattr(importlib.import_module(module), name)
+    package_main = importlib.import_module("onmfcluster.__main__")
+    calls = [node.func.id for node in ast.walk(ast.parse(inspect.getsource(package_main)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert [getattr(package_main, call) for call in calls] == [target]

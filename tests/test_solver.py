@@ -117,6 +117,16 @@ class TestInitCentroids:
         with pytest.raises(NoValidCentroidError):
             fit(X, LASSO, config)
 
+    def test_normalized_seeds_are_the_drawn_rows_over_their_norms(self):
+        # 5e-324's square underflows, so that row's norm is 0 in float64 and
+        # it stays as drawn, as does the zero row.
+        X = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 2.0], [5e-324, 0.0]])
+        config = SolverConfig(n_clusters=4, seed=0)
+        unit = {(0.0, 0.0): (0.0, 0.0), (3.0, 4.0): (0.6, 0.8), (0.0, 2.0): (0.0, 1.0), (5e-324, 0.0): (5e-324, 0.0)}
+        drawn = init_centroids(X, config, ModelSpec())
+        seeds = init_centroids(X, config, ModelSpec("l1", "normalized"))
+        assert [tuple(row) for row in seeds] == [unit[tuple(row)] for row in drawn]
+
     def test_more_clusters_than_rows(self):
         cfg = SolverConfig(n_clusters=5, seed=0)
         with pytest.raises(ValueError):
@@ -411,8 +421,6 @@ def test_l1_fits_scale_exactly_with_the_data(seed, mode, init, penalized):
     # exactly, so every label stays and every value scales. Penalties scale
     # where the objective does: lambda_u, mu_u and 1 / mu_v with the data
     # (normalized centroids do not scale, so that mode runs without them).
-    # A normalized fit's first coefficients are measured against raw seed
-    # rows, so its coefficients and objective scale from step 2 on.
     rng = np.random.default_rng(seed)
     X = rng.uniform(0, 1, (40, 3))
     reg = scaled_reg = RegularizationParams()
@@ -424,17 +432,26 @@ def test_l1_fits_scale_exactly_with_the_data(seed, mode, init, penalized):
     ours = fit_history(X, ModelSpec("l1", mode, reg), config)
     scaled = fit_history(X * SCALE, ModelSpec("l1", mode, scaled_reg), config)
     assert len(scaled) == len(ours)
-    for i, (a, b) in enumerate(zip(ours, scaled)):
+    for a, b in zip(ours, scaled):
         assert b.membership.labels.tobytes() == a.membership.labels.tobytes()
         if mode == "normalized":
             assert b.centroids.tobytes() == a.centroids.tobytes()
-            if i > 0:
-                assert b.membership.coefficients.tobytes() == (a.membership.coefficients * SCALE).tobytes()
-                assert b.objective == a.objective * SCALE
+            assert b.membership.coefficients.tobytes() == (a.membership.coefficients * SCALE).tobytes()
+            assert b.objective == a.objective * SCALE
         else:
             assert b.membership.coefficients.tobytes() == a.membership.coefficients.tobytes()
             assert b.centroids.tobytes() == (a.centroids * SCALE).tobytes()
             assert b.objective == a.objective * SCALE
+
+
+def test_a_normalized_l1_trace_scales_exactly_from_its_first_step():
+    # The seeds are unit rows, so the first coefficients, too, are measured
+    # against centroids that do not scale with the data.
+    X = np.random.default_rng(0).uniform(0, 1, (40, 3))
+    config = SolverConfig(n_clusters=3, seed=0, max_iter=30, tol=0.0)
+    spec = ModelSpec("l1", "normalized")
+    trace = fit(X, spec, config).objective_trace
+    assert fit(X * SCALE, spec, config).objective_trace.tobytes() == (trace * SCALE).tobytes()
 
 
 class TestZeroRows:
