@@ -11,7 +11,6 @@ spherical variant.
 
 from .centroid import centroid_l1, centroid_l2, update_centroids
 from .distance import (
-    DegenerateCentroidError,
     NoValidCentroidError,
     assign,
     coefficient_and_distance,
@@ -44,7 +43,6 @@ from .solver import DuplicateRowsError, FitStep, SolverConfig, fit, fit_history,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateCentroidError",
     "DegenerateObjectiveWarning",
     "DuplicateRowsError",
     "FactorizationResult",

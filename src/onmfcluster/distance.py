@@ -6,12 +6,12 @@ and the distance is the attained minimum (squared units for the l2
 discrepancy, plain units for l1). Every cost reads lambda_u and mu_u from
 ``spec.reg``, which ``ModelSpec`` keeps at 0 outside ``c1_free``.
 
-The degenerate-centroid rule: a pair without a usable coefficient (a zero
-centroid under an l2 sparsity penalty with mu_u = 0, or an l1 coefficient
-past float64's range) costs +inf. Every argmin skips it,
-``NoValidCentroidError`` is raised where a row has no centroid at a finite
-distance, and ``plusplus`` seeding reads the same costs. The scalar l2
-functions raise ``DegenerateCentroidError`` on such a centroid instead.
+The degenerate-centroid rule, for the kernel and the scalar functions alike:
+an l2 centroid with ||v||^2 + mu_u = 0 in float64 has coefficient 0 and
+costs +inf under a sparsity penalty, ||x||^2 (its limit) without one, and an
+l1 coefficient past float64's range costs +inf. Every argmin skips a pair at
++inf, ``NoValidCentroidError`` is raised where a row has no centroid at a
+finite distance, and ``plusplus`` seeding reads the same costs.
 
 ``pair_costs`` is the one batched cost kernel, and ``nearest``, a fit's
 assignment, returns its argmin bit for bit: under l2 free and normalized
@@ -42,10 +42,6 @@ from .scalar_prox import (
 )
 
 
-class DegenerateCentroidError(ValueError):
-    """The centroid row admits no well-defined coefficient for this penalty."""
-
-
 class NoValidCentroidError(RuntimeError):
     """Every centroid row was degenerate during an assignment."""
 
@@ -61,16 +57,27 @@ def _pair(x, v, **penalties: float) -> tuple[np.ndarray, np.ndarray]:
     return x, v
 
 
+def _finite(product: str, value) -> float:
+    """value as a float, or a ValueError where the named product of x and v overflowed into it."""
+    if not np.isfinite(value):
+        raise ValueError(f"{product} overflows float64; rescale x or v")
+    return float(value)
+
+
+def _products(x: np.ndarray, v: np.ndarray) -> list[float]:
+    """<x, v>, ||x||^2 and ||v||^2, each through ``_finite``."""
+    with np.errstate(over="ignore"):
+        return [_finite(name, a @ b) for name, a, b in (("<x, v>", x, v), ("||x||^2", x, x), ("||v||^2", v, v))]
+
+
 def coefficient_l2(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     """Soft-thresholded projection coefficient of x onto v (l2 discrepancy)."""
     x, v = _pair(x, v, lambda_u=lambda_u, mu_u=mu_u)
     with np.errstate(over="ignore"):
-        xv = float(x @ v)
-    if not np.isfinite(xv):
-        raise ValueError("<x, v> overflows float64; rescale x or v")
+        xv = _finite("<x, v>", x @ v)
     denom = float(v @ v) + mu_u
     if denom <= 0.0:
-        raise DegenerateCentroidError("centroid has zero norm and mu_u = 0")
+        return 0.0
     # tau_{lambda_u / (2 denom)}(<x, v> / denom), thresholded before the
     # division so that a subnormal denom cannot overflow the threshold.
     return soft_threshold(lambda_u / 2.0, xv) / denom
@@ -80,6 +87,8 @@ def distance_l2(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     """Squared regularized projection distance of x onto the ray of v."""
     x, v = _pair(x, v)
     t = coefficient_l2(x, v, lambda_u, mu_u)
+    if lambda_u > 0.0 and float(v @ v) + mu_u <= 0.0:
+        return np.inf
     r = x - t * v
     return float(r @ r) + mu_u * t * t + lambda_u * t
 
@@ -92,14 +101,14 @@ def distance_l2_closed_form(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> f
     ||x||^2 - (lambda_u - 2 <x, v>)^2 / (4 (||v||^2 + mu_u)).
     """
     x, v = _pair(x, v, lambda_u=lambda_u, mu_u=mu_u)
-    denom = float(v @ v) + mu_u
+    xv, xx, vv = _products(x, v)
+    denom = vv + mu_u
     if denom <= 0.0:
-        raise DegenerateCentroidError("centroid has zero norm and mu_u = 0")
-    xx = float(x @ x)
-    xv = float(x @ v)
+        return np.inf if lambda_u > 0.0 else xx
     if lambda_u / 2.0 > xv:
         return xx
-    return xx - (lambda_u - 2.0 * xv) ** 2 / (4.0 * denom)
+    s = lambda_u - 2.0 * xv
+    return xx - _finite("(lambda_u - 2 <x, v>)^2", s * s) / (4.0 * denom)
 
 
 def distance_l2_angle_form(x, v, lambda_u: float = 0.0) -> float:
@@ -108,12 +117,11 @@ def distance_l2_angle_form(x, v, lambda_u: float = 0.0) -> float:
         ||x||^2 sin^2(angle(x, v)) + (lambda_u / ||v||^2)(<x, v> - lambda_u / 4)
     """
     x, v = _pair(x, v, lambda_u=lambda_u)
-    xx = float(x @ x)
-    vv = float(v @ v)
-    if xx == 0.0 or vv == 0.0:
-        raise ValueError("angle form requires nonzero x and v")
-    xv = float(x @ v)
-    cos2 = min(xv * xv / (xx * vv), 1.0)
+    xv, xx, vv = _products(x, v)
+    if xx == 0.0 or vv == 0.0 or lambda_u / 2.0 > xv:
+        raise ValueError("angle form requires nonzero x and v and lambda_u / 2 <= <x, v>")
+    # As two ratios, cos^2 never forms <x, v>^2 or ||x||^2 ||v||^2.
+    cos2 = min((xv / xx) * (xv / vv), 1.0)
     return xx * (1.0 - cos2) + (lambda_u / vv) * (xv - lambda_u / 4.0)
 
 
@@ -132,23 +140,13 @@ def distance_l1(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
 
 
 def coefficient_and_distance(x, v, spec: ModelSpec) -> tuple[float, float]:
-    """Mode-appropriate (coefficient, distance) of a point against one centroid.
-
-    Raises :class:`DegenerateCentroidError` where the coefficient is genuinely
-    undefined (zero centroid with mu_u = 0 under an active l2 sparsity
-    penalty). The unpenalized zero-centroid case is resolved by its limit:
-    coefficient 0 with the full-norm distance.
-    """
+    """Mode-appropriate (coefficient, distance) of a point against one centroid."""
     x, v = _pair(x, v)
     lam, mu = spec.reg.lambda_u, spec.reg.mu_u
     if spec.discrepancy == "l2":
         if spec.constraint_mode == "binary":
             r = x - v
             return 1.0, float(r @ r)
-        if float(v @ v) + mu <= 0.0:
-            if lam > 0.0:
-                raise DegenerateCentroidError("zero centroid under an l1 penalty")
-            return 0.0, float(x @ x)
         return coefficient_l2(x, v, lam, mu), distance_l2(x, v, lam, mu)
     with np.errstate(over="ignore"):
         t = 1.0 if spec.constraint_mode == "binary" else float(_weighted_reg_medians(x, v, lam, mu))
@@ -198,15 +196,13 @@ def pair_costs(X, V, spec: ModelSpec, xx=None) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient and distance of every (row, centroid) pair as M x K matrices.
 
     Entry (m, k) equals ``coefficient_and_distance(X[m], V[k], spec)`` up to
-    rounding. A degenerate centroid row (see :func:`coefficient_and_distance`)
-    gets coefficient 0 and distance +inf in its whole column. Every cell
-    computes K x M matrices and returns their transposed views, so that a
-    reduction over the centroids runs along the long M axis. The l2 free and
-    normalized modes take one product with ``X.T`` and read each row's
-    ||x||^2 from xx when it is given. Binary mode and l1 run ``_costs_at`` on
-    all K M pairs; binary mode sums each pair's differences as the Lloyd /
-    K-median references do, so its distances, and their argmin, are theirs
-    bit for bit.
+    rounding, degenerate centroids included. Every cell computes K x M
+    matrices and returns their transposed views, so that a reduction over the
+    centroids runs along the long M axis. The l2 free and normalized modes
+    take one product with ``X.T`` and read each row's ||x||^2 from xx when it
+    is given. Binary mode and l1 run ``_costs_at`` on all K M pairs; binary
+    mode sums each pair's differences as the Lloyd / K-median references do,
+    so its distances, and their argmin, are theirs bit for bit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
@@ -535,10 +531,14 @@ def assign(x, V, spec: ModelSpec) -> tuple[int, float, float]:
     A one-row view of :func:`pair_costs`: returns the argmin over the
     centroid rows; ties break toward the lowest index. Degenerate rows are
     skipped; if every row is degenerate, :class:`NoValidCentroidError` is
-    raised. Non-finite input raises ``ValueError``.
+    raised. Non-finite input, and an x whose ||x||^2 overflows (as ``fit``
+    checks its rows), raise ``ValueError``.
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
     if not (np.isfinite(x).all() and np.isfinite(V).all()):
         raise ValueError("x and V must be finite")
-    k, t, d = _argmin(*pair_costs(x, V, spec))
+    with np.errstate(over="ignore"):
+        xx = np.einsum("mn,mn->m", x, x)
+    _finite("||x||^2", xx[0])
+    k, t, d = _argmin(*pair_costs(x, V, spec, xx))
     return int(k[0]), float(t[0]), float(d[0])

@@ -86,11 +86,10 @@ def test_criterion_2_distance_identities():
             v = rng.uniform(0, scale, n)
             lam = float(rng.uniform(0, 5))
             mu = float(rng.uniform(0, 5)) if rng.random() < 0.5 else 0.0
-            if float(v @ v) + mu == 0.0:
-                continue
             direct = distance_l2(x, v, lam, mu)
             closed = distance_l2_closed_form(x, v, lam, mu)
-            assert abs(direct - closed) <= 1e-9
+            # A zero v with mu = 0 costs +inf in both forms, and inf - inf is NaN.
+            assert direct == closed or abs(direct - closed) <= 1e-9
             if lam / 2 > float(x @ v):
                 zero_branch += 1
             else:

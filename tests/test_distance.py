@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import onmfcluster
 from onmfcluster import (
-    DegenerateCentroidError,
     DegenerateObjectiveWarning,
     ModelSpec,
     NoValidCentroidError,
@@ -14,6 +14,7 @@ from onmfcluster import (
     SolverConfig,
     assign,
     brute_force_min,
+    coefficient_and_distance,
     coefficient_l1,
     coefficient_l2,
     distance_l1,
@@ -40,10 +41,6 @@ class TestCoefficientL2:
         argmin, _ = brute_force_min(p, 0.01)
         assert_allclose(argmin, 1.0, atol=1e-6)
 
-    def test_zero_centroid_raises(self):
-        with pytest.raises(DegenerateCentroidError):
-            coefficient_l2([1, 2], [0, 0])
-
 
 class TestDistanceL2:
     def test_exact_fit(self):
@@ -64,10 +61,19 @@ class TestDistanceL2:
         assert distance_l2_angle_form([1, 0], [2, 0]) == 0.0
         assert_allclose(distance_l2_angle_form([1, 1], [1, 0]), 1.0)
         assert_allclose(distance_l2_angle_form([2, 0], [1, 0], lambda_u=2.0), 3.0)
+        # <x, v>^2 and ||x||^2 ||v||^2 overflow here; the ratios do not.
+        assert distance_l2_angle_form([1e100], [1e100]) == 0.0
 
     def test_angle_form_rejects_zero_norm(self):
         with pytest.raises(ValueError):
             distance_l2_angle_form([0, 0], [1, 0])
+
+    # Where lambda_u / 2 > <x, v> the coefficient is 0 and the distance
+    # ||x||^2 (1.0 and 2.0 here); the angle form used to return 0.75 and 1.0.
+    @pytest.mark.parametrize("x, v, lam", [([1, 0], [0, 1], 1.0), ([1, 1], [1, 0], 4.0)])
+    def test_angle_form_rejects_a_suppressed_coefficient(self, x, v, lam):
+        with pytest.raises(ValueError, match=r"lambda_u / 2 <= <x, v>"):
+            distance_l2_angle_form(x, v, lam)
 
     def test_identity_direct_vs_closed_form(self):
         rng = np.random.default_rng(17)
@@ -220,7 +226,6 @@ class TestAssign:
     [
         (lambda: coefficient_l2([1.0, 2.0], [1.0]), ValueError, "equal length"),
         (lambda: distance_l1([1.0], [1.0, 2.0]), ValueError, "equal length"),
-        (lambda: distance_l2_closed_form([1.0, 2.0], [0.0, 0.0]), DegenerateCentroidError, "zero norm"),
         (lambda: pair_costs(np.ones((3, 2)), np.ones((2, 3)), ModelSpec()), ValueError, "shape"),
         (lambda: pair_costs(np.ones((2, 3, 2)), np.ones((2, 2)), ModelSpec()), ValueError, "shape"),
     ],
@@ -228,6 +233,25 @@ class TestAssign:
 def test_malformed_pairs_rejected(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+# A zero centroid, and one whose ||v||^2 underflows to 0, admit no l2
+# coefficient: every function gives the pair kernel's coefficient 0 and its
+# distance, +inf under a sparsity penalty and ||x||^2 without one.
+@pytest.mark.parametrize("v", [[0.0, 0.0], [1e-200, 0.0]])
+@pytest.mark.parametrize("lam, distance", [(1.0, np.inf), (0.0, 25.0)])
+def test_degenerate_l2_centroids_follow_the_kernel_rule(v, lam, distance):
+    x = [3.0, 4.0]
+    spec = ModelSpec("l2", "c1_free", RegularizationParams(lambda_u=lam))
+    T, D = pair_costs([x], [v], spec)
+    assert coefficient_l2(x, v, lam) == T[0, 0] == 0.0
+    assert distance_l2(x, v, lam) == distance_l2_closed_form(x, v, lam) == D[0, 0] == distance
+    assert coefficient_and_distance(x, v, spec) == (0.0, distance)
+
+
+def test_every_public_name_resolves():
+    assert all(hasattr(onmfcluster, name) for name in onmfcluster.__all__)
+    assert "DegenerateCentroidError" not in onmfcluster.__all__
 
 
 # Seeded from the row 5e-324, the row 6.36961687's l1 coefficient overflows,

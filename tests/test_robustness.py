@@ -1,5 +1,7 @@
 """Loud failure on float overflow and non-finite input, and termination that never hides a rise."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,14 @@ OVERFLOW = [[1e200, 1.0], [2.0, 3.0], [5.0, 5.0]]
 def test_fit_rejects_rows_whose_squared_norm_overflows():
     with pytest.raises(ValueError, match="row 0"):
         fit(OVERFLOW, ModelSpec("l2", "binary"), SolverConfig(n_clusters=2))
+
+
+# assign used to warn and return distance NaN for this row.
+@pytest.mark.parametrize("discrepancy", ["l1", "l2"])
+@pytest.mark.parametrize("mode", ["c1_free", "normalized", "binary"])
+def test_assign_rejects_a_row_whose_squared_norm_overflows(discrepancy, mode):
+    with pytest.raises(ValueError, match=re.escape("||x||^2 overflows float64")):
+        assign([1e200, 1e200], [[1.0, 1.0], [2.0, 0.0]], ModelSpec(discrepancy, mode))
 
 
 def test_cli_exits_2_on_rows_whose_squared_norm_overflows(tmp_path, capsys):
@@ -253,12 +263,26 @@ def test_soft_threshold_rejects_non_finite_x(x):
         soft_threshold(0.5, x)
 
 
-@pytest.mark.parametrize("x, v", [([1e200, 1e200], [1e200, 1e200]), ([1e300], [1e10])])
-def test_coefficient_l2_names_an_overflowing_inner_product(x, v):
+@pytest.mark.parametrize(
+    "function, x, v, product",
+    [
+        (coefficient_l2, [1e200, 1e200], [1e200, 1e200], "<x, v>"),
+        (coefficient_l2, [1e300], [1e10], "<x, v>"),
+        (distance_l2_closed_form, [1e200], [1e200], "<x, v>"),
+        (distance_l2_closed_form, [1e200, 1.0], [1.0, 1.0], "||x||^2"),
+        (distance_l2_closed_form, [1.0], [1e200], "||v||^2"),
+        (distance_l2_closed_form, [1e100], [1e100], "(lambda_u - 2 <x, v>)^2"),
+        (distance_l2_angle_form, [1e200], [1e200], "<x, v>"),
+        (distance_l2_angle_form, [1e200, 1.0], [1.0, 1.0], "||x||^2"),
+        (distance_l2_angle_form, [1.0], [1e200], "||v||^2"),
+    ],
+)
+def test_coefficient_l2_names_an_overflowing_inner_product(function, x, v, product):
     # Finite inputs whose <x, v> overflows used to reach soft_threshold as inf
-    # and fail with its "x must be finite", after overflow warnings.
-    with pytest.raises(ValueError, match=r"<x, v> overflows float64"):
-        coefficient_l2(x, v)
+    # and fail with its "x must be finite", after overflow warnings; the
+    # closed form returned NaN or raised OverflowError, the angle form NaN.
+    with pytest.raises(ValueError, match=re.escape(f"{product} overflows float64; rescale x or v")):
+        function(x, v)
 
 
 # 6.36961687 / 5e-324 overflows float64, so the l1 coefficient is +inf. Its
