@@ -31,7 +31,6 @@ from .model import (
     objective,
 )
 from .scalar_prox import (
-    DegenerateObjectiveWarning,
     ScalarProxProblem,
     brute_force_min,
     soft_threshold,
@@ -43,7 +42,6 @@ from .solver import DuplicateRowsError, FitStep, SolverConfig, fit, fit_history,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateObjectiveWarning",
     "DuplicateRowsError",
     "FactorizationResult",
     "FitStep",

@@ -1,25 +1,25 @@
 """Centroid updates: exact minimizers of the per-cluster subproblems.
 
 ``centroid_l2`` soft-thresholds the weighted component means, ``centroid_l1``
-takes weighted regularized medians; they are the paper-level definitions and
-the oracles ``update_centroids`` is tested against. ``update_centroids``
-updates every cluster in one batched pass. Under l2 all thresholded means
-come from one scatter of the coefficients into U, one product U^T X and one
-division by ||u_k||^2 + mu_v; in binary mode, where every coefficient is 1,
-||u_k||^2 is the member count. Under l1 the rows are grouped by label once
-and the clusters, in order of size, are stacked into batches padded to a
-common width, each within the pair kernel's chunk budget of elements, and
-each batch takes one median sweep. With unit weights and no centroid
-penalties, as in K-median, the sweep's value is the plain column median,
-read off one sort per batch instead, stable only where a median is a signed
-zero. In normalized mode every row is projected onto the unit sphere once.
-Under l2 that projection is the exact minimizer; under l1 a guard keeps the
-previous row where it is not. An empty cluster's row enters the
-objective only through its centroid penalty, so it takes its farthest data
+takes weighted regularized medians; they are the paper-level definitions,
+under ``scalar_prox``'s contract, and the oracles ``update_centroids`` is
+tested against. ``update_centroids`` updates every cluster in one batched
+pass. Under l2 all thresholded means come from one scatter of the coefficients
+into U, one product U^T X and one division by ||u_k||^2 + mu_v; in binary
+mode, where every coefficient is 1, ||u_k||^2 is the member count. Under l1
+the rows are grouped by label once and the clusters, in order of size, are
+stacked into batches padded to a common width, each within the pair kernel's
+chunk budget of elements, and each batch takes one median sweep. With unit
+weights and no centroid penalties, as in K-median, the sweep's value is the
+plain column median, read off one sort per batch instead, stable only where a
+median is a signed zero. In normalized mode every row is projected onto the
+unit sphere once. Under l2 that projection is the exact minimizer; under l1 a
+guard keeps the previous row where it is not. An empty cluster's row enters
+the objective only through its centroid penalty, so it takes its farthest data
 row only where that penalty does not grow: the update never raises the
 objective. Reseeding and the guard read each row's cost from
-``model.row_costs``, whose sum with the centroid penalties is the objective
-to rounding.
+``model.row_costs``, whose sum with the centroid penalties is the objective to
+rounding.
 """
 
 from __future__ import annotations
@@ -28,35 +28,19 @@ import numpy as np
 
 from . import distance
 from .model import Membership, ModelSpec, RegularizationParams, _check_fit, dense_u, row_costs
-from .scalar_prox import _check_penalties, _weighted_reg_medians
-
-
-def _cluster(X_k, u_k, lambda_v: float, mu_v: float) -> tuple[np.ndarray, np.ndarray]:
-    _check_penalties(lambda_v=lambda_v, mu_v=mu_v)
-    X_k = np.atleast_2d(np.asarray(X_k, dtype=float))
-    u_k = np.asarray(u_k, dtype=float).ravel()
-    if X_k.shape[0] != u_k.size or u_k.size < 1:
-        raise ValueError("X_k rows and u_k must have equal positive length")
-    if not (np.isfinite(X_k).all() and np.isfinite(u_k).all()):
-        raise ValueError("X_k and u_k must be finite")
-    if (u_k < 0).any():
-        raise ValueError("membership weights u_k must be nonnegative")
-    return X_k, u_k
+from .scalar_prox import _check_problem, _finite, _quadratic_min, _weighted_reg_medians
 
 
 def centroid_l2(X_k, u_k, lambda_v: float = 0.0, mu_v: float = 0.0) -> np.ndarray:
     """Centroid row for the l2 discrepancy: thresholded weighted mean.
 
-    Componentwise tau_gamma((X_k^T u_k) / (||u_k||^2 + mu_v)) with
-    gamma = lambda_v / (2 (||u_k||^2 + mu_v)). With unit weights and no
-    penalties this is the arithmetic mean of the cluster rows.
+    Componentwise tau_{lambda_v / 2}(X_k^T u_k) / (||u_k||^2 + mu_v). With
+    unit weights and no penalties this is the arithmetic mean of the cluster
+    rows.
     """
-    X_k, u_k = _cluster(X_k, u_k, lambda_v, mu_v)
-    denom = float(u_k @ u_k) + mu_v
-    if denom <= 0.0:
-        raise ValueError("||u_k||^2 + mu_v must be positive")
-    gamma = lambda_v / (2.0 * denom)
-    return np.maximum(X_k.T @ u_k / denom - gamma, 0.0)
+    targets, u_k = _check_problem(np.atleast_2d(X_k).T, u_k, lambda_v=lambda_v, mu_v=mu_v)
+    with np.errstate(over="ignore"):
+        return _quadratic_min(_finite("X_k^T u_k", targets @ u_k, "X_k or u_k"), float(u_k @ u_k) + mu_v, lambda_v)
 
 
 def centroid_l1(X_k, u_k, lambda_v: float = 0.0, mu_v: float = 0.0) -> np.ndarray:
@@ -65,8 +49,9 @@ def centroid_l1(X_k, u_k, lambda_v: float = 0.0, mu_v: float = 0.0) -> np.ndarra
     Component n is the weighted regularized median of the targets X_k[:, n]
     with weights u_k; all components are solved in one batched sweep.
     """
-    X_k, u_k = _cluster(X_k, u_k, lambda_v, mu_v)
-    return _weighted_reg_medians(X_k.T, u_k, lambda_v, mu_v)
+    targets, u_k = _check_problem(np.atleast_2d(X_k).T, u_k, lambda_v=lambda_v, mu_v=mu_v)
+    with np.errstate(over="ignore"):
+        return _weighted_reg_medians(targets, u_k, lambda_v, mu_v)
 
 
 def _medians(P: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -6,12 +6,14 @@ and the distance is the attained minimum (squared units for the l2
 discrepancy, plain units for l1). Every cost reads lambda_u and mu_u from
 ``spec.reg``, which ``ModelSpec`` keeps at 0 outside ``c1_free``.
 
-The degenerate-centroid rule, for the kernel and the scalar functions alike:
-an l2 centroid with ||v||^2 + mu_u = 0 in float64 has coefficient 0 and
-costs +inf under a sparsity penalty, ||x||^2 (its limit) without one, and an
-l1 coefficient past float64's range costs +inf. Every argmin skips a pair at
-+inf, ``NoValidCentroidError`` is raised where a row has no centroid at a
-finite distance, and ``plusplus`` seeding reads the same costs.
+Inputs, degenerate objectives and overflow follow ``scalar_prox``'s
+contract. The degenerate-centroid rule, for the kernel and the scalar
+functions alike: an l2 centroid with ||v||^2 + mu_u = 0 in float64 has
+coefficient 0 and costs +inf under a sparsity penalty, ||x||^2 (its limit)
+without one, and an l1 or l2 coefficient past float64's range costs +inf.
+Every argmin skips a pair at +inf, ``NoValidCentroidError`` is raised where
+a row has no centroid at a finite distance, and ``plusplus`` seeding reads
+the same costs.
 
 ``pair_costs`` is the one batched cost kernel, and ``nearest``, a fit's
 assignment, returns its argmin bit for bit: under l2 free and normalized
@@ -33,79 +35,52 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ModelSpec
-from .scalar_prox import (
-    _FLAT_SLOPE_TOL,
-    _check_penalties,
-    _weighted_reg_medians,
-    soft_threshold,
-    weighted_reg_median,
-)
+from .scalar_prox import _FLAT_SLOPE_TOL, _check_problem, _finite, _quadratic_min, _weighted_reg_medians
 
 
 class NoValidCentroidError(RuntimeError):
     """Every centroid row was degenerate during an assignment."""
 
 
-def _pair(x, v, **penalties: float) -> tuple[np.ndarray, np.ndarray]:
-    _check_penalties(**penalties)
-    x = np.asarray(x, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if x.size != v.size:
-        raise ValueError("x and v must have equal length")
-    if not (np.isfinite(x).all() and np.isfinite(v).all()):
-        raise ValueError("x and v must be finite")
-    return x, v
-
-
-def _finite(product: str, value) -> float:
-    """value as a float, or a ValueError where the named product of x and v overflowed into it."""
-    if not np.isfinite(value):
-        raise ValueError(f"{product} overflows float64; rescale x or v")
-    return float(value)
-
-
 def _products(x: np.ndarray, v: np.ndarray) -> list[float]:
     """<x, v>, ||x||^2 and ||v||^2, each through ``_finite``."""
     with np.errstate(over="ignore"):
-        return [_finite(name, a @ b) for name, a, b in (("<x, v>", x, v), ("||x||^2", x, x), ("||v||^2", v, v))]
+        return [float(_finite(name, a @ b)) for name, a, b in (("<x, v>", x, v), ("||x||^2", x, x), ("||v||^2", v, v))]
 
 
 def coefficient_l2(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     """Soft-thresholded projection coefficient of x onto v (l2 discrepancy)."""
-    x, v = _pair(x, v, lambda_u=lambda_u, mu_u=mu_u)
+    x, v = _check_problem(x, v, lambda_u=lambda_u, mu_u=mu_u)
     with np.errstate(over="ignore"):
-        xv = _finite("<x, v>", x @ v)
-    denom = float(v @ v) + mu_u
-    if denom <= 0.0:
-        return 0.0
-    # tau_{lambda_u / (2 denom)}(<x, v> / denom), thresholded before the
-    # division so that a subnormal denom cannot overflow the threshold.
-    return soft_threshold(lambda_u / 2.0, xv) / denom
+        return float(_quadratic_min(_finite("<x, v>", x @ v), float(v @ v) + mu_u, lambda_u))
 
 
 def distance_l2(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     """Squared regularized projection distance of x onto the ray of v."""
-    x, v = _pair(x, v)
-    t = coefficient_l2(x, v, lambda_u, mu_u)
-    if lambda_u > 0.0 and float(v @ v) + mu_u <= 0.0:
-        return np.inf
-    r = x - t * v
-    return float(r @ r) + mu_u * t * t + lambda_u * t
+    x, v = _check_problem(x, v, lambda_u=lambda_u, mu_u=mu_u)
+    with np.errstate(over="ignore"):
+        denom = float(v @ v) + mu_u
+        t = float(_quadratic_min(_finite("<x, v>", x @ v), denom, lambda_u))
+        if t == np.inf or (lambda_u > 0.0 and denom <= 0.0):
+            return np.inf
+        r = x - t * v
+        return float(_finite("||x - t v||^2", r @ r)) + mu_u * t * t + lambda_u * t
 
 
 def distance_l2_closed_form(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     """Same distance, evaluated without forming the residual.
 
     Equals ||x||^2 when the threshold suppresses the coefficient
-    (lambda_u / 2 > <x, v>), otherwise
+    (lambda_u / 2 >= <x, v>), otherwise
     ||x||^2 - (lambda_u - 2 <x, v>)^2 / (4 (||v||^2 + mu_u)).
     """
-    x, v = _pair(x, v, lambda_u=lambda_u, mu_u=mu_u)
+    x, v = _check_problem(x, v, lambda_u=lambda_u, mu_u=mu_u)
     xv, xx, vv = _products(x, v)
     denom = vv + mu_u
-    if denom <= 0.0:
-        return np.inf if lambda_u > 0.0 else xx
-    if lambda_u / 2.0 > xv:
+    t = _quadratic_min(xv, denom, lambda_u)
+    if t == np.inf or (lambda_u > 0.0 and denom <= 0.0):
+        return np.inf
+    if t == 0.0:
         return xx
     s = lambda_u - 2.0 * xv
     return xx - _finite("(lambda_u - 2 <x, v>)^2", s * s) / (4.0 * denom)
@@ -116,7 +91,7 @@ def distance_l2_angle_form(x, v, lambda_u: float = 0.0) -> float:
 
         ||x||^2 sin^2(angle(x, v)) + (lambda_u / ||v||^2)(<x, v> - lambda_u / 4)
     """
-    x, v = _pair(x, v, lambda_u=lambda_u)
+    x, v = _check_problem(x, v, lambda_u=lambda_u)
     xv, xx, vv = _products(x, v)
     if xx == 0.0 or vv == 0.0 or lambda_u / 2.0 > xv:
         raise ValueError("angle form requires nonzero x and v and lambda_u / 2 <= <x, v>")
@@ -127,30 +102,29 @@ def distance_l2_angle_form(x, v, lambda_u: float = 0.0) -> float:
 
 def coefficient_l1(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     """Regularized weighted median coefficient of x onto v (l1 discrepancy)."""
-    x, v = _pair(x, v, lambda_u=lambda_u, mu_u=mu_u)
+    x, v = _check_problem(x, v, lambda_u=lambda_u, mu_u=mu_u)
     with np.errstate(over="ignore"):
-        return weighted_reg_median(x, v, lambda_u, mu_u)
+        return float(_weighted_reg_medians(x, v, lambda_u, mu_u))
 
 
 def distance_l1(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     """Regularized l1 projection distance of x onto the ray of v."""
-    x, v = _pair(x, v)
-    t = coefficient_l1(x, v, lambda_u, mu_u)
+    x, v = _check_problem(x, v, lambda_u=lambda_u, mu_u=mu_u)
+    with np.errstate(over="ignore"):
+        t = float(_weighted_reg_medians(x, v, lambda_u, mu_u))
     return t if t == np.inf else float(np.abs(x - t * v).sum()) + mu_u * t * t + lambda_u * t
 
 
 def coefficient_and_distance(x, v, spec: ModelSpec) -> tuple[float, float]:
     """Mode-appropriate (coefficient, distance) of a point against one centroid."""
-    x, v = _pair(x, v)
     lam, mu = spec.reg.lambda_u, spec.reg.mu_u
-    if spec.discrepancy == "l2":
-        if spec.constraint_mode == "binary":
-            r = x - v
-            return 1.0, float(r @ r)
-        return coefficient_l2(x, v, lam, mu), distance_l2(x, v, lam, mu)
-    with np.errstate(over="ignore"):
-        t = 1.0 if spec.constraint_mode == "binary" else float(_weighted_reg_medians(x, v, lam, mu))
-    return t, (t if t == np.inf else float(np.abs(x - t * v).sum()) + mu * t * t + lam * t)
+    if spec.constraint_mode != "binary":
+        if spec.discrepancy == "l2":
+            return coefficient_l2(x, v, lam, mu), distance_l2(x, v, lam, mu)
+        return coefficient_l1(x, v, lam, mu), distance_l1(x, v, lam, mu)
+    x, v = _check_problem(x, v)
+    r = x - v
+    return 1.0, float(r @ r) if spec.discrepancy == "l2" else float(np.abs(r).sum())
 
 
 # Pair chunks keep every temporary of the binary and l1 kernel near this
@@ -174,20 +148,25 @@ def _l2_costs(
     # that the argmin's reductions run along the long axis; the arithmetic
     # runs in place, A's buffer becoming D, to keep the peak memory low.
     denom = (np.einsum("kn,kn->k", V, V) + mu)[:, None]
-    degenerate = np.flatnonzero(denom <= 0.0)
+    # A coefficient is at most ||x|| / sqrt(denom), so with ||x||^2 finite only
+    # a row whose denom is below 2^-1022, the smallest normal float64, can
+    # overflow one. Such rows, degenerate ones included, are rare and are
+    # rewritten only when they exist.
+    small = np.flatnonzero(denom < 2.0**-1022)
     A = V @ X.T
     if lam:
         A -= lam / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         T = np.divide(A, denom)
     np.maximum(T, 0.0, out=T)
-    # Degenerate rows are rare; they are written only when they exist.
-    if degenerate.size:
+    if small.size:
+        degenerate = small[denom[small, 0] <= 0.0]
         T[degenerate] = 0.0
     D = np.multiply(T, A, out=A)
     np.subtract(xx, D, out=D)
     np.maximum(D, 0.0, out=D)
-    if degenerate.size:
+    if small.size:
+        D[small] = np.where(np.isinf(T[small]), np.inf, D[small])
         D[degenerate] = np.inf if lam > 0.0 else xx
     return T, D
 
@@ -531,14 +510,13 @@ def assign(x, V, spec: ModelSpec) -> tuple[int, float, float]:
     A one-row view of :func:`pair_costs`: returns the argmin over the
     centroid rows; ties break toward the lowest index. Degenerate rows are
     skipped; if every row is degenerate, :class:`NoValidCentroidError` is
-    raised. Non-finite input, and an x whose ||x||^2 overflows (as ``fit``
-    checks its rows), raise ``ValueError``.
+    raised. Input is checked as ``scalar_prox`` states, and an x whose
+    ||x||^2 overflows (as ``fit`` checks its rows) or a centroid whose
+    ||v||^2 does raises ``ValueError``.
     """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    if not (np.isfinite(x).all() and np.isfinite(V).all()):
-        raise ValueError("x and V must be finite")
+    x, V = _check_problem(np.reshape(x, (1, -1)), V)
     with np.errstate(over="ignore"):
-        xx = np.einsum("mn,mn->m", x, x)
-    _finite("||x||^2", xx[0])
+        xx = _finite("||x||^2", np.einsum("mn,mn->m", x, x))
+        _finite("||v||^2", np.einsum("...n,...n->...", V, V))
     k, t, d = _argmin(*pair_costs(x, V, spec, xx))
     return int(k[0]), float(t[0]), float(d[0])

@@ -14,12 +14,22 @@ chunks of gathered pairs, the centroid update on batches of clusters, each
 within the same budget of elements. ``brute_force_min`` is an independent
 grid + golden-section oracle used to cross-check both closed forms, and the
 only independent check of the sweep.
+
+One contract holds for every public pointwise function: the solvers here,
+the coefficients, distances and ``assign`` of ``distance`` (targets x,
+weights v) and the centroids of ``centroid`` (targets X_k[:, n], weights
+u_k). ``_check_problem`` checks each call's input once: penalties, targets
+and weights finite and nonnegative, the latter two broadcast along a last
+axis of length >= 1. Where no weight and no penalty make the objective grow
+in t, the minimizer is 0, silently. ``_quadratic_min`` is the one quadratic
+solve. A minimizer past float64's range is +inf. Where ||w||^2 overflows,
+the quadratic's is 0, as in the pair kernel; any other product of the
+inputs that overflows raises ``ValueError`` naming it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +39,6 @@ PROBLEM_KINDS = ("quadratic", "weighted_l1")
 # A slope within _FLAT_SLOPE_TOL (total weight + lambda) of 0, a band on the
 # slice's own scale, is treated as a flat minimizer interval (mu = 0 only).
 _FLAT_SLOPE_TOL = 1e-12
-
-
-class DegenerateObjectiveWarning(UserWarning):
-    """The scalar objective is constant; the returned minimizer is a convention."""
 
 
 def _check_penalties(**weights: float) -> None:
@@ -54,16 +60,39 @@ def soft_threshold(gamma: float, x: float) -> float:
     return x - gamma if x >= gamma else 0.0
 
 
-def _check_pair(v, w) -> tuple[np.ndarray, np.ndarray]:
-    v = np.asarray(v, dtype=float).ravel()
-    w = np.asarray(w, dtype=float).ravel()
-    if v.size != w.size or v.size < 1:
-        raise ValueError("targets and weights must have equal length >= 1")
-    if not (np.isfinite(v).all() and np.isfinite(w).all()):
-        raise ValueError("targets and weights must be finite")
-    if (w < 0).any():
-        raise ValueError("weights must be nonnegative")
+def _check_problem(v, w, **penalties: float) -> tuple[np.ndarray, np.ndarray]:
+    """Targets v and weights w as float arrays, checked as the module docstring states."""
+    _check_penalties(**penalties)
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if not (v.ndim and w.ndim and v.shape[-1] == w.shape[-1] >= 1):
+        raise ValueError("targets and weights must have last axes of equal length >= 1")
+    np.broadcast_shapes(v.shape, w.shape)
+    for a in (v, w):
+        if not np.isfinite(a).all():
+            raise ValueError("targets and weights must be finite")
+        if (a < 0.0).any():
+            raise ValueError("targets and weights must be nonnegative")
     return v, w
+
+
+def _finite(product: str, value, operands: str = "x or v"):
+    """value, or a ValueError where the named product of the operands overflowed into it."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"{product} overflows float64; rescale {operands}")
+    return value
+
+
+def _quadratic_min(a, d: float, lam: float):
+    """tau_{lam/2}(a) / d, the quadratic minimizer for a = <v, w> and d = ||w||^2 + mu; 0 where d <= 0.
+
+    Thresholded before the division, as the pair kernel and the batched
+    update are, so that a subnormal d cannot overflow the threshold.
+    """
+    if d <= 0.0:
+        return np.zeros_like(a)
+    with np.errstate(over="ignore"):
+        return np.maximum(a - lam / 2.0, 0.0) / d
 
 
 def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
@@ -158,19 +187,10 @@ def weighted_reg_median(v, w, lam: float = 0.0, mu: float = 0.0) -> float:
     for mu = 0), the midpoint is returned. With lam = mu = 0 and unit
     weights this is the classical median (midpoint convention for even
     lengths).
-
-    A completely flat objective (all weights zero with lam = mu = 0) returns
-    0.0 and emits :class:`DegenerateObjectiveWarning`.
     """
-    _check_penalties(lam=lam, mu=mu)
-    v, w = _check_pair(v, w)
-    if lam == mu == 0.0 and not (w > 0).any():
-        warnings.warn(
-            "objective is constant in t; returning 0 by convention",
-            DegenerateObjectiveWarning,
-            stacklevel=2,
-        )
-    return float(_weighted_reg_medians(v, w, lam, mu))
+    v, w = _check_problem(v, w, lam=lam, mu=mu)
+    with np.errstate(over="ignore"):
+        return float(_weighted_reg_medians(v, w, lam, mu))
 
 
 @dataclass(frozen=True)
@@ -190,12 +210,13 @@ class ScalarProxProblem:
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
             raise ValueError(f"kind must be one of {PROBLEM_KINDS}")
-        targets, weights = _check_pair(self.targets, self.weights)
+        targets, weights = _check_problem(
+            np.ravel(self.targets), np.ravel(self.weights), l1_weight=self.l1_weight, l2_weight=self.l2_weight
+        )
         targets.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "weights", weights)
-        _check_penalties(l1_weight=self.l1_weight, l2_weight=self.l2_weight)
 
     def value(self, t):
         """Objective value at t (scalar or 1-D array)."""
@@ -211,16 +232,12 @@ class ScalarProxProblem:
 
 def solve_closed_form(problem: ScalarProxProblem) -> float:
     """Exact minimizer of the subproblem over t >= 0 via the closed forms."""
-    if problem.kind == "quadratic":
-        w2 = float(problem.weights @ problem.weights) + problem.l2_weight
-        if w2 == 0.0:
-            # No quadratic curvature: the objective is constant + lam*t.
-            return 0.0
-        # Thresholded before the division, as in ``distance.coefficient_l2``.
-        return soft_threshold(problem.l1_weight / 2.0, float(problem.targets @ problem.weights)) / w2
-    return float(
-        _weighted_reg_medians(problem.targets, problem.weights, problem.l1_weight, problem.l2_weight)
-    )
+    v, w = problem.targets, problem.weights
+    with np.errstate(over="ignore"):
+        if problem.kind == "quadratic":
+            a = _finite("<targets, weights>", v @ w, "targets or weights")
+            return float(_quadratic_min(a, float(w @ w) + problem.l2_weight, problem.l1_weight))
+        return float(_weighted_reg_medians(v, w, problem.l1_weight, problem.l2_weight))
 
 
 _INVPHI = (5.0**0.5 - 1.0) / 2.0

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import onmfcluster
 from onmfcluster import (
-    DegenerateObjectiveWarning,
     ModelSpec,
     NoValidCentroidError,
     RegularizationParams,
@@ -157,8 +156,9 @@ class TestL1Family:
         assert_allclose(value, 1.0, atol=1e-8)
 
     def test_distance_zero_centroid(self):
-        with pytest.warns(DegenerateObjectiveWarning):
-            assert distance_l1([5.0], [0.0]) == 5.0
+        # The coefficient 0 of the constant objective, without a warning.
+        assert coefficient_l1([5.0], [0.0]) == 0.0
+        assert distance_l1([5.0], [0.0]) == 5.0
 
     def test_bounded_by_data_l1_norm(self):
         rng = np.random.default_rng(37)

@@ -221,8 +221,9 @@ def test_cli_exits_2_on_non_finite_tol_and_penalty_weights(tmp_path, capsys, fla
 PAIR = ([1.0, 2.0], [1.0, 1.0])
 CLUSTER = ([[1.0, 2.0], [3.0, 4.0]], [1.0, 0.5])
 # Public pointwise functions with valid arguments and the keywords of their
-# penalty weights, at least one behind each shared validator; ``fit`` is
-# guarded by ``as_data_matrix`` and ``RegularizationParams`` instead.
+# penalty weights; all but soft_threshold take their input through
+# ``scalar_prox._check_problem``. ``fit`` is guarded by ``as_data_matrix`` and
+# ``RegularizationParams`` instead.
 POINTWISE = {
     "weighted_reg_median": (weighted_reg_median, PAIR, ("lam", "mu")),
     "ScalarProxProblem": (
@@ -256,6 +257,19 @@ def test_pointwise_functions_reject_non_finite_input(name, position, bad):
         function(*args)
 
 
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("name", sorted(name for name, entry in POINTWISE.items() if entry[1]))
+def test_pointwise_functions_reject_negative_input(name, position):
+    # Outside the model's domain these used to return a minimizer below 0, as
+    # weighted_reg_median([1, -2], [1, 1]) = -0.5, or a distance above the
+    # minimum over t >= 0, as assign's 21.0 for x = [1, 2], v = [-1, 0.1].
+    function, args, _ = POINTWISE[name]
+    args = [np.array(a, dtype=float) for a in args]
+    args[position].flat[-1] = -1.0
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        function(*args)
+
+
 @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
 def test_soft_threshold_rejects_non_finite_x(x):
     # nan >= gamma is False, so NaN used to come back as 0.0, and inf as inf.
@@ -275,6 +289,7 @@ def test_soft_threshold_rejects_non_finite_x(x):
         (distance_l2_angle_form, [1e200], [1e200], "<x, v>"),
         (distance_l2_angle_form, [1e200, 1.0], [1.0, 1.0], "||x||^2"),
         (distance_l2_angle_form, [1.0], [1e200], "||v||^2"),
+        (distance_l2, [1e200, 0.0], [1.0, 1.0], "||x - t v||^2"),
     ],
 )
 def test_coefficient_l2_names_an_overflowing_inner_product(function, x, v, product):
@@ -307,6 +322,33 @@ def test_l1_fit_runs_past_overflowing_coefficients(seed):
     steps = fit_history([[1e-160], [1e150], [2e150]], ModelSpec("l1", "c1_free"), SolverConfig(2, seed=seed))
     trace = [step.objective for step in steps]
     assert np.isfinite(trace).all() and (np.diff(trace) <= 0).all()
+
+
+# 1e-10 / 1e-320 overflows float64, so the l2 coefficient is +inf. Its
+# distance used to come out 0.0 in the kernel and NaN in distance_l2.
+def test_an_overflowing_l2_coefficient_costs_inf():
+    T, D = pair_costs([[1e150]], [[1e-160]], ModelSpec())
+    assert T[0, 0] == D[0, 0] == np.inf
+    assert coefficient_and_distance([1e150], [1e-160], ModelSpec()) == (np.inf, np.inf)
+    assert distance_l2([1e150], [1e-160]) == distance_l2_closed_form([1e150], [1e-160]) == np.inf
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_l2_fit_runs_past_overflowing_coefficients(seed):
+    # 2e150 * 1e-160 / 1e-320 overflows; the divide warned on every seed, and
+    # seeds 1 and 4 then ended in an overflowing l2 centroid update.
+    steps = fit_history([[1e-160], [1e150], [2e150]], ModelSpec("l2", "c1_free"), SolverConfig(2, seed=seed))
+    trace = [step.objective for step in steps]
+    assert np.isfinite(trace).all() and (np.diff(trace) <= 0).all()
+
+
+@pytest.mark.parametrize("mode", ["c1_free", "normalized", "binary"])
+@pytest.mark.parametrize("discrepancy", ["l1", "l2"])
+def test_assign_names_an_overflowing_centroid_norm(discrepancy, mode):
+    # Centroid 0 is parallel to x, but its ||v||^2 overflowed to inf, and l2
+    # took label 1 at distance 1.0, silently.
+    with pytest.raises(ValueError, match=re.escape("||v||^2 overflows float64; rescale x or v")):
+        assign([1.0, 1.0], [[1e200, 1e200], [3.0, 0.0]], ModelSpec(discrepancy, mode))
 
 
 # Seeded from the row 5e-324, the other rows' l1 coefficients overflow, so
