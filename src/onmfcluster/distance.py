@@ -10,7 +10,8 @@ Inputs, degenerate objectives and overflow follow ``scalar_prox``'s
 contract. The degenerate-centroid rule, for the kernel and the scalar
 functions alike: an l2 centroid with ||v||^2 + mu_u = 0 in float64 has
 coefficient 0 and costs +inf under a sparsity penalty, ||x||^2 (its limit)
-without one, and an l1 or l2 coefficient past float64's range costs +inf.
+without one; an l1 zero centroid has coefficient 0 and costs ||x||_1 under
+any lambda_u; and an l1 or l2 coefficient past float64's range costs +inf.
 Every argmin skips a pair at +inf, ``NoValidCentroidError`` is raised where
 a row has no centroid at a finite distance, and ``plusplus`` seeding reads
 the same costs.

@@ -21,10 +21,11 @@ weights v) and the centroids of ``centroid`` (targets X_k[:, n], weights
 u_k). ``_check_problem`` checks each call's input once: penalties, targets
 and weights finite and nonnegative, the latter two broadcast along a last
 axis of length >= 1. Where no weight and no penalty make the objective grow
-in t, the minimizer is 0, silently. ``_quadratic_min`` is the one quadratic
-solve. A minimizer past float64's range is +inf. Where ||w||^2 overflows,
-the quadratic's is 0, as in the pair kernel; any other product of the
-inputs that overflows raises ``ValueError`` naming it.
+in t, the minimizer is 0, silently. No minimizer is -0.0, also where a
+target is. ``_quadratic_min`` is the one quadratic solve. A minimizer past
+float64's range is +inf. Where ||w||^2 overflows, the quadratic's is 0, as
+in the pair kernel; any other product of the inputs that overflows raises
+``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def soft_threshold(gamma: float, x: float) -> float:
     _check_penalties(gamma=gamma)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    return x - gamma if x >= gamma else 0.0
+    return x - gamma + 0.0 if x >= gamma else 0.0
 
 
 def _check_problem(v, w, **penalties: float) -> tuple[np.ndarray, np.ndarray]:
@@ -102,14 +103,15 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
     shape without the last axis. Inactive weights become +inf breakpoints of
     zero weight, which sort behind every active one and leave the slopes of
     the active pieces unchanged. A breakpoint past float64's range is +inf
-    too, with a warning, and a minimizer there is returned as +inf.
+    too, with a warning, and a minimizer there is returned as +inf. Each
+    slice takes one count over its sorted breakpoints, which names the piece
+    that holds its minimizer, and then one value: that piece's midpoint or
+    left end (mu = 0), or its root clipped to the piece (mu > 0).
     """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    shape = np.broadcast_shapes(v.shape, w.shape)
+    v, w = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(w, dtype=float))
+    shape = v.shape
     N = shape[-1]
     S = math.prod(shape[:-1])
-    w = np.broadcast_to(w, w.shape[:-1] + (N,))
     active = w > 0
     if active.all():
         bp = v / w
@@ -118,7 +120,7 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
         bp = v / np.where(active, w, 1.0)
         np.copyto(bp, np.inf, where=~active)
         w = np.where(active, w, 0.0)
-        n_active = np.broadcast_to(active.sum(axis=-1), shape[:-1]).reshape(S)
+        n_active = active.sum(axis=-1).reshape(S)
     # One stable argsort of the S slices, turned into flat indices so that
     # every gather is one np.take. The gathers lay the sorted slices out as
     # columns, so the cumulative sums and counts below run across all slices
@@ -136,8 +138,7 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
     # adding lam = 0 would change no value.
     slopes = np.empty((N + 1, S))
     slopes[0] = 0.0
-    weights = np.broadcast_to(w, shape).reshape(S * N)
-    np.take(weights, order, out=slopes[1:], mode="clip")
+    np.take(w.reshape(S * N), order, out=slopes[1:], mode="clip")
     np.cumsum(slopes[1:], axis=0, out=slopes[1:])
     total = slopes[-1].copy()
     slopes *= 2.0
@@ -159,19 +160,16 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
         flat = (np.abs(slopes.take(at)) <= tol) & (j < n_active)
         lo_j = B.take(at)
         t = np.where(flat, 0.5 * (lo_j + B.take(at + S)), lo_j)
-        return t.reshape(shape[:-1])
-
-    roots = -slopes / (2.0 * mu)
-    inside = (roots >= B[:-1]) & (roots <= B[1:])
-    at = inside.argmax(axis=0) * S + columns
-    # Where no root lies inside its interval, the minimizer sits at a
-    # breakpoint: the first one whose right derivative is nonnegative.
-    g_right = 2.0 * mu * B[1:-1]
-    g_right += slopes[1:]
-    kink = B.take(((g_right >= 0.0).argmax(axis=0) + 1) * S + columns)
-    t = np.where(inside.take(at), roots.take(at), kink)
-    t[slopes[0] >= 0.0] = 0.0
-    return t.reshape(shape[:-1])
+    else:
+        # The right derivative 2 mu t + slope at the sorted breakpoints is
+        # nondecreasing, so the count of those below 0 indexes the interval
+        # that holds the minimizer: its root clipped to the interval.
+        g_right = 2.0 * mu * B[1:-1]
+        g_right += slopes[1:]
+        at = (g_right < 0.0).sum(axis=0) * S + columns
+        t = np.minimum(np.maximum(slopes.take(at) / (-2.0 * mu), B.take(at)), B.take(at + S))
+    # A breakpoint -0.0 / w or a root +0.0 / (-2 mu) is -0.0; + 0.0 makes it +0.0.
+    return (t + 0.0).reshape(shape[:-1])
 
 
 def weighted_reg_median(v, w, lam: float = 0.0, mu: float = 0.0) -> float:

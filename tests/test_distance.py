@@ -249,6 +249,18 @@ def test_degenerate_l2_centroids_follow_the_kernel_rule(v, lam, distance):
     assert coefficient_and_distance(x, v, spec) == (0.0, distance)
 
 
+# An l1 zero centroid makes every weight inactive: coefficient 0 and
+# distance ||x||_1 under any lambda_u and mu_u.
+@pytest.mark.parametrize("lam, mu", [(0.0, 0.0), (1.0, 0.0), (0.0, 0.5), (1.0, 0.5)])
+def test_zero_l1_centroids_follow_the_kernel_rule(lam, mu):
+    x, v = [3.0, 4.0], [0.0, 0.0]
+    spec = ModelSpec("l1", "c1_free", RegularizationParams(lambda_u=lam, mu_u=mu))
+    T, D = pair_costs([x], [v], spec)
+    assert coefficient_l1(x, v, lam, mu) == T[0, 0] == 0.0 and not np.signbit(T[0, 0])
+    assert distance_l1(x, v, lam, mu) == D[0, 0] == 7.0
+    assert coefficient_and_distance(x, v, spec) == (0.0, 7.0)
+
+
 def test_every_public_name_resolves():
     assert all(hasattr(onmfcluster, name) for name in onmfcluster.__all__)
     assert "DegenerateCentroidError" not in onmfcluster.__all__

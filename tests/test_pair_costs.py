@@ -15,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
@@ -108,8 +108,8 @@ def median_slices(draw):
     n = draw(st.integers(1, 7))
     s = draw(st.integers(1, 5))
     # Small integer targets and unit-ish weights make ties and flat
-    # minimizer intervals common.
-    targets = st.one_of(st.integers(0, 4).map(float), ENTRIES)
+    # minimizer intervals common; a target -0.0 is a breakpoint -0.0.
+    targets = st.one_of(st.integers(0, 4).map(float), st.just(-0.0), ENTRIES)
     v = draw(arrays(float, (s, n), elements=targets))
     w = draw(arrays(float, (s, n), elements=WEIGHTS))
     return v, w, draw(PENALTIES), draw(PENALTIES)
@@ -142,12 +142,15 @@ def _one_sided_derivatives(t, v, w, lam, mu):
 
 @settings(max_examples=300, deadline=None)
 @given(median_slices())
+# The piece [0, 2/3] has slope +0.0, so its root +0.0 / (-2 mu) is -0.0.
+@example((np.array([[1.0, 0.0, 1.0]]), np.array([[0.5, 2.0, 1.5]]), 0.0, 0.5))
 def test_batched_medians_are_optimal(case):
     # Independent of the sweep: t must satisfy the first-order condition on
     # t >= 0 and attain the brute-force minimum at criterion 1's tolerance.
+    # No minimizer is -0.0.
     v, w, lam, mu = case
     for vi, wi, t in zip(v, w, _weighted_reg_medians(v, w, lam, mu)):
-        assert t >= 0.0
+        assert t >= 0.0 and not np.signbit(t)
         left, right = _one_sided_derivatives(t, vi, wi, lam, mu)
         tol = 1e-9 * (1.0 + lam + wi.sum() + 2.0 * mu * t)
         assert right >= -tol, (vi, wi, t, right)

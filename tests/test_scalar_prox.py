@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from onmfcluster import (
     ScalarProxProblem,
     brute_force_min,
+    centroid_l1,
+    coefficient_l1,
     soft_threshold,
     solve_closed_form,
     weighted_reg_median,
@@ -25,6 +27,9 @@ class TestSoftThreshold:
     )
     def test_values(self, gamma, x, expected):
         assert soft_threshold(gamma, x) == expected
+
+    def test_zero_is_positive_zero(self):
+        assert not np.signbit(soft_threshold(0.0, -0.0))
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
@@ -70,6 +75,13 @@ class TestWeightedRegMedian:
             lams = np.sort(rng.uniform(0, 5, 3))
             values = [weighted_reg_median(v, w, lam, mu) for lam in lams]
             assert values[0] >= values[1] >= values[2]
+
+    def test_a_zero_minimizer_is_positive_zero(self):
+        # The piece [0, 2/3] has slope +0.0, so its root +0.0 / (-2 mu) is -0.0.
+        v, w = [1.0, 0.0, 1.0], [0.5, 2.0, 1.5]
+        t = [weighted_reg_median(v, w, 0.0, 0.5), coefficient_l1(v, w, 0.0, 0.5)]
+        t += list(centroid_l1(np.array(v)[:, None], w, 0.0, 0.5))
+        assert t == [0.0] * 3 and not np.signbit(t).any()
 
     def test_degenerate_flat_objective_takes_zero(self):
         # A constant objective has the minimizer 0, without a warning (and

@@ -542,6 +542,21 @@ def test_label_is_minus_one_exactly_where_the_coefficient_is_zero(discrepancy, m
         assert thresholded > 0
 
 
+@pytest.mark.parametrize(
+    "reg", [RegularizationParams(mu_u=0.5), RegularizationParams(mu_u=0.5, mu_v=0.5)], ids=["mu_u", "mu_u-mu_v"]
+)
+def test_l1_fits_on_sparse_grid_data_hold_no_negative_zero(reg):
+    # A piece from 0 with slope +0.0 has the root +0.0 / (-2 mu) = -0.0; a zero
+    # coefficient or centroid entry taken there must still be +0.0.
+    rng = np.random.default_rng(0)
+    X = rng.integers(1, 5, (60, 4)) * 0.5
+    X[rng.random((60, 4)) < 0.3] = 0.0
+    for seed in range(10):
+        res = fit(X, ModelSpec("l1", "c1_free", reg), SolverConfig(n_clusters=3, seed=seed))
+        assert not np.signbit(res.membership.coefficients).any()
+        assert not np.signbit(res.centroids).any()
+
+
 class TestStreamedRun:
     @pytest.mark.parametrize(
         "stop, spec, config",

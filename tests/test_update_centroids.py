@@ -281,7 +281,8 @@ MEDIAN_ENTRIES = st.one_of(
 @given(arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 5)), elements=MEDIAN_ENTRIES))
 def test_sorted_median_equals_the_unit_weight_sweep(X_k):
     expected = _weighted_reg_medians(X_k.T, np.ones(X_k.shape[0]), 0.0, 0.0)
-    # Bit for bit, the signs of zeros included, alone and behind +inf padding.
+    # Bit for bit, alone and behind +inf padding; no median is -0.0.
+    assert not np.signbit(expected).any()
     n = X_k.shape[0]
     assert _medians(X_k[None], np.array([n]))[0].tobytes() == expected.tobytes()
     padded = np.vstack((X_k, np.full((3, X_k.shape[1]), np.inf)))
@@ -330,6 +331,8 @@ def l1_updates(draw):
 @given(l1_updates())
 def test_batched_l1_update_equals_the_sweep_bit_for_bit(update):
     # The batches pad clusters to a common width, which must not change a bit.
+    # Sweep or K-median sort, over -0.0 targets, zero weights and mu_v = 0 or
+    # > 0, no entry of a cluster with members is -0.0.
     X, membership, lambda_v, mu_v, budget = update
     K = membership.n_clusters
     spec = ModelSpec("l1", "c1_free", RegularizationParams(lambda_v=lambda_v, mu_v=mu_v))
@@ -341,6 +344,7 @@ def test_batched_l1_update_equals_the_sweep_bit_for_bit(update):
         if rows.any():
             expected = centroid_l1(X[rows], coeffs[rows], lambda_v, mu_v)
             assert V[k].tobytes() == expected.tobytes()
+            assert not np.signbit(V[k]).any()
 
 
 @pytest.mark.parametrize("skewed", [False, True])
@@ -365,18 +369,14 @@ def test_l1_update_peak_memory_stays_near_its_largest_cluster(skewed):
     assert peak < 12 * np.bincount(labels).max() * N * 8 + 2**20
 
 
-def test_kmedian_update_keeps_the_sweeps_signed_zero():
+def test_kmedian_update_equals_centroid_l1_with_positive_zero_medians():
     X = np.random.default_rng(0).choice([0.0, -0.0, 1.0, 2.0], size=(400, 8))
     labels = np.arange(400) % 3
     membership = Membership(labels, np.ones(400), 3)
     V = update_centroids(X, membership, ModelSpec("l1", "binary"), np.zeros((3, 8)))
-    groups = [X[labels == k] for k in range(3)]
-    expected = [centroid_l1(X_k, np.ones(X_k.shape[0])) for X_k in groups]
+    expected = [centroid_l1(X_k, np.ones(X_k.shape[0])) for X_k in (X[labels == k] for k in range(3))]
     assert V.tobytes() == np.array(expected).tobytes()
-    # An unstable selection orders 0.0 and -0.0 arbitrarily: on these rows it
-    # picks a zero of the other sign.
-    unstable = [np.partition(X_k, X_k.shape[0] // 2, axis=0)[X_k.shape[0] // 2] for X_k in groups]
-    assert (np.signbit(unstable) != np.signbit(expected)).any()
+    assert (V == 0.0).any() and not np.signbit(V).any()
 
 
 @pytest.mark.parametrize("discrepancy, mode", CELLS)
