@@ -1,23 +1,23 @@
 """Centroid updates: exact minimizers of the per-cluster subproblems.
 
 ``centroid_l2`` soft-thresholds the weighted component means, ``centroid_l1``
-takes weighted regularized medians; they are the paper-level definitions,
-under ``scalar_prox``'s contract, and the oracles ``update_centroids`` is
-tested against. ``update_centroids`` updates every cluster in one batched
-pass. Under l2 all thresholded means come from one scatter of the coefficients
-into U, one product U^T X and one division by ||u_k||^2 + mu_v; in binary
-mode, where every coefficient is 1, ||u_k||^2 is the member count. Under l1
-the rows are grouped by label once and the clusters, in order of size, are
-stacked into batches padded to a common width, each within the pair kernel's
-chunk budget of elements, and each batch takes one median sweep. With unit
-weights and no centroid penalties, as in K-median, the sweep's value is the
-plain column median, read off one sort per batch instead. In normalized mode
-every row is projected onto the unit sphere once. Under l2 that projection is
-the exact minimizer; under l1 a guard keeps the previous row where it is not.
-An empty cluster's row enters the objective only through its centroid
-penalty, so it takes its farthest data row only where that penalty does not
-grow: the update never raises the objective. Reseeding and the guard read
-each row's cost from ``model.row_costs``, whose sum with the centroid
+takes weighted regularized medians; they are the paper-level definitions, under
+``scalar_prox``'s contract, and the oracles ``update_centroids`` is tested
+against. ``update_centroids`` updates every cluster in one batched pass. Under
+l2 all thresholded means come from one scatter of the coefficients into U, one
+product U^T X and one division by ||u_k||^2 + mu_v; in binary mode, where every
+coefficient is 1, ||u_k||^2 is the member count. Under l1 the rows are grouped
+by label once and the clusters, in order of size, are stacked into batches
+padded to a common width, each within the sweep's chunk budget of elements, and
+each batch takes one median sweep. With unit weights and no centroid penalties,
+as in K-median, the sweep's value is the plain column median, read off one sort
+per batch instead. In normalized mode every row is projected onto the unit
+sphere once. Under l2 that projection is the exact minimizer; under l1 a guard
+keeps the previous row where it is not. Seeds and reseeds are unit rows too,
+and no entry is -0.0. An empty cluster's row enters the objective only through
+its centroid penalty, so it takes its farthest data row only where that penalty
+does not grow: the update never raises the objective. Reseeding and the guard
+read each row's cost from ``model.row_costs``, whose sum with the centroid
 penalties is the objective to rounding.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import distance
+from . import scalar_prox
 from .model import Membership, ModelSpec, RegularizationParams, _check_fit, dense_u, row_costs
 from .scalar_prox import _check_problem, _finite, _quadratic_min, _weighted_reg_medians
 
@@ -95,9 +95,9 @@ def _add_penalties(costs: np.ndarray, W: np.ndarray, reg: RegularizationParams) 
 
 
 def _unit_rows(W: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Project W's rows onto the unit sphere in place; a zero row becomes e_j for the largest A[k, j].
+    """Project W's rows onto the unit sphere in place; a zero-norm row gets 1 at its largest A[k, j].
 
-    Every row is divided in one step, a zero row by 1, which keeps its bytes.
+    Every row is divided in one step, a zero-norm row by 1, which keeps its bytes, so A may be W.
     """
     norms = np.sqrt(np.einsum("kn,kn->k", W, W))
     zero = norms == 0.0
@@ -105,6 +105,12 @@ def _unit_rows(W: np.ndarray, A: np.ndarray) -> np.ndarray:
     if zero.any():
         W[zero, A[zero].argmax(axis=1)] = 1.0
     return W
+
+
+def _data_rows(X: np.ndarray, rows, spec: ModelSpec) -> np.ndarray:
+    """Seeds or reseeds: X[rows] without -0.0, in normalized mode unit rows that rank their own entries."""
+    W = X[rows] + 0.0
+    return _unit_rows(W, W) if spec.constraint_mode == "normalized" else W
 
 
 def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np.ndarray:
@@ -117,12 +123,14 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
     larger than the previous row's, which they keep otherwise; without
     centroid penalties every pairing is taken. In normalized mode every row
     is projected onto the unit sphere before penalties are compared; a zero
-    row becomes e_j for the largest component j of X^T u_k - lambda_v / 2.
-    Under l2 that is the exact minimizer over nonnegative unit rows. Under
-    l1 it is not, so there a unit-norm previous row is kept whenever the
-    candidate would increase its cluster's cost. X and ``previous`` must fit
-    the membership as in ``row_costs``, or ``ValueError`` is raised; so it
-    is under l2 where a weighted mean overflows.
+    row becomes e_j for the largest component j of X^T u_k - lambda_v / 2, a
+    reseeded one for its own. Under l2 that is the exact minimizer over
+    nonnegative unit rows. Under l1 it is not, so there a unit-norm previous
+    row is kept whenever the candidate would increase its cluster's cost. No
+    entry is -0.0. X and ``previous`` must fit the membership as in
+    ``row_costs``, or ``ValueError`` is raised; so it is under l2 where a
+    weighted mean overflows or ||u_k||^2 + mu_v is 0 in float64, although
+    ``centroid_l2`` returns zeros there.
 
     Under l2 the rows are one product U^T X divided by each cluster's
     ||u_k||^2 + mu_v, in place outside normalized mode. In binary mode,
@@ -132,7 +140,7 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
     components.
     """
     X = np.asarray(X, dtype=float)
-    previous = np.asarray(previous, dtype=float)
+    previous = np.asarray(previous, dtype=float) + 0.0
     _check_fit(X, membership, previous)
     n_clusters = membership.n_clusters
 
@@ -176,7 +184,7 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
         rows = rows[np.argsort(labels[rows], kind="stable")]
         starts = np.cumsum(sizes) - sizes
         plain = reg.lambda_v == reg.mu_v == 0.0 and (coeffs[rows] == 1.0).all()
-        width = distance._CHUNK_ELEMENTS // max(X.shape[1], 1)
+        width = scalar_prox._CHUNK_ELEMENTS // max(X.shape[1], 1)
         for ks in _batches(sizes, np.flatnonzero(full), width):
             # Row i of cluster b sits at P[b, i]; the slots past its size
             # are padding: +inf, which sorts behind every row, or weight 0,
@@ -199,7 +207,7 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
     if empty.size:
         farthest = np.argsort(-row_costs(X, membership, previous, spec), kind="stable")[: empty.size]
         empty = empty[: farthest.size]
-        W = _unit_rows(X[farthest], A[empty]) if normalized else X[farthest]
+        W = _data_rows(X, farthest, spec)
         new, old = (_add_penalties(np.zeros(empty.size), R, reg) for R in (W, V[empty]))
         take = np.isfinite(new) & (new <= old)
         V[empty[take]] = W[take]
@@ -210,7 +218,7 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
             return _add_penalties(fit, W, reg)
 
         # Normalized seeds are unit rows, so the guard holds from the first
-        # update on; a zero seed row is not feasible and is never kept.
+        # update on; a previous row off the unit sphere is never kept.
         feasible = full & (np.abs(np.einsum("kn,kn->k", previous, previous) - 1.0) <= 1e-9)
         keep = feasible & (block_costs(V) > block_costs(previous))
         V[keep] = previous[keep]

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import scalar_prox
 from .model import ModelSpec
 from .scalar_prox import _FLAT_SLOPE_TOL, _check_problem, _finite, _quadratic_min, _weighted_reg_medians
 
@@ -128,15 +129,6 @@ def coefficient_and_distance(x, v, spec: ModelSpec) -> tuple[float, float]:
     return 1.0, float(r @ r) if spec.discrepancy == "l2" else float(np.abs(r).sum())
 
 
-# Pair chunks keep every temporary of the binary and l1 kernel near this
-# many elements, and the l1 centroid update batches clusters within the same
-# budget. It is set by the peak-memory tests of both: at 8192, l1 pair_costs
-# peaks near 1.12 MiB on 4000 x 8 rows and 8 centroids (tracemalloc), against
-# a bound of 1.24 MiB that 16384 (1.74 MiB) exceeds. Larger chunks mean fewer
-# numpy calls.
-_CHUNK_ELEMENTS = 8192
-
-
 def _l2_costs(
     X: np.ndarray, V: np.ndarray, lam: float, mu: float, xx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -203,8 +195,8 @@ def _costs_at(X: np.ndarray, V: np.ndarray, pairs, spec: ModelSpec, out: np.ndar
     The one exact kernel of these cells: ``pair_costs`` runs it on every pair
     and ``_l1_labels`` on the pairs its bounds leave open. pairs is an index
     array or a ``range``, and pair i's distance goes to ``out[pairs[i]]``.
-    Rows and centroids are gathered in chunks of ``_CHUNK_ELEMENTS``, each
-    chunk's index is built on its own, and the distances are written in
+    Rows and centroids are gathered in chunks of ``scalar_prox._CHUNK_ELEMENTS``,
+    each chunk's index is built on its own, and the distances are written in
     place, so the call holds only the coefficients beyond one chunk. Binary
     mode's coefficient is 1, and its distance sums the squared (l2) or
     absolute (l1) differences. An l1 coefficient that overflows costs +inf
@@ -213,7 +205,7 @@ def _costs_at(X: np.ndarray, V: np.ndarray, pairs, spec: ModelSpec, out: np.ndar
     M, N = X.shape
     lam, mu = spec.reg.lambda_u, spec.reg.mu_u
     T = np.ones(len(pairs))
-    step = max(1, _CHUNK_ELEMENTS // N)
+    step = max(1, scalar_prox._CHUNK_ELEMENTS // N)
     for lo in range(0, len(pairs), step):
         chunk = pairs[lo:lo + step]
         # np.asarray would read a range element by element.

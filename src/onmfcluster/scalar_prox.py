@@ -41,6 +41,14 @@ PROBLEM_KINDS = ("quadratic", "weighted_l1")
 # slice's own scale, is treated as a flat minimizer interval (mu = 0 only).
 _FLAT_SLOPE_TOL = 1e-12
 
+# Pair chunks keep every temporary of the binary and l1 kernel near this
+# many elements, and the l1 centroid update batches clusters within the same
+# budget. It is set by the peak-memory tests of both: at 8192, l1 pair_costs
+# peaks near 1.12 MiB on 4000 x 8 rows and 8 centroids (tracemalloc), against
+# a bound of 1.24 MiB that 16384 (1.74 MiB) exceeds. Larger chunks mean fewer
+# numpy calls.
+_CHUNK_ELEMENTS = 8192
+
 
 def _check_penalties(**weights: float) -> None:
     """Raise ``ValueError`` unless every named penalty weight is finite and nonnegative."""
@@ -100,9 +108,9 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
     """Breakpoint sweep of :func:`weighted_reg_median`, batched over the last axis.
 
     v and w broadcast against each other; the result has their broadcast
-    shape without the last axis. Inactive weights become +inf breakpoints of
-    zero weight, which sort behind every active one and leave the slopes of
-    the active pieces unchanged. A breakpoint past float64's range is +inf
+    shape without the last axis. Inactive weights, +0 or -0, become +inf
+    breakpoints, which sort behind every active one and add nothing to the
+    slopes of the active pieces. A breakpoint past float64's range is +inf
     too, with a warning, and a minimizer there is returned as +inf. Each
     slice takes one count over its sorted breakpoints, which names the piece
     that holds its minimizer, and then one value: that piece's midpoint or
@@ -119,7 +127,6 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
     else:
         bp = v / np.where(active, w, 1.0)
         np.copyto(bp, np.inf, where=~active)
-        w = np.where(active, w, 0.0)
         n_active = active.sum(axis=-1).reshape(S)
     # One stable argsort of the S slices, turned into flat indices so that
     # every gather is one np.take. The gathers lay the sorted slices out as

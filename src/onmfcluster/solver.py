@@ -34,6 +34,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import centroid
 from .centroid import update_centroids
 from .distance import nearest, pair_costs
 from .model import FactorizationResult, Membership, ModelSpec, _data_matrix, objective
@@ -80,10 +81,10 @@ def init_centroids(X, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
     measure) to the nearest row chosen so far, never a row equal to a chosen
     one. Rows at +inf from every chosen row are drawn first, uniformly: after
     a degenerate draw, such as a zero row under an l2 sparsity penalty, that
-    is every other row. In normalized mode each drawn row is divided by its
-    l2 norm, so the first coefficients are measured against feasible
-    centroids and scale with the data; a row whose norm is 0 in float64
-    stays as drawn. Deterministic given the seed.
+    is every other row. The drawn rows are copied without -0.0, and in
+    normalized mode divided by their l2 norms, so the first coefficients are
+    measured against feasible centroids; a row whose norm is 0 in float64
+    becomes e_j for its largest entry j. Deterministic given the seed.
     """
     return _init_centroids(*_data_matrix(X), config, spec)
 
@@ -97,7 +98,7 @@ def _init_centroids(X: np.ndarray, xx: np.ndarray, config: SolverConfig, spec: M
     rng = np.random.default_rng(config.seed)
 
     if config.init == "random_rows":
-        return _seeds(X, xx, _distinct_prefix(X, rng.permutation(M), K), spec)
+        return centroid._data_rows(X, _distinct_prefix(X, rng.permutation(M), K), spec)
 
     def distances_to(m: int) -> np.ndarray:
         dist = pair_costs(X, X[m:m + 1], spec, xx)[1][:, 0]
@@ -122,16 +123,7 @@ def _init_centroids(X: np.ndarray, xx: np.ndarray, config: SolverConfig, spec: M
         nxt = int(rng.choice(M, p=weights / total))
         chosen.append(nxt)
         nearest = np.minimum(nearest, distances_to(nxt))
-    return _seeds(X, xx, chosen, spec)
-
-
-def _seeds(X: np.ndarray, xx: np.ndarray, chosen, spec: ModelSpec) -> np.ndarray:
-    """A copy of the chosen rows, each divided by its norm in normalized mode (a zero norm by 1)."""
-    V = X[chosen]
-    if spec.constraint_mode == "normalized":
-        norms = np.sqrt(xx[chosen])
-        V /= np.where(norms == 0.0, 1.0, norms)[:, None]
-    return V
+    return centroid._data_rows(X, chosen, spec)
 
 
 def _distinct_prefix(X: np.ndarray, perm: np.ndarray, K: int) -> np.ndarray:

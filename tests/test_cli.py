@@ -394,16 +394,24 @@ def test_only_a_column_of_one_bit_pattern_is_formatted_once(tmp_path, column):
     assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
 
-def test_an_l1_run_on_sparse_grid_data_writes_no_negative_zero(tmp_path):
+@pytest.mark.parametrize(
+    "shape, low, zero, share, args",
+    [
+        # Zero minimizers, computed by the sweep.
+        ((60, 4), 1, 0.0, 0.3, ["--k", "3", "--seed", "9", "--mode", "c1-free", "--mu-u", "0.5", "--mu-v", "0.5"]),
+        # Seeds, reseeds and kept rows, copied from data with -0.0 entries.
+        ((12, 2), 0, -0.0, 0.4, ["--k", "5", "--seed", "0", "--lambda-v", "0.5"]),
+    ],
+    ids=["computed", "copied"],
+)
+def test_an_l1_run_on_sparse_grid_data_writes_no_negative_zero(tmp_path, shape, low, zero, share, args):
     rng = np.random.default_rng(0)
-    X = rng.integers(1, 5, (60, 4)) * 0.5
-    X[rng.random((60, 4)) < 0.3] = 0.0
+    X = rng.integers(low, 5, shape) * 0.5
+    X[rng.random(shape) < share] = zero
     path = tmp_path / "x.csv"
     np.savetxt(path, X, fmt="%.17g", delimiter=",")
     out = tmp_path / "out"
-    argv = ["--input", str(path), "--out", str(out), "--k", "3", "--seed", "9",
-            "--discrepancy", "l1", "--mode", "c1-free", "--mu-u", "0.5", "--mu-v", "0.5"]
-    assert main(argv) == 0
+    assert main(["--input", str(path), "--out", str(out), "--discrepancy", "l1", *args]) == 0
     for name in ("assignments.csv", "centroids.csv"):
         fields = (out / name).read_text().replace("\n", ",").split(",")
         assert "-0" not in fields, name

@@ -268,13 +268,14 @@ def test_every_public_name_resolves():
 
 # Seeded from the row 5e-324, the row 6.36961687's l1 coefficient overflows,
 # so that row has no centroid at a finite distance, in the bounded
-# assignment as in the full kernel.
-@pytest.mark.parametrize("mode", ["c1_free", "normalized"])
-def test_an_l1_row_with_no_finite_centroid_raises(mode):
+# assignment as in the full kernel. A normalized seed is a unit row, against
+# which no coefficient of these rows overflows.
+def test_an_l1_row_with_no_finite_centroid_raises():
     X = np.array([[5e-324], [6.36961687]])
-    spec, config = ModelSpec("l1", mode), SolverConfig(n_clusters=1, seed=0)
+    spec, config = ModelSpec("l1", "c1_free"), SolverConfig(n_clusters=1, seed=0)
     assert_array_equal(init_centroids(X, config, spec), X[:1])
     with pytest.raises(NoValidCentroidError):
         fit(X, spec, config)
     with pytest.raises(NoValidCentroidError):
         _argmin(*pair_costs(X, X[:1], spec))
+    assert fit(X, ModelSpec("l1", "normalized"), config).centroids.tolist() == [[1.0]]

@@ -31,7 +31,7 @@ from onmfcluster import (
     coefficient_and_distance,
     weighted_reg_median,
 )
-from onmfcluster import distance
+from onmfcluster import distance, scalar_prox
 from onmfcluster.distance import pair_costs
 from onmfcluster.scalar_prox import _weighted_reg_medians
 
@@ -242,7 +242,7 @@ def test_pair_costs_do_not_depend_on_the_chunk_budget(discrepancy, mode, seed, m
     T_rows, D_rows = pair_costs(X[rows], V, spec)
     assert T_rows.tobytes() == T[rows].tobytes() and D_rows.tobytes() == D[rows].tobytes()
     for budget in (K * N, M * K * N):
-        monkeypatch.setattr(distance, "_CHUNK_ELEMENTS", budget)
+        monkeypatch.setattr(scalar_prox, "_CHUNK_ELEMENTS", budget)
         T_b, D_b = pair_costs(X, V, spec)
         assert T_b.tobytes() == T.tobytes() and D_b.tobytes() == D.tobytes()
 

@@ -23,6 +23,7 @@ from onmfcluster import (
     fit,
     fit_history,
     init_centroids,
+    update_centroids,
 )
 from onmfcluster import solver
 from onmfcluster.distance import pair_costs
@@ -118,11 +119,11 @@ class TestInitCentroids:
             fit(X, LASSO, config)
 
     def test_normalized_seeds_are_the_drawn_rows_over_their_norms(self):
-        # 5e-324's square underflows, so that row's norm is 0 in float64 and
-        # it stays as drawn, as does the zero row.
+        # 5e-324's square underflows, so that row's norm is 0 in float64; it
+        # becomes e_j for its largest entry j, and the zero row e_0.
         X = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 2.0], [5e-324, 0.0]])
         config = SolverConfig(n_clusters=4, seed=0)
-        unit = {(0.0, 0.0): (0.0, 0.0), (3.0, 4.0): (0.6, 0.8), (0.0, 2.0): (0.0, 1.0), (5e-324, 0.0): (5e-324, 0.0)}
+        unit = {(0.0, 0.0): (1.0, 0.0), (3.0, 4.0): (0.6, 0.8), (0.0, 2.0): (0.0, 1.0), (5e-324, 0.0): (1.0, 0.0)}
         drawn = init_centroids(X, config, ModelSpec())
         seeds = init_centroids(X, config, ModelSpec("l1", "normalized"))
         assert [tuple(row) for row in seeds] == [unit[tuple(row)] for row in drawn]
@@ -181,8 +182,8 @@ def test_random_rows_takes_the_rows_of_the_loop(problem):
         with pytest.raises(DuplicateRowsError, match=message):
             init_centroids(X, config, ModelSpec())
         return
-    # Byte for byte, so the sign of every zero is the chosen row's.
-    assert init_centroids(X, config, ModelSpec()).tobytes() == X[expected].tobytes()
+    # Byte for byte, so every zero of the chosen rows is +0.0.
+    assert init_centroids(X, config, ModelSpec()).tobytes() == (X[expected] + 0.0).tobytes()
     perm = np.random.default_rng(seed).permutation(X.shape[0])
     assert_array_equal(_distinct_prefix(X, perm, K), expected)
 
@@ -555,6 +556,30 @@ def test_l1_fits_on_sparse_grid_data_hold_no_negative_zero(reg):
         res = fit(X, ModelSpec("l1", "c1_free", reg), SolverConfig(n_clusters=3, seed=seed))
         assert not np.signbit(res.membership.coefficients).any()
         assert not np.signbit(res.centroids).any()
+
+
+@pytest.mark.parametrize("init", ["random_rows", "plusplus"])
+@pytest.mark.parametrize("discrepancy, mode", CELLS)
+def test_centroid_rows_taken_from_the_data_hold_no_negative_zero(discrepancy, mode, init):
+    # Seeds, reseeds and kept previous rows are copies, not minimizers; on data
+    # with -0.0 entries they too must be +0.0, and normalized seeds unit rows.
+    rng = np.random.default_rng(0)
+    X = rng.integers(0, 5, (12, 2)) * 0.5
+    X[rng.random(X.shape) < 0.4] = -0.0
+    spec = ModelSpec(discrepancy, mode)
+    for seed in range(10):
+        config = SolverConfig(n_clusters=5, seed=seed, init=init)
+        V = init_centroids(X, config, spec)
+        assert not np.signbit(V).any()
+        if mode == "normalized":
+            assert_allclose(np.linalg.norm(V, axis=1), 1.0, rtol=0.0, atol=1e-12)
+        for step in fit_history(X, spec, config):
+            assert not np.signbit(step.centroids).any()
+    # Four empty clusters: under lambda_v most keep the previous row, whose
+    # penalty a reseed would raise, and the others take a data row.
+    spec = ModelSpec(discrepancy, mode, RegularizationParams(lambda_v=0.5))
+    V = update_centroids(X, Membership(np.zeros(12, dtype=int), np.ones(12), 5), spec, [[-0.0, 0.1]] * 5)
+    assert not np.signbit(V).any()
 
 
 class TestStreamedRun:

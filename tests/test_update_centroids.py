@@ -31,7 +31,7 @@ from onmfcluster import (
     centroid_l2,
     update_centroids,
 )
-from onmfcluster import distance
+from onmfcluster import scalar_prox
 from onmfcluster.centroid import _medians
 from onmfcluster.distance import pair_costs
 from onmfcluster.model import row_costs
@@ -323,7 +323,7 @@ def l1_updates(draw):
     lambda_v, mu_v = (0.0, 0.0) if kmedian else (draw(LAMBDA_V), draw(PENALTIES))
     # 1 puts every cluster in a batch of its own; 7 N batches clusters of up
     # to 7 rows together.
-    budget = draw(st.sampled_from([distance._CHUNK_ELEMENTS, 1, 7 * N]))
+    budget = draw(st.sampled_from([scalar_prox._CHUNK_ELEMENTS, 1, 7 * N]))
     return X, Membership(labels, coeffs, K), lambda_v, mu_v, budget
 
 
@@ -336,7 +336,7 @@ def test_batched_l1_update_equals_the_sweep_bit_for_bit(update):
     X, membership, lambda_v, mu_v, budget = update
     K = membership.n_clusters
     spec = ModelSpec("l1", "c1_free", RegularizationParams(lambda_v=lambda_v, mu_v=mu_v))
-    with mock.patch.object(distance, "_CHUNK_ELEMENTS", budget):
+    with mock.patch.object(scalar_prox, "_CHUNK_ELEMENTS", budget):
         V = update_centroids(X, membership, spec, np.zeros((K, X.shape[1])))
     labels, coeffs = membership.labels, membership.coefficients
     for k in range(K):
