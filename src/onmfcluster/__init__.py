@@ -7,9 +7,17 @@ yields closed-form membership coefficients (soft thresholding, weighted
 regularized medians), the distance measures they induce, and centroid
 updates, with verifiable reductions to classical K-means, K-median, and the
 spherical variant.
+
+The public contract: the paper-level functions (coefficients, distances,
+``assign``, centroid rows, ``objective`` and the scalar problems) check their
+input, and ``fit``, ``fit_history``, ``init_centroids`` and
+``as_data_matrix`` validate the data once. The batched kernels a fit runs,
+``distance._pair_costs``, ``distance._nearest``, ``centroid._update_centroids``
+and ``model._row_costs``, are private: they take the fit's validated rows and
+check nothing again.
 """
 
-from .centroid import centroid_l1, centroid_l2, update_centroids
+from .centroid import centroid_l1, centroid_l2
 from .distance import (
     NoValidCentroidError,
     assign,
@@ -27,7 +35,6 @@ from .model import (
     ModelSpec,
     RegularizationParams,
     as_data_matrix,
-    dense_u,
     objective,
 )
 from .scalar_prox import (
@@ -59,7 +66,6 @@ __all__ = [
     "coefficient_and_distance",
     "coefficient_l1",
     "coefficient_l2",
-    "dense_u",
     "distance_l1",
     "distance_l2",
     "distance_l2_angle_form",
@@ -70,6 +76,5 @@ __all__ = [
     "objective",
     "soft_threshold",
     "solve_closed_form",
-    "update_centroids",
     "weighted_reg_median",
 ]

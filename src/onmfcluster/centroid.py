@@ -2,14 +2,16 @@
 
 ``centroid_l2`` soft-thresholds the weighted component means, ``centroid_l1``
 takes weighted regularized medians; they are the paper-level definitions, under
-``scalar_prox``'s contract, and the oracles ``update_centroids`` is tested
-against. ``update_centroids`` updates every cluster in one batched pass. Under
-l2 all thresholded means come from one scatter of the coefficients into U, one
+``scalar_prox``'s contract, and the oracles ``_update_centroids`` is tested
+against. ``_update_centroids``, a fit's V-block, updates every cluster in one
+batched pass on the fit's validated rows and checks nothing. Under l2 all
+thresholded means come from one scatter of the coefficients into U, one
 product U^T X and one division by ||u_k||^2 + mu_v; in binary mode, where every
-coefficient is 1, ||u_k||^2 is the member count. Under l1 the rows are grouped
-by label once and the clusters, in order of size, are stacked into batches
-padded to a common width, each within the sweep's chunk budget of elements, and
-each batch takes one median sweep. With unit weights and no centroid penalties,
+coefficient is 1, ||u_k||^2 is the member count. Where ||u_k||^2 + mu_v is 0
+in float64 the row is zero, as ``centroid_l2`` gives it. Under l1 the rows are
+grouped by label once and the clusters, in order of size, are stacked into
+batches padded to a common width, each within the sweep's chunk budget of
+elements, and each batch takes one median sweep. With unit weights and no centroid penalties,
 as in K-median, the sweep's value is the plain column median, read off one sort
 per batch instead. In normalized mode every row is projected onto the unit
 sphere once. Under l2 that projection is the exact minimizer; under l1 a guard
@@ -17,7 +19,7 @@ keeps the previous row where it is not. Seeds and reseeds are unit rows too,
 and no entry is -0.0. An empty cluster's row enters the objective only through
 its centroid penalty, so it takes its farthest data row only where that penalty
 does not grow: the update never raises the objective. Reseeding and the guard
-read each row's cost from ``model.row_costs``, whose sum with the centroid
+read each row's cost from ``model._row_costs``, whose sum with the centroid
 penalties is the objective to rounding.
 """
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import scalar_prox
-from .model import Membership, ModelSpec, RegularizationParams, _check_fit, dense_u, row_costs
+from .model import Membership, ModelSpec, RegularizationParams, _row_costs
 from .scalar_prox import _check_problem, _finite, _quadratic_min, _weighted_reg_medians
 
 
@@ -113,12 +115,12 @@ def _data_rows(X: np.ndarray, rows, spec: ModelSpec) -> np.ndarray:
     return _unit_rows(W, W) if spec.constraint_mode == "normalized" else W
 
 
-def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np.ndarray:
+def _update_centroids(X: np.ndarray, membership: Membership, spec: ModelSpec, previous: np.ndarray):
     """Recompute every centroid row from its cluster's rows and coefficients.
 
     Row k equals ``centroid_l2``/``centroid_l1`` of the rows labelled k with a
     positive coefficient. Empty clusters pair with the data rows of largest
-    ``row_costs`` against ``previous`` (ties toward lower indices, one row per
+    ``_row_costs`` against ``previous`` (ties toward lower indices, one row per
     cluster) and take them where the row's centroid penalty is finite and no
     larger than the previous row's, which they keep otherwise; without
     centroid penalties every pairing is taken. In normalized mode every row
@@ -127,10 +129,11 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
     reseeded one for its own. Under l2 that is the exact minimizer over
     nonnegative unit rows. Under l1 it is not, so there a unit-norm previous
     row is kept whenever the candidate would increase its cluster's cost. No
-    entry is -0.0. X and ``previous`` must fit the membership as in
-    ``row_costs``, or ``ValueError`` is raised; so it is under l2 where a
-    weighted mean overflows or ||u_k||^2 + mu_v is 0 in float64, although
-    ``centroid_l2`` returns zeros there.
+    entry is -0.0, given a ``previous`` without -0.0. X and ``previous`` are
+    float arrays that fit the membership. Under l2 a row whose ||u_k||^2 +
+    mu_v is 0 in float64 is zero, as ``centroid_l2`` gives it, also where
+    U^T X is not, and in normalized mode it then becomes e_j like any zero
+    row; ``ValueError`` is raised only where a weighted mean overflows.
 
     Under l2 the rows are one product U^T X divided by each cluster's
     ||u_k||^2 + mu_v, in place outside normalized mode. In binary mode,
@@ -139,9 +142,6 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
     U^T X is formed only in normalized mode, where it ranks a zero row's
     components.
     """
-    X = np.asarray(X, dtype=float)
-    previous = np.asarray(previous, dtype=float) + 0.0
-    _check_fit(X, membership, previous)
     n_clusters = membership.n_clusters
 
     reg = spec.reg
@@ -155,7 +155,9 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
     empty = np.flatnonzero(~full)
     normalized = spec.constraint_mode == "normalized"
     if spec.discrepancy == "l2" or normalized:
-        U = dense_u(membership)
+        # Label -1 sends an unlabelled row's coefficient, 0, to column K - 1.
+        U = np.zeros((labels.size, n_clusters))
+        U[np.arange(labels.size), labels] = coeffs
         # Under l1, A only ranks a zero row's components, where +inf still ranks.
         with np.errstate(over="ignore"):
             A = U.T @ X
@@ -163,14 +165,14 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
             A -= reg.lambda_v / 2.0
     if spec.discrepancy == "l2":
         # A unit coefficient squares to 1, so ||u_k||^2 is the member count, exactly.
-        squares = sizes if unit else np.einsum("mk,mk->k", U, U)
+        denom = (sizes if unit else np.einsum("mk,mk->k", U, U)) + reg.mu_v
         with np.errstate(all="ignore"):
             # In place, except where a normalized zero row still ranks its components by A.
-            W = np.divide(A, (squares + reg.mu_v)[:, None], out=None if normalized else A)
-        # Only the clusters with members must be finite: an empty one's
-        # quotient may be 0/0, and it is replaced below.
-        finite = np.isfinite(W)
-        if not finite.all() and not finite[full].all():
+            W = np.divide(A, denom[:, None], out=None if normalized else A)
+        # A zero denominator gives centroid_l2's zero row, also where the
+        # squared coefficients underflow and U^T X does not.
+        W[denom == 0.0] = 0.0
+        if not np.isfinite(W).all():
             raise ValueError(
                 "the l2 centroid update (U^T X over the squared coefficient sums) overflows float64; rescale the data"
             )
@@ -205,7 +207,7 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
     if normalized:
         _unit_rows(V, A)
     if empty.size:
-        farthest = np.argsort(-row_costs(X, membership, previous, spec), kind="stable")[: empty.size]
+        farthest = np.argsort(-_row_costs(X, membership, previous, spec), kind="stable")[: empty.size]
         empty = empty[: farthest.size]
         W = _data_rows(X, farthest, spec)
         new, old = (_add_penalties(np.zeros(empty.size), R, reg) for R in (W, V[empty]))
@@ -214,7 +216,7 @@ def update_centroids(X, membership: Membership, spec: ModelSpec, previous) -> np
     if normalized and spec.discrepancy == "l1":
 
         def block_costs(W):
-            fit = np.bincount(labels[members], row_costs(X, membership, W, spec)[members], n_clusters)
+            fit = np.bincount(labels[members], _row_costs(X, membership, W, spec)[members], n_clusters)
             return _add_penalties(fit, W, reg)
 
         # Normalized seeds are unit rows, so the guard holds from the first

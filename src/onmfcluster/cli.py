@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .distance import NoValidCentroidError
-from .model import FactorizationResult, ModelSpec, RegularizationParams, row_costs
+from .model import FactorizationResult, ModelSpec, RegularizationParams, _row_costs
 from .solver import DuplicateRowsError, SolverConfig, fit
 
 FORMAT_VERSION = 3
@@ -194,7 +194,7 @@ def run(input_path, output_dir, spec: ModelSpec, config: SolverConfig) -> int:
     under ``empty_clusters`` every cluster the fit left without a member. A
     row whose coefficient was thresholded to 0 has cluster -1 and
     unassigned 1. Each row's reported distance is its share of the final
-    objective, ``model.row_costs`` at the reported cluster, coefficient and
+    objective, ``model._row_costs`` at the reported cluster, coefficient and
     centroids: the column sums, with the centroid penalties, to the last
     trace value up to rounding, as the objective sums its fit term over all
     entries at once rather than row by row.
@@ -272,7 +272,7 @@ def _write_results(out: Path, X: np.ndarray, result: FactorizationResult, spec: 
 def _write_files(out: Path, X: np.ndarray, result: FactorizationResult, spec: ModelSpec, report: dict) -> None:
     labels, coeffs = result.membership.labels, result.membership.coefficients
     V = result.centroids
-    dist = row_costs(X, result.membership, V, spec)
+    dist = _row_costs(X, result.membership, V, spec)
 
     # 17 significant digits round-trip every float64 exactly.
     _write_csv(

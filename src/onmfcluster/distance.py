@@ -16,11 +16,13 @@ Every argmin skips a pair at +inf, ``NoValidCentroidError`` is raised where
 a row has no centroid at a finite distance, and ``plusplus`` seeding reads
 the same costs.
 
-``pair_costs`` is the one batched cost kernel, and ``nearest``, a fit's
+``_pair_costs`` is the one batched cost kernel, and ``_nearest``, a fit's
 assignment, returns its argmin bit for bit: under l2 free and normalized
 off the kernel itself, in binary l2 off ``_l2_binary_labels`` and under l1
-off ``_l1_labels``. ``_costs_at`` costs every binary and l1 pair. A fit
-computes ||x||^2 once for seeding and both l2 kernels.
+off ``_l1_labels``. ``_costs_at`` costs every binary and l1 pair. These
+kernels are private: they take a fit's validated rows and check nothing,
+and ``assign`` is their checked one-row view. A fit computes ||x||^2 once
+for seeding and both l2 kernels.
 
 The scalar functions remain the paper-level definitions and the oracles the
 kernel is tested against, except under l1, where they run its median sweep
@@ -164,10 +166,11 @@ def _l2_costs(
     return T, D
 
 
-def pair_costs(X, V, spec: ModelSpec, xx=None) -> tuple[np.ndarray, np.ndarray]:
+def _pair_costs(X: np.ndarray, V: np.ndarray, spec: ModelSpec, xx=None) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient and distance of every (row, centroid) pair as M x K matrices.
 
-    Entry (m, k) equals ``coefficient_and_distance(X[m], V[k], spec)`` up to
+    X and V are checked 2-D float arrays with equal column counts. Entry
+    (m, k) equals ``coefficient_and_distance(X[m], V[k], spec)`` up to
     rounding, degenerate centroids included. Every cell computes K x M
     matrices and returns their transposed views, so that a reduction over the
     centroids runs along the long M axis. The l2 free and normalized modes
@@ -176,10 +179,6 @@ def pair_costs(X, V, spec: ModelSpec, xx=None) -> tuple[np.ndarray, np.ndarray]:
     mode sums each pair's differences as the Lloyd / K-median references do,
     so its distances, and their argmin, are theirs bit for bit.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    if X.ndim != 2 or X.shape[1] != V.shape[1]:
-        raise ValueError(f"X has shape {X.shape}, centroids have shape {V.shape}")
     if spec.discrepancy == "l2" and spec.constraint_mode != "binary":
         xx = np.einsum("mn,mn->m", X, X) if xx is None else xx
         T, D = _l2_costs(X, V, spec.reg.lambda_u, spec.reg.mu_u, xx)
@@ -192,7 +191,7 @@ def pair_costs(X, V, spec: ModelSpec, xx=None) -> tuple[np.ndarray, np.ndarray]:
 def _costs_at(X: np.ndarray, V: np.ndarray, pairs, spec: ModelSpec, out: np.ndarray) -> np.ndarray:
     """Binary or l1 costs of the pairs (m, k) with flat index k M + m: distances into out, coefficients returned.
 
-    The one exact kernel of these cells: ``pair_costs`` runs it on every pair
+    The one exact kernel of these cells: ``_pair_costs`` runs it on every pair
     and ``_l1_labels`` on the pairs its bounds leave open. pairs is an index
     array or a ``range``, and pair i's distance goes to ``out[pairs[i]]``.
     Rows and centroids are gathered in chunks of ``scalar_prox._CHUNK_ELEMENTS``,
@@ -235,7 +234,7 @@ _TINY = 2.0**-1074
 
 
 def _l2_binary_labels(X: np.ndarray, V: np.ndarray, xx: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    """Argmin over k of ``pair_costs(X, V, spec)[1]`` under binary l2, read off one product.
+    """Argmin over k of ``_pair_costs(X, V, spec)[1]`` under binary l2, read off one product.
 
     xx holds each row's ||x||^2. The exact kernel forms every pair's
     difference; here the K x M matrix E = ||v||^2 - 2 V X^T costs one
@@ -243,7 +242,7 @@ def _l2_binary_labels(X: np.ndarray, V: np.ndarray, xx: np.ndarray, spec: ModelS
     enters only the bound. With best the smallest entry of column m, the row
     is accepted when exactly one k has E[k, m] <= best + 2 bound, and takes
     that k. Every other row, including exact ties, is recomputed by
-    ``pair_costs``, whose argmin takes the lowest index. So the labels equal
+    ``_pair_costs``, whose argmin takes the lowest index. So the labels equal
     the exact kernel's bit for bit. The layout keeps each reduction along the
     M-long axis, and the index of a row's one close entry is a product with
     (0, ..., K - 1).
@@ -287,7 +286,7 @@ def _l2_binary_labels(X: np.ndarray, V: np.ndarray, xx: np.ndarray, spec: ModelS
     labels = index.astype(np.intp)
     recheck = np.flatnonzero(~accepted)
     if recheck.size:
-        labels[recheck] = _argmin(*pair_costs(X[recheck], V, spec))[0]
+        labels[recheck] = _argmin(*_pair_costs(X[recheck], V, spec))[0]
     return labels
 
 
@@ -312,7 +311,7 @@ class _L1Bounds:
 
 
 def _l1_labels(X: np.ndarray, V: np.ndarray, spec: ModelSpec, bounds: _L1Bounds):
-    """Argmin over k of ``pair_costs(X, V, spec)[1]`` under l1, and its coefficient.
+    """Argmin over k of ``_pair_costs(X, V, spec)[1]`` under l1, and its coefficient.
 
     Ties go to the lowest index, as in the full kernel. ``bounds`` is
     advanced from its centroids to V in four steps:
@@ -464,7 +463,7 @@ def _column_min(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _argmin(T: np.ndarray, D: np.ndarray):
     """Each row's least distance in D (lowest index on ties), with its coefficient in T and the distance.
 
-    T and D are the M x K views ``pair_costs`` returns; the labels come from
+    T and D are the M x K views ``_pair_costs`` returns; the labels come from
     ``_column_min`` on the K x M matrices beneath them, and the coefficients
     from one flat ``take``. Raises :class:`NoValidCentroidError` where a row
     has no centroid at a finite distance.
@@ -476,11 +475,11 @@ def _argmin(T: np.ndarray, D: np.ndarray):
     return labels, T.T.take(labels * M + np.arange(M)), d
 
 
-def nearest(X: np.ndarray, xx: np.ndarray, V: np.ndarray, spec: ModelSpec, state=None):
+def _nearest(X: np.ndarray, xx: np.ndarray, V: np.ndarray, spec: ModelSpec, state=None):
     """The U-block: each row's best centroid, its coefficient, and the state for the next call.
 
     X holds validated rows and xx their squared norms. The labels and
-    coefficients are those of ``_argmin(*pair_costs(X, V, spec, xx))`` bit
+    coefficients are those of ``_argmin(*_pair_costs(X, V, spec, xx))`` bit
     for bit; l1 reads them off the bounded sweep and binary l2 off the
     certified product. ``state`` is None on a fit's first call and after
     that what the previous call returned: the l1 bounds, which this call
@@ -493,23 +492,25 @@ def nearest(X: np.ndarray, xx: np.ndarray, V: np.ndarray, spec: ModelSpec, state
         return (*_l1_labels(X, V, spec, state), state)
     if spec.constraint_mode == "binary":
         return _l2_binary_labels(X, V, xx, spec), np.ones(X.shape[0]), None
-    labels, coeffs, _ = _argmin(*pair_costs(X, V, spec, xx))
+    labels, coeffs, _ = _argmin(*_pair_costs(X, V, spec, xx))
     return labels, coeffs, None
 
 
 def assign(x, V, spec: ModelSpec) -> tuple[int, float, float]:
     """Best cluster for a data point: (index, coefficient, distance).
 
-    A one-row view of :func:`pair_costs`: returns the argmin over the
+    A one-row view of ``_pair_costs``: returns the argmin over the
     centroid rows; ties break toward the lowest index. Degenerate rows are
     skipped; if every row is degenerate, :class:`NoValidCentroidError` is
-    raised. Input is checked as ``scalar_prox`` states, and an x whose
-    ||x||^2 overflows (as ``fit`` checks its rows) or a centroid whose
-    ||v||^2 does raises ``ValueError``.
+    raised. V is one centroid row or a 2-D matrix of them. Input is checked
+    as ``scalar_prox`` states, and an x whose ||x||^2 overflows (as ``fit``
+    checks its rows) or a centroid whose ||v||^2 does raises ``ValueError``.
     """
-    x, V = _check_problem(np.reshape(x, (1, -1)), V)
+    x, V = _check_problem(np.reshape(x, (1, -1)), np.atleast_2d(V))
+    if V.ndim != 2:
+        raise ValueError(f"centroids must be one row or a 2-D matrix, got shape {V.shape}")
     with np.errstate(over="ignore"):
         xx = _finite("||x||^2", np.einsum("mn,mn->m", x, x))
         _finite("||v||^2", np.einsum("...n,...n->...", V, V))
-    k, t, d = _argmin(*pair_costs(x, V, spec, xx))
+    k, t, d = _argmin(*_pair_costs(x, V, spec, xx))
     return int(k[0]), float(t[0]), float(d[0])

@@ -7,8 +7,9 @@ violated at runtime.
 
 ``objective`` is the paper's three terms, the discrepancy ||X - UV|| (squared
 l2 or l1) and the elastic nets on U and on V, each one flat reduction.
-``row_costs`` splits the discrepancy and the U penalty by row; the centroid
-update's guard and reseeding, and the CLI's distance column read it.
+``objective`` checks that X and V fit the membership; ``_row_costs``, which
+splits the discrepancy and the U penalty by row for the centroid update's
+guard and reseeding and for the CLI's distance column, takes rows that do.
 """
 
 from __future__ import annotations
@@ -116,19 +117,6 @@ class Membership:
         return self.labels.shape[0]
 
 
-def dense_u(membership: Membership) -> np.ndarray:
-    """Expand a sparse membership into the dense M x K coefficient matrix.
-
-    One scatter writes each row's coefficient at (row, label). At most one
-    entry per row is nonzero, so the columns of the result are pairwise
-    orthogonal by construction. An unlabelled row has coefficient 0, so its
-    write, which label -1 sends to column K - 1, leaves a zero there.
-    """
-    U = np.zeros((membership.n_rows, membership.n_clusters))
-    U[np.arange(membership.n_rows), membership.labels] = membership.coefficients
-    return U
-
-
 @dataclass(frozen=True)
 class RegularizationParams:
     """Elastic net weights: l1 (lambda) and squared-l2 (mu) on each factor."""
@@ -208,18 +196,7 @@ class FactorizationResult:
         return frozenset(set(range(m.n_clusters)) - set(m.labels[m.coefficients > 0].tolist()))
 
 
-def _check_fit(X: np.ndarray, membership: Membership, V: np.ndarray) -> None:
-    """Raise ``ValueError`` unless X and V are 2-D and fit the membership's rows and clusters."""
-    if X.ndim != 2 or V.ndim != 2:
-        raise ValueError("X and V must be 2-D")
-    if (X.shape[0], V.shape[0], X.shape[1]) != (membership.n_rows, membership.n_clusters, V.shape[1]):
-        raise ValueError(
-            f"X {X.shape} and V {V.shape} do not fit a membership of "
-            f"{membership.n_rows} rows and {membership.n_clusters} clusters"
-        )
-
-
-def _residuals(X, membership: Membership, V) -> np.ndarray:
+def _residuals(X: np.ndarray, membership: Membership, V: np.ndarray) -> np.ndarray:
     """X - u V[label], row by row, in a new array.
 
     The centroid rows are gathered with one ``take`` and scaled only when
@@ -227,9 +204,6 @@ def _residuals(X, membership: Membership, V) -> np.ndarray:
     multiply; scaling by 1 is exact, so the residuals are the same either
     way. A row without an assignment has coefficient 0 and keeps x_m.
     """
-    X = np.asarray(X, dtype=float)
-    V = np.asarray(V, dtype=float)
-    _check_fit(X, membership, V)
     coeffs = membership.coefficients
     R = V.take(np.maximum(membership.labels, 0), axis=0)
     if (coeffs != 1.0).any():
@@ -238,7 +212,7 @@ def _residuals(X, membership: Membership, V) -> np.ndarray:
     return R
 
 
-def row_costs(X, membership: Membership, V, spec: ModelSpec) -> np.ndarray:
+def _row_costs(X: np.ndarray, membership: Membership, V: np.ndarray, spec: ModelSpec) -> np.ndarray:
     """Each row's residual plus its membership penalty.
 
     Row m with label k and coefficient u costs D(x_m, u v_k) + lambda_u u +
@@ -246,7 +220,8 @@ def row_costs(X, membership: Membership, V, spec: ModelSpec) -> np.ndarray:
     assignment, or with coefficient 0, costs its full norm. For a membership
     the solver assigned against V this is the distance the assignment chose.
     Zero-weight penalty terms are skipped, never evaluated as 0 * inf. Their
-    sum with the centroid penalties is :func:`objective` to rounding.
+    sum with the centroid penalties is :func:`objective` to rounding. X and V
+    are float arrays that fit the membership, as ``objective`` checks.
     """
     R = _residuals(X, membership, V)
     coeffs = membership.coefficients
@@ -260,7 +235,14 @@ def row_costs(X, membership: Membership, V, spec: ModelSpec) -> np.ndarray:
 
 def _objective_terms(X, membership: Membership, V, spec: ModelSpec) -> tuple[float, float, float]:
     """The three terms :func:`objective` adds: (fit, penalty_u, penalty_v), inf on overflow."""
-    V = np.asarray(V, dtype=float)
+    X, V = np.asarray(X, dtype=float), np.asarray(V, dtype=float)
+    if X.ndim != 2 or V.ndim != 2:
+        raise ValueError("X and V must be 2-D")
+    if (X.shape[0], V.shape[0], X.shape[1]) != (membership.n_rows, membership.n_clusters, V.shape[1]):
+        raise ValueError(
+            f"X {X.shape} and V {V.shape} do not fit a membership of "
+            f"{membership.n_rows} rows and {membership.n_clusters} clusters"
+        )
     R = _residuals(X, membership, V)
     reg = spec.reg
     with np.errstate(over="ignore"):
@@ -284,7 +266,8 @@ def objective(X, membership: Membership, V, spec: ModelSpec) -> float:
     or ||X - UV||_1 (l1), one flat sum over the residuals, penalty_u =
     lambda_u sum(u) + mu_u sum(u^2) and penalty_v = lambda_v ||V||_1 +
     mu_v ||V||_F^2. A zero-weight term is skipped, never evaluated as
-    0 * inf. Raises ``ValueError`` if the objective is not finite.
+    0 * inf. Raises ``ValueError`` unless X and V are 2-D and fit the
+    membership's rows and clusters, or if the objective is not finite.
     """
     fit, penalty_u, penalty_v = _objective_terms(X, membership, V, spec)
     value = fit + penalty_u + penalty_v

@@ -43,7 +43,7 @@ _FLAT_SLOPE_TOL = 1e-12
 
 # Pair chunks keep every temporary of the binary and l1 kernel near this
 # many elements, and the l1 centroid update batches clusters within the same
-# budget. It is set by the peak-memory tests of both: at 8192, l1 pair_costs
+# budget. It is set by the peak-memory tests of both: at 8192, l1 _pair_costs
 # peaks near 1.12 MiB on 4000 x 8 rows and 8 centroids (tracemalloc), against
 # a bound of 1.24 MiB that 16384 (1.74 MiB) exceeds. Larger chunks mean fewer
 # numpy calls.

@@ -10,17 +10,18 @@ objective trace is non-increasing in every configuration. The iterations
 are streamed: ``fit`` keeps only the previous step and the objective
 trace, and ``fit_history`` alone keeps every step.
 
-Every assignment is one call of ``distance.nearest``, which picks the
+Every assignment is one call of ``distance._nearest``, which picks the
 kernel for the model and returns the argmin, lowest index on ties, of the
-batched kernel ``distance.pair_costs`` bit for bit. A fit validates X and
+batched kernel ``distance._pair_costs`` bit for bit. A fit validates X and
 computes its squared row norms once, for seeding (``plusplus`` reads its
-distances from ``pair_costs``) and every assignment, and hands each
-assignment the state the previous one returned. The centroid update reads
-each row's cost from ``model.row_costs``; the objective is the paper's three
-terms, each one flat reduction, and each step's ``Membership`` takes the
-arrays the loop just made without copying or checking them again. Binary
-labels go in as the kernel returns them: every binary coefficient is 1, so
-no row is unlabelled. The scalar ``assign`` and ``coefficient_and_distance``
+distances from ``_pair_costs``) and every assignment, and hands each
+assignment the state the previous one returned. These private kernels and
+``centroid._update_centroids`` take the validated rows and check nothing
+again. The centroid update reads each row's cost from ``model._row_costs``;
+the objective is the paper's three terms, each one flat reduction, and each
+step's ``Membership`` takes the arrays the loop just made without copying or
+checking them again. Binary labels go in as the kernel returns them: every
+binary coefficient is 1, so no row is unlabelled. The scalar ``assign`` and ``coefficient_and_distance``
 remain the paper-level definitions the kernel is tested against; under l1
 they run its median sweep, whose oracle is ``brute_force_min``.
 """
@@ -35,8 +36,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import centroid
-from .centroid import update_centroids
-from .distance import nearest, pair_costs
+from .centroid import _update_centroids
+from .distance import _nearest, _pair_costs
 from .model import FactorizationResult, Membership, ModelSpec, _data_matrix, objective
 
 INIT_METHODS = ("random_rows", "plusplus")
@@ -101,7 +102,7 @@ def _init_centroids(X: np.ndarray, xx: np.ndarray, config: SolverConfig, spec: M
         return centroid._data_rows(X, _distinct_prefix(X, rng.permutation(M), K), spec)
 
     def distances_to(m: int) -> np.ndarray:
-        dist = pair_costs(X, X[m:m + 1], spec, xx)[1][:, 0]
+        dist = _pair_costs(X, X[m:m + 1], spec, xx)[1][:, 0]
         # A membership penalty puts a row at a positive distance from itself,
         # so the rows equal to the chosen one are taken out of the draw here.
         if dist[m] > 0.0:
@@ -168,11 +169,11 @@ def _steps(X, spec: ModelSpec, config: SolverConfig) -> Iterator[tuple[FitStep, 
     V = _init_centroids(X, xx, config, spec)
     state = prev = None
     for _ in range(config.max_iter):
-        labels, coeffs, state = nearest(X, xx, V, spec, state)
+        labels, coeffs, state = _nearest(X, xx, V, spec, state)
         if spec.constraint_mode != "binary":
             labels = np.where(coeffs == 0.0, -1, labels)
         membership = Membership._of(labels, coeffs, K)
-        V = update_centroids(X, membership, spec, V)
+        V = _update_centroids(X, membership, spec, V)
         step = FitStep(membership, V, objective(X, membership, V, spec))
         converged = False
         # A rise is never convergence, whatever else repeats.

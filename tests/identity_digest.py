@@ -1,6 +1,6 @@
 """Four sha256 lines per (discrepancy, mode) cell: a fixed stream of fits, its states, pair-kernel calls and hand-built updates.
 
-    PYTHONPATH=src python tests/identity_digest.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/identity_digest.py
 
 The fit line runs 432 ``fit_history`` calls, 72 per cell: both inits,
 unpenalized and penalized, on uniform data rounded to a grid (ties and exact
@@ -14,17 +14,17 @@ change that moves only the objective's last bits keeps it, unless a moved
 objective changes where the ``tol`` test stops a run; the step counts then
 differ, and the first state the two sides disagree on names the run.
 
-The pair line covers ``pair_costs``' coefficient and distance matrices and
-``nearest``'s labels and coefficients on the same data, against centroid
+The pair line covers ``_pair_costs``' coefficient and distance matrices and
+``_nearest``'s labels and coefficients on the same data, against centroid
 rows that no fit need pick: data rows plus a zero row, a duplicated row, a
 row of 5e-324 entries whose l1 coefficients overflow and a row mixing such
 entries with data, then those rows with every entry scaled by a factor in
-[0.5, 2), which ``nearest`` takes with the state of its first call.
+[0.5, 2), which ``_nearest`` takes with the state of its first call.
 ``c1_free`` runs without membership penalties, with lambda_u alone (a zero
 centroid is then degenerate under l2) and with lambda_u and mu_u. A change
 in a pair that no row picks shows here only.
 
-The hand line covers ``update_centroids``, then ``row_costs`` and
+The hand line covers ``_update_centroids``, then ``_row_costs`` and
 ``objective`` at the centroids it returns, on memberships that no
 ``fit_history`` builds, without and with the cell's penalties: every row
 labelled with coefficients that include 0.0 and -0.0; the same with
@@ -33,27 +33,32 @@ row labelled with coefficient 1; and that with the empty cluster. The first
 two are binary memberships with coefficients outside {0, 1} in the binary
 cell. The first five data rows are zero and make up cluster 0 alone, so in
 normalized mode its centroid is a zero row that becomes a unit vector. The
-public functions' bytes then sit beside the fit loop's.
+kernels' bytes on these memberships then sit beside the fit loop's.
 
 Two checkouts whose fits and pair costs are byte-identical print the same
 lines, so a change that claims to keep those bytes runs this on both sides
-and compares the output. pytest does not collect this file.
+and compares the output. The l2 free pair lines depend on the BLAS thread
+count, so both sides run under the same thread variables; a leading ``#``
+line prints the ones this run saw (``unset`` where the BLAS picks its own
+count). pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 
 import numpy as np
 
 from onmfcluster import Membership, ModelSpec, RegularizationParams, SolverConfig, fit_history, objective
-from onmfcluster import update_centroids
-from onmfcluster.distance import nearest, pair_costs
-from onmfcluster.model import row_costs
+from onmfcluster.centroid import _update_centroids
+from onmfcluster.distance import _nearest, _pair_costs
+from onmfcluster.model import _row_costs
 
 CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
 SEEDS = range(9)
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def shape(seed: int) -> tuple[int, int, int]:
@@ -126,9 +131,9 @@ def pair_digest(discrepancy: str, mode: str) -> tuple[str, int]:
         V = centroid_rows(X, shape(seed)[2], seed)
         state = None
         for W in (V, V * np.random.default_rng([seed, 3]).uniform(0.5, 2.0, V.shape)):
-            for matrix in pair_costs(X, W, spec_):
+            for matrix in _pair_costs(X, W, spec_):
                 h.update(matrix.tobytes())
-            labels, coeffs, state = nearest(X, xx, W, spec_, state)
+            labels, coeffs, state = _nearest(X, xx, W, spec_, state)
             h.update(labels.tobytes())
             h.update(coeffs.tobytes())
             calls += 1
@@ -175,15 +180,16 @@ def hand_digest(discrepancy: str, mode: str) -> tuple[str, int]:
             norms = np.linalg.norm(previous[::2], axis=1, keepdims=True)
             previous[::2] = np.divide(previous[::2], norms, out=previous[::2], where=norms > 0)
         for membership in hand_memberships(M, K, seed):
-            V = update_centroids(X, membership, spec_, previous)
+            V = _update_centroids(X, membership, spec_, previous)
             h.update(V.tobytes())
-            h.update(row_costs(X, membership, V, spec_).tobytes())
+            h.update(_row_costs(X, membership, V, spec_).tobytes())
             h.update(np.float64(objective(X, membership, V, spec_)).tobytes())
             calls += 1
     return h.hexdigest(), calls
 
 
 def main() -> None:
+    print("# " + " ".join(f"{name}={os.environ.get(name, 'unset')}" for name in BLAS_THREAD_VARIABLES))
     for discrepancy, mode in CELLS:
         digest, states, runs, steps = cell_digest(discrepancy, mode)
         print(f"{discrepancy:2} {mode:10} runs={runs} steps={steps} {digest}")

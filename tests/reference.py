@@ -9,7 +9,7 @@ objective recorded after each full iteration, stop on unchanged assignments. ``r
 ``random_rows`` seeding must reproduce. ``plain_terms`` are the model
 objective's three terms written in plain numpy, and ``plain_objective``
 their sum. ``plain_l2_update`` is the l2 centroid update of the clusters
-with members, as a masked dense U, one product and a division.
+with members, as a masked dense U (``plain_u``), one product and a division.
 """
 
 from __future__ import annotations
@@ -137,6 +137,15 @@ def plain_objective(X, labels, coefficients, V, spec) -> float:
     return fit + penalty_u + penalty_v
 
 
+def plain_u(labels, coefficients, n_clusters: int) -> np.ndarray:
+    """The dense M x K membership matrix, filled through a mask of the labelled rows."""
+    labels = np.asarray(labels)
+    U = np.zeros((labels.size, n_clusters))
+    assigned = labels >= 0
+    U[np.nonzero(assigned)[0], labels[assigned]] = np.asarray(coefficients, dtype=float)[assigned]
+    return U
+
+
 def plain_l2_update(X, labels, coefficients, n_clusters: int, spec, previous) -> np.ndarray:
     """The l2 centroid update of every cluster with a member of positive coefficient; other rows keep previous.
 
@@ -148,9 +157,7 @@ def plain_l2_update(X, labels, coefficients, n_clusters: int, spec, previous) ->
     """
     labels = np.asarray(labels)
     u = np.asarray(coefficients, dtype=float)
-    U = np.zeros((labels.size, n_clusters))
-    assigned = labels >= 0
-    U[np.nonzero(assigned)[0], labels[assigned]] = u[assigned]
+    U = plain_u(labels, u, n_clusters)
     A = U.T @ X - spec.reg.lambda_v / 2.0
     full = np.bincount(labels[u > 0], minlength=n_clusters) > 0
     V = np.array(previous, dtype=float)

@@ -4,7 +4,7 @@
 distance from one assignment of a fit to the next and runs the median sweep
 only on each row's own pair and the pairs whose bound does not rule them
 out. Its labels and coefficients must be the argmin and coefficient of
-``pair_costs`` bit for bit: on every step of random fits in the three l1
+``_pair_costs`` bit for bit: on every step of random fits in the three l1
 modes, on arbitrary centroid sequences (duplicated, zeroed, unmoved and
 barely moved rows), and on hand-made cases where a bound meets the own cost
 exactly or rounding alone separates them. On well-separated data most pairs
@@ -28,7 +28,7 @@ from onmfcluster import (
     init_centroids,
 )
 from onmfcluster import distance
-from onmfcluster.distance import _L1Bounds, _l1_labels, pair_costs
+from onmfcluster.distance import _L1Bounds, _l1_labels, _pair_costs
 from reference import kmedian_history
 
 MODES = ["c1_free", "normalized", "binary"]
@@ -39,7 +39,7 @@ PENALTY = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.
 def costed(monkeypatch):
     """The number of pairs of every call ``_l1_labels`` makes to ``_costs_at``.
 
-    ``pair_costs``, and so ``plusplus`` seeding, runs the same kernel; its
+    ``_pair_costs``, and so ``plusplus`` seeding, runs the same kernel; its
     calls are not counted.
     """
     calls = []
@@ -56,7 +56,7 @@ def costed(monkeypatch):
 
 def _full(X, V, spec):
     """Labels and coefficients as the argmin of the full kernel gives them."""
-    T, D = pair_costs(X, V, spec)
+    T, D = _pair_costs(X, V, spec)
     labels = D.argmin(axis=1)
     return labels, T[np.arange(X.shape[0]), labels]
 
@@ -182,7 +182,7 @@ def test_the_margin_covers_rounding_of_the_decay():
     v = [10.527461387386909, 9.582131766836767, 13.276647839265017]
     v_new = [4.2739529535862655, 0.8776974379336718, 11.602899398309106]
     X, spec = np.array([x]), ModelSpec("l1", "binary")
-    d_old, d_new = pair_costs(X, np.array([v, v_new]), spec)[1][0]
+    d_old, d_new = _pair_costs(X, np.array([v, v_new]), spec)[1][0]
     assert d_old - np.abs(np.subtract(v_new, v)).sum() > d_new
     labels = _two_steps(X, np.array([v, v_new]), np.array([v_new, v_new]), spec, [1])
     assert labels.tolist() == [0]
@@ -215,7 +215,7 @@ def test_a_zero_centroid_row_is_always_costed(mode):
     V_new[0] = 0.0
     labels, coeffs = _l1_labels(X, V_new, spec, bounds)
     _assert_full(X, V_new, spec, labels, coeffs)
-    assert bounds.lower[0].tobytes() == pair_costs(X, V_new, spec)[1][:, 0].tobytes()
+    assert bounds.lower[0].tobytes() == _pair_costs(X, V_new, spec)[1][:, 0].tobytes()
 
 
 def _blobs(seed, M, N, K, width, sigma):
@@ -258,7 +258,7 @@ def test_matches_kmedian_per_iteration_at_scale(costed, seed, M, N, K):
 
 def test_bounded_assignment_peak_memory_stays_near_pair_costs_bound():
     # From bounds of -inf every pair is costed; only gathers chunked within
-    # the kernel's budget keep the peak below the bound pair_costs meets.
+    # the kernel's budget keep the peak below the bound _pair_costs meets.
     rng = np.random.default_rng(5)
     M, K = 4000, 8
     X = rng.uniform(0, 10, (M, 8))

@@ -11,8 +11,8 @@ from onmfcluster import (
     ScalarProxProblem,
     centroid_l1,
     centroid_l2,
-    update_centroids,
 )
+from onmfcluster.centroid import _update_centroids
 
 
 class TestCentroidL2:
@@ -107,20 +107,20 @@ class TestUpdateCentroids:
     def test_binary_l2_means(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
         m = Membership(np.array([0, 0, 1, 1]), np.ones(4), 2)
-        V = update_centroids(X, m, ModelSpec("l2", "binary"), previous=np.zeros((2, 2)))
+        V = _update_centroids(X, m, ModelSpec("l2", "binary"), previous=np.zeros((2, 2)))
         assert_allclose(V, [[0.0, 0.5], [10.0, 10.5]])
 
     def test_binary_l1_median(self):
         X = np.array([[1.0], [2.0], [9.0]])
         m = Membership(np.zeros(3, dtype=int), np.ones(3), 1)
-        V = update_centroids(X, m, ModelSpec("l1", "binary"), previous=np.zeros((1, 1)))
+        V = _update_centroids(X, m, ModelSpec("l1", "binary"), previous=np.zeros((1, 1)))
         assert_allclose(V, [[2.0]])
 
     def test_empty_cluster_reseeds_farthest(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [8.0, 0.0]])
         m = Membership(np.zeros(3, dtype=int), np.ones(3), 2)
         previous = np.array([[0.0, 0.0], [5.0, 5.0]])
-        V = update_centroids(X, m, ModelSpec("l2", "binary"), previous=previous)
+        V = _update_centroids(X, m, ModelSpec("l2", "binary"), previous=previous)
         # Row 2 is farthest from its own centroid (row 0 of previous).
         assert_array_equal(V[1], X[2])
 
@@ -131,7 +131,7 @@ class TestUpdateCentroids:
         m = Membership(np.zeros(2, dtype=int), np.ones(2), 2)
         previous = np.array([[0.0, 0.0], [1.0, 1.0]])
         spec = ModelSpec("l2", "binary", RegularizationParams(lambda_v=1.0, mu_v=0.5))
-        V = update_centroids(X, m, spec, previous=previous)
+        V = _update_centroids(X, m, spec, previous=previous)
         assert_array_equal(V[1], previous[1])
 
     def test_empty_cluster_takes_a_farthest_row_of_no_larger_penalty(self):
@@ -141,7 +141,7 @@ class TestUpdateCentroids:
         m = Membership(np.zeros(2, dtype=int), np.ones(2), 2)
         spec = ModelSpec("l2", "binary", RegularizationParams(lambda_v=1.0))
         for row in ([3.0, 1.0], [5.0, 5.0]):
-            V = update_centroids(X, m, spec, previous=np.array([[0.0, 0.0], row]))
+            V = _update_centroids(X, m, spec, previous=np.array([[0.0, 0.0], row]))
             assert_array_equal(V[1], X[1])
 
     def test_an_overflowing_penalty_keeps_the_previous_row(self):
@@ -150,14 +150,14 @@ class TestUpdateCentroids:
         m = Membership(np.zeros(2, dtype=int), np.ones(2), 2)
         previous = np.array([[0.0, 0.0], [1e200, 1e200]])
         spec = ModelSpec("l1", "c1_free", RegularizationParams(mu_v=1.0))
-        V = update_centroids(X, m, spec, previous=previous)
+        V = _update_centroids(X, m, spec, previous=previous)
         assert_array_equal(V[1], previous[1])
 
     def test_two_empty_clusters_take_distinct_rows(self):
         X = np.array([[0.0], [6.0], [9.0]])
         m = Membership(np.zeros(3, dtype=int), np.ones(3), 3)
         previous = np.zeros((3, 1))
-        V = update_centroids(X, m, ModelSpec("l2", "binary"), previous=previous)
+        V = _update_centroids(X, m, ModelSpec("l2", "binary"), previous=previous)
         assert_array_equal(V[1], X[2])  # farthest first
         assert_array_equal(V[2], X[1])
 
@@ -165,7 +165,7 @@ class TestUpdateCentroids:
         # Rows 0 and 1 both cost 9 against the zero centroid.
         X = np.array([[3.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
         m = Membership(np.zeros(3, dtype=int), np.ones(3), 2)
-        V = update_centroids(X, m, ModelSpec("l2", "binary"), previous=np.zeros((2, 2)))
+        V = _update_centroids(X, m, ModelSpec("l2", "binary"), previous=np.zeros((2, 2)))
         assert_array_equal(V[1], X[0])
 
     @pytest.mark.parametrize("discrepancy", ["l1", "l2"])
@@ -176,20 +176,20 @@ class TestUpdateCentroids:
         X = np.array([[1.0, 2.0, 0.5]])
         m = Membership(np.zeros(1, dtype=int), np.ones(1), 1)
         spec = ModelSpec(discrepancy, "normalized", RegularizationParams(lambda_v=10.0))
-        V = update_centroids(X, m, spec, previous=np.ones((1, 3)))
+        V = _update_centroids(X, m, spec, previous=np.ones((1, 3)))
         assert_array_equal(V, [[0.0, 1.0, 0.0]])
 
     def test_zero_coefficient_rows_excluded(self):
         X = np.array([[1.0], [100.0]])
         m = Membership(np.array([0, 0]), np.array([1.0, 0.0]), 1)
-        V = update_centroids(X, m, ModelSpec("l2", "binary"), previous=np.zeros((1, 1)))
+        V = _update_centroids(X, m, ModelSpec("l2", "binary"), previous=np.zeros((1, 1)))
         assert_allclose(V, [[1.0]])
 
     def test_normalized_rows_unit_norm(self):
         rng = np.random.default_rng(13)
         X = rng.uniform(0.1, 10, (8, 3))
         m = Membership(rng.integers(0, 2, 8), rng.uniform(0.5, 2, 8), 2)
-        V = update_centroids(X, m, ModelSpec("l2", "normalized"), previous=np.ones((2, 3)))
+        V = _update_centroids(X, m, ModelSpec("l2", "normalized"), previous=np.ones((2, 3)))
         assert_allclose(np.linalg.norm(V, axis=1), 1.0, atol=1e-12)
 
     def test_normalized_step_never_increases_block_cost(self):
@@ -203,6 +203,6 @@ class TestUpdateCentroids:
             m = Membership(np.zeros(rows, dtype=int), rng.uniform(0.5, 2, rows), 1)
             prev = rng.uniform(0.1, 1, (1, 3))
             prev /= np.linalg.norm(prev)
-            V = update_centroids(X, m, spec, previous=prev)
+            V = _update_centroids(X, m, spec, previous=prev)
             cost = lambda v: float(np.abs(X - m.coefficients[:, None] * v[None, :]).sum())
             assert cost(V[0]) <= cost(prev[0]) + 1e-12

@@ -2,7 +2,7 @@
 
 ``_l2_binary_labels`` reads each row's argmin off the K x M matrix
 ||v||^2 - 2 <x, v> and sends every row with more or fewer than one entry
-within twice the rounding bound of its best to ``pair_costs``. Its labels
+within twice the rounding bound of its best to ``_pair_costs``. Its labels
 must equal the argmin of the exact pair kernel on every input: exact
 ties, duplicated centroids, rows on the bisector of two centroids, entries on
 the threshold, huge entries, overflowing norms, K = 1 and random nonnegative
@@ -20,7 +20,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from onmfcluster import ModelSpec, NoValidCentroidError, SolverConfig, fit, fit_history, init_centroids
 from onmfcluster import distance
-from onmfcluster.distance import _l2_binary_labels, pair_costs
+from onmfcluster.distance import _l2_binary_labels, _pair_costs
 from onmfcluster.model import _data_matrix
 from reference import lloyd_kmeans_history
 
@@ -29,14 +29,14 @@ BINARY_L2 = ModelSpec("l2", "binary")
 
 @pytest.fixture
 def rechecked(monkeypatch):
-    """The row count of every call the certified path makes to ``pair_costs``."""
+    """The row count of every call the certified path makes to ``_pair_costs``."""
     calls = []
 
     def counting(X, V, spec):
         calls.append(np.atleast_2d(X).shape[0])
-        return pair_costs(X, V, spec)
+        return _pair_costs(X, V, spec)
 
-    monkeypatch.setattr(distance, "pair_costs", counting)
+    monkeypatch.setattr(distance, "_pair_costs", counting)
     return calls
 
 
@@ -46,7 +46,7 @@ def _certified(X, V):
 
 
 def _exact(X, V):
-    return pair_costs(X, V, BINARY_L2)[1].argmin(axis=1)
+    return _pair_costs(X, V, BINARY_L2)[1].argmin(axis=1)
 
 
 def _naive(X, V):

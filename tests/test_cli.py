@@ -21,7 +21,7 @@ from onmfcluster.cli import (
     main,
     run,
 )
-from onmfcluster.model import Membership, ModelSpec, RegularizationParams, row_costs
+from onmfcluster.model import Membership, ModelSpec, RegularizationParams, _row_costs
 from onmfcluster.solver import SolverConfig, fit
 
 TOY = "0,0\n0,1\n10,10\n10,11\n"
@@ -340,7 +340,7 @@ def test_distance_column_is_each_rows_share_of_the_objective(tmp_path, discrepan
     membership = Membership(table[:, 1].astype(np.int64), table[:, 2], V.shape[0])
     dist = table[:, 3]
 
-    assert_array_equal(dist, row_costs(X, membership, V, spec))
+    assert_array_equal(dist, _row_costs(X, membership, V, spec))
     penalty_v = spec.reg.lambda_v * np.abs(V).sum() + spec.reg.mu_v * (V * V).sum()
     assert_allclose(dist.sum() + penalty_v, trace[-1], rtol=1e-12, atol=0)
     zero = membership.coefficients == 0.0
@@ -372,7 +372,7 @@ def test_assignments_equal_the_per_row_formatting(tmp_path, mode, extra):
     labels, coeffs = result.membership.labels, result.membership.coefficients
     if extra:
         assert (labels == -1).all() and (coeffs == 0.0).all()
-    dist = row_costs(X, result.membership, result.centroids, spec)
+    dist = _row_costs(X, result.membership, result.centroids, spec)
     rows = "".join(
         "%d,%d,%.17g,%.17g,%d\r\n" % (m, labels[m], coeffs[m], dist[m], labels[m] < 0) for m in range(len(X))
     )

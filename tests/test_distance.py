@@ -23,7 +23,7 @@ from onmfcluster import (
     fit,
     init_centroids,
 )
-from onmfcluster.distance import _argmin, pair_costs
+from onmfcluster.distance import _argmin, _pair_costs
 
 
 class TestCoefficientL2:
@@ -226,8 +226,8 @@ class TestAssign:
     [
         (lambda: coefficient_l2([1.0, 2.0], [1.0]), ValueError, "equal length"),
         (lambda: distance_l1([1.0], [1.0, 2.0]), ValueError, "equal length"),
-        (lambda: pair_costs(np.ones((3, 2)), np.ones((2, 3)), ModelSpec()), ValueError, "shape"),
-        (lambda: pair_costs(np.ones((2, 3, 2)), np.ones((2, 2)), ModelSpec()), ValueError, "shape"),
+        (lambda: assign(np.ones(2), np.ones((2, 3)), ModelSpec()), ValueError, "equal length"),
+        (lambda: assign(np.ones(2), np.ones((2, 3, 2)), ModelSpec()), ValueError, "shape"),
     ],
 )
 def test_malformed_pairs_rejected(call, error, message):
@@ -243,7 +243,7 @@ def test_malformed_pairs_rejected(call, error, message):
 def test_degenerate_l2_centroids_follow_the_kernel_rule(v, lam, distance):
     x = [3.0, 4.0]
     spec = ModelSpec("l2", "c1_free", RegularizationParams(lambda_u=lam))
-    T, D = pair_costs([x], [v], spec)
+    T, D = _pair_costs(np.array([x]), np.array([v]), spec)
     assert coefficient_l2(x, v, lam) == T[0, 0] == 0.0
     assert distance_l2(x, v, lam) == distance_l2_closed_form(x, v, lam) == D[0, 0] == distance
     assert coefficient_and_distance(x, v, spec) == (0.0, distance)
@@ -255,7 +255,7 @@ def test_degenerate_l2_centroids_follow_the_kernel_rule(v, lam, distance):
 def test_zero_l1_centroids_follow_the_kernel_rule(lam, mu):
     x, v = [3.0, 4.0], [0.0, 0.0]
     spec = ModelSpec("l1", "c1_free", RegularizationParams(lambda_u=lam, mu_u=mu))
-    T, D = pair_costs([x], [v], spec)
+    T, D = _pair_costs(np.array([x]), np.array([v]), spec)
     assert coefficient_l1(x, v, lam, mu) == T[0, 0] == 0.0 and not np.signbit(T[0, 0])
     assert distance_l1(x, v, lam, mu) == D[0, 0] == 7.0
     assert coefficient_and_distance(x, v, spec) == (0.0, 7.0)
@@ -264,6 +264,22 @@ def test_zero_l1_centroids_follow_the_kernel_rule(lam, mu):
 def test_every_public_name_resolves():
     assert all(hasattr(onmfcluster, name) for name in onmfcluster.__all__)
     assert "DegenerateCentroidError" not in onmfcluster.__all__
+
+
+def test_the_public_api_is_pinned():
+    # The paper-level functions, fit and its types; the batched kernels a fit
+    # runs are private and have no public name in any module.
+    assert sorted(onmfcluster.__all__) == [
+        "DuplicateRowsError", "FactorizationResult", "FitStep", "Membership", "ModelSpec",
+        "NoValidCentroidError", "RegularizationParams", "ScalarProxProblem", "SolverConfig",
+        "as_data_matrix", "assign", "brute_force_min", "centroid_l1", "centroid_l2",
+        "coefficient_and_distance", "coefficient_l1", "coefficient_l2", "distance_l1", "distance_l2",
+        "distance_l2_angle_form", "distance_l2_closed_form", "fit", "fit_history", "init_centroids",
+        "objective", "soft_threshold", "solve_closed_form", "weighted_reg_median",
+    ]
+    modules = (onmfcluster, onmfcluster.centroid, onmfcluster.distance, onmfcluster.model, onmfcluster.solver)
+    for name in ("pair_costs", "nearest", "row_costs", "update_centroids", "dense_u"):
+        assert not any(hasattr(module, name) for module in modules), name
 
 
 # Seeded from the row 5e-324, the row 6.36961687's l1 coefficient overflows,
@@ -277,5 +293,5 @@ def test_an_l1_row_with_no_finite_centroid_raises():
     with pytest.raises(NoValidCentroidError):
         fit(X, spec, config)
     with pytest.raises(NoValidCentroidError):
-        _argmin(*pair_costs(X, X[:1], spec))
+        _argmin(*_pair_costs(X, X[:1], spec))
     assert fit(X, ModelSpec("l1", "normalized"), config).centroids.tolist() == [[1.0]]

@@ -14,33 +14,21 @@ from onmfcluster import (
     ModelSpec,
     RegularizationParams,
     as_data_matrix,
-    dense_u,
     objective,
 )
 from onmfcluster.model import _objective_terms
-from reference import plain_objective, plain_terms
+from reference import plain_objective, plain_terms, plain_u
 
 CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
 
 
 class TestMembership:
-    def test_dense_u_two_rows(self):
-        m = Membership([0, 1], [1.0, 2.0], 2)
-        assert_array_equal(dense_u(m), [[1.0, 0.0], [0.0, 2.0]])
-
-    def test_dense_u_with_missing_row(self):
-        m = Membership([-1, 0], [0.0, 0.5], 1)
-        assert_array_equal(dense_u(m), [[0.0], [0.5]])
-
-    def test_dense_u_all_empty(self):
-        m = Membership([-1, -1, -1], np.zeros(3), 2)
-        assert_array_equal(dense_u(m), np.zeros((3, 2)))
-
     def test_columns_orthogonal_by_construction(self):
         rng = np.random.default_rng(3)
         labels = np.where(rng.random(30) < 0.8, rng.integers(4, size=30), -1)
         coeffs = np.where(labels >= 0, rng.uniform(0.1, 5, 30), 0.0)
-        U = dense_u(Membership(labels, coeffs, 4))
+        m = Membership(labels, coeffs, 4)
+        U = plain_u(m.labels, m.coefficients, m.n_clusters)
         G = U.T @ U
         assert_allclose(G - np.diag(np.diag(G)), 0.0)
 
@@ -131,7 +119,7 @@ class TestObjective:
     def test_exact_factorization_is_zero(self):
         V = np.array([[1.0, 2.0], [3.0, 0.0]])
         m = Membership([0, 1, 0], [2.0, 1.0, 0.5], 2)
-        X = dense_u(m) @ V
+        X = plain_u(m.labels, m.coefficients, 2) @ V
         spec = ModelSpec("l2", "c1_free")
         assert objective(X, m, V, spec) == 0.0
 
@@ -187,6 +175,18 @@ class TestObjective:
 
 
 WEIGHTS = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
+
+
+@pytest.mark.parametrize("discrepancy, mode", CELLS)
+@pytest.mark.parametrize("rows", [2, 6, None], ids=["short", "long", "1-D"])
+def test_objective_rejects_data_that_does_not_fit_the_membership(discrepancy, mode, rows):
+    # Four member rows against X of two or six rows, or a 1-D X: the
+    # objective names the mismatch before any residual is formed.
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0, 1, 3) if rows is None else rng.uniform(0, 1, (rows, 3))
+    membership = Membership(np.array([0, 0, 1, 1]), np.ones(4), 2)
+    with pytest.raises(ValueError, match="must be 2-D|do not fit a membership"):
+        objective(X, membership, rng.uniform(0, 1, (2, 3)), ModelSpec(discrepancy, mode))
 
 
 @st.composite

@@ -1,6 +1,6 @@
 """The batched pair-cost kernel against the scalar oracles.
 
-``pair_costs`` computes every (row, centroid) coefficient and distance at
+``_pair_costs`` computes every (row, centroid) coefficient and distance at
 once; these properties check it pair by pair against
 ``coefficient_and_distance`` in all six (discrepancy, mode) cells, and the
 vectorized ``centroid_l1`` against its per-column definition. Under l1 those
@@ -32,7 +32,7 @@ from onmfcluster import (
     weighted_reg_median,
 )
 from onmfcluster import distance, scalar_prox
-from onmfcluster.distance import pair_costs
+from onmfcluster.distance import _pair_costs
 from onmfcluster.scalar_prox import _weighted_reg_medians
 
 CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
@@ -70,7 +70,7 @@ def _close(a: float, b: float) -> bool:
 @given(problems())
 def test_pair_costs_match_the_scalar_oracle(problem):
     X, V, spec = problem
-    T, D = pair_costs(X, V, spec)
+    T, D = _pair_costs(X, V, spec)
     assert T.shape == D.shape == (X.shape[0], V.shape[0])
     # plusplus seeding draws rows with probability proportional to D.
     assert (D >= 0.0).all() and (T >= 0.0).all()
@@ -88,7 +88,7 @@ def _full_norm(x, spec):
 @given(problems())
 def test_argmin_matches_the_scalar_assignment_up_to_ties(problem):
     X, V, spec = problem
-    _, D = pair_costs(X, V, spec)
+    _, D = _pair_costs(X, V, spec)
     for m in range(X.shape[0]):
         costs = np.array([coefficient_and_distance(X[m], V[k], spec)[1] for k in range(V.shape[0])])
         if np.isinf(costs).all():
@@ -195,7 +195,7 @@ def test_l2_distances_never_round_negative_or_overflow(scale, reg):
     X = np.vstack([c * V for c in rng.uniform(0.1, 10, 40)])
     for mode in ("c1_free", "normalized"):
         spec = ModelSpec("l2", mode, reg if mode == "c1_free" else RegularizationParams())
-        _, D = pair_costs(X, V, spec)
+        _, D = _pair_costs(X, V, spec)
         assert np.isfinite(D).all() and (D >= 0.0).all()
 
 
@@ -216,7 +216,7 @@ def test_pair_costs_peak_memory_stays_near_its_results(discrepancy, mode):
     spec = ModelSpec(discrepancy, mode, reg)
     tracemalloc.start()
     try:
-        pair_costs(X, V, spec)
+        _pair_costs(X, V, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -237,13 +237,13 @@ def test_pair_costs_do_not_depend_on_the_chunk_budget(discrepancy, mode, seed, m
     V[rng.random((K, N)) < 0.2] = 0.0
     reg = RegularizationParams(lambda_u=1.0, mu_u=0.5 * seed) if mode == "c1_free" else RegularizationParams()
     spec = ModelSpec(discrepancy, mode, reg)
-    T, D = pair_costs(X, V, spec)
+    T, D = _pair_costs(X, V, spec)
     rows = rng.permutation(M)[:37]
-    T_rows, D_rows = pair_costs(X[rows], V, spec)
+    T_rows, D_rows = _pair_costs(X[rows], V, spec)
     assert T_rows.tobytes() == T[rows].tobytes() and D_rows.tobytes() == D[rows].tobytes()
     for budget in (K * N, M * K * N):
         monkeypatch.setattr(scalar_prox, "_CHUNK_ELEMENTS", budget)
-        T_b, D_b = pair_costs(X, V, spec)
+        T_b, D_b = _pair_costs(X, V, spec)
         assert T_b.tobytes() == T.tobytes() and D_b.tobytes() == D.tobytes()
 
 
@@ -289,8 +289,8 @@ def test_l2_nearest_is_the_row_major_argmin_of_pair_costs(mode, seed):
     reg = RegularizationParams(lambda_u=8.0, mu_u=0.5 * seed) if mode == "c1_free" else RegularizationParams()
     spec = ModelSpec("l2", mode, reg)
     xx = np.einsum("mn,mn->m", X, X)
-    T, D = pair_costs(X, V, spec, xx)
-    labels, coeffs, _ = distance.nearest(X, xx, V, spec)
+    T, D = _pair_costs(X, V, spec, xx)
+    labels, coeffs, _ = distance._nearest(X, xx, V, spec)
     expected = np.ascontiguousarray(D).argmin(axis=1)
     assert_array_equal(labels, expected)
     assert_array_equal(coeffs, T[np.arange(X.shape[0]), expected])

@@ -25,12 +25,12 @@ from onmfcluster import (
     fit_history,
     objective,
     soft_threshold,
-    update_centroids,
     weighted_reg_median,
 )
 from onmfcluster import solver
+from onmfcluster.centroid import _update_centroids
 from onmfcluster.cli import main
-from onmfcluster.distance import pair_costs
+from onmfcluster.distance import _pair_costs
 
 # Row 0's squared norm, 1e400, overflows float64; before it was rejected the
 # fit returned the trace [nan, nan] with converged=True.
@@ -116,11 +116,31 @@ def test_an_overflowing_l2_centroid_update_is_named(mode):
         fit(TWO_SCALES, ModelSpec("l2", mode), SolverConfig(n_clusters=3, seed=1, init="plusplus"))
 
 
-def test_an_l2_centroid_update_whose_squared_coefficients_underflow_is_named():
-    # (1e-170)^2 underflows to 0, so the weighted mean 1e-170 / 0 is +inf.
-    membership = Membership([0], [1e-170], 1)
-    with pytest.raises(ValueError, match=UPDATE_OVERFLOW):
-        update_centroids([[1.0]], membership, ModelSpec("l2", "c1_free"), [[1.0]])
+def test_an_l2_centroid_update_whose_squared_coefficients_underflow_is_centroid_l2():
+    # (1e-170)^2 underflows to 0, so the weighted mean 1e-170 / 0 was +inf
+    # and the update raised; centroid_l2 gives a zero row there, and so does
+    # the update, which in normalized mode then becomes e_0.
+    X, membership = np.array([[1.0]]), Membership([0], [1e-170], 1)
+    V = _update_centroids(X, membership, ModelSpec("l2", "c1_free"), np.ones((1, 1)))
+    assert V.tobytes() == centroid_l2(X, [1e-170])[None].tobytes() == np.zeros((1, 1)).tobytes()
+    assert _update_centroids(X, membership, ModelSpec("l2", "normalized"), np.ones((1, 1))).tolist() == [[1.0]]
+
+
+# Six rows, then six more scaled by 1e-170: a tiny row's coefficient against
+# a unit centroid is about 1e-170, so a cluster of them has ||u_k||^2 = 0 in
+# float64. At seed 0, under both inits, the fit used to stop on the update's
+# overflow message, which rescaling the data cannot mend.
+_TINY_ROWS_RNG = np.random.default_rng(0)
+TINY_ROWS = np.vstack([_TINY_ROWS_RNG.uniform(0.5, 2, (6, 2)), _TINY_ROWS_RNG.uniform(0.5, 2, (6, 2)) * 1e-170])
+
+
+@pytest.mark.parametrize("init", ["random_rows", "plusplus"])
+def test_a_normalized_l2_fit_whose_squared_coefficients_underflow_runs(init):
+    config = SolverConfig(n_clusters=3, max_iter=50, seed=0, init=init)
+    steps = fit_history(TINY_ROWS, ModelSpec("l2", "normalized"), config)
+    trace = np.array([step.objective for step in steps])
+    assert np.isfinite(trace).all() and (np.diff(trace) <= 0.0).all()
+    assert np.allclose(np.linalg.norm(steps[-1].centroids, axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 # The other l2 c1_free seeds stay finite. Under l1 normalized, U^T X only
@@ -305,7 +325,7 @@ def test_coefficient_l2_names_an_overflowing_inner_product(function, x, v, produ
 @pytest.mark.parametrize("mode", ["c1_free", "normalized"])
 def test_an_overflowing_l1_coefficient_costs_inf(mode):
     spec = ModelSpec("l1", mode)
-    T, D = pair_costs([[6.36961687]], [[5e-324]], spec)
+    T, D = _pair_costs(np.array([[6.36961687]]), np.array([[5e-324]]), spec)
     assert T[0, 0] == D[0, 0] == np.inf
     assert coefficient_and_distance([6.36961687], [5e-324], spec) == (np.inf, np.inf)
     assert distance_l1([6.36961687], [5e-324]) == np.inf
@@ -327,7 +347,7 @@ def test_l1_fit_runs_past_overflowing_coefficients(seed):
 # 1e-10 / 1e-320 overflows float64, so the l2 coefficient is +inf. Its
 # distance used to come out 0.0 in the kernel and NaN in distance_l2.
 def test_an_overflowing_l2_coefficient_costs_inf():
-    T, D = pair_costs([[1e150]], [[1e-160]], ModelSpec())
+    T, D = _pair_costs(np.array([[1e150]]), np.array([[1e-160]]), ModelSpec())
     assert T[0, 0] == D[0, 0] == np.inf
     assert coefficient_and_distance([1e150], [1e-160], ModelSpec()) == (np.inf, np.inf)
     assert distance_l2([1e150], [1e-160]) == distance_l2_closed_form([1e150], [1e-160]) == np.inf

@@ -23,11 +23,11 @@ from onmfcluster import (
     fit,
     fit_history,
     init_centroids,
-    update_centroids,
 )
 from onmfcluster import solver
-from onmfcluster.distance import pair_costs
-from onmfcluster.model import row_costs
+from onmfcluster.centroid import _update_centroids
+from onmfcluster.distance import _pair_costs
+from onmfcluster.model import _row_costs
 from onmfcluster.solver import _distinct_prefix
 from reference import kmedian_history, lloyd_kmeans_history, plain_objective, random_rows_seeds
 
@@ -145,15 +145,15 @@ class TestInitCentroids:
         def recording(X_, V, spec_, xx=None):
             if V.shape[0] == 1:
                 norms.append(xx)
-            return pair_costs(X_, V, spec_, xx)
+            return _pair_costs(X_, V, spec_, xx)
 
-        monkeypatch.setattr(solver, "pair_costs", recording)
+        monkeypatch.setattr(solver, "_pair_costs", recording)
         step = fit_history(X, spec, config)[0]
         assert len(norms) == 4
         for xx in norms:
             assert xx is not None and xx.tobytes() == np.einsum("mn,mn->m", X, X).tobytes()
         monkeypatch.undo()
-        T, D = pair_costs(X, init_centroids(X, config, spec), spec)
+        T, D = _pair_costs(X, init_centroids(X, config, spec), spec)
         labels = D.argmin(axis=1)
         assert_array_equal(step.membership.labels, np.where(T[np.arange(300), labels] > 0, labels, -1))
 
@@ -347,7 +347,7 @@ def test_trace_never_rises_and_unpenalized_empty_clusters_take_the_farthest_row(
     for step in steps:
         labels, coeffs = step.membership.labels, step.membership.coefficients
         empty = np.flatnonzero(np.bincount(labels[coeffs > 0], minlength=config.n_clusters) == 0)
-        farthest = np.argsort(-row_costs(X, step.membership, V, spec), kind="stable")
+        farthest = np.argsort(-_row_costs(X, step.membership, V, spec), kind="stable")
         for k, m in zip(empty, farthest):
             if spec.constraint_mode == "normalized":
                 assert_allclose(step.centroids[k], X[m] / np.linalg.norm(X[m]), rtol=1e-15, atol=0)
@@ -576,9 +576,11 @@ def test_centroid_rows_taken_from_the_data_hold_no_negative_zero(discrepancy, mo
         for step in fit_history(X, spec, config):
             assert not np.signbit(step.centroids).any()
     # Four empty clusters: under lambda_v most keep the previous row, whose
-    # penalty a reseed would raise, and the others take a data row.
+    # penalty a reseed would raise, and the others take a data row. A fit's
+    # previous rows hold no -0.0, so the rows taken from the data are checked.
     spec = ModelSpec(discrepancy, mode, RegularizationParams(lambda_v=0.5))
-    V = update_centroids(X, Membership(np.zeros(12, dtype=int), np.ones(12), 5), spec, [[-0.0, 0.1]] * 5)
+    previous = np.array([[0.0, 0.1]] * 5)
+    V = _update_centroids(X, Membership(np.zeros(12, dtype=int), np.ones(12), 5), spec, previous)
     assert not np.signbit(V).any()
 
 

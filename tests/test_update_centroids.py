@@ -1,9 +1,9 @@
 """The batched centroid update and the shared per-row cost against their oracles.
 
-``update_centroids`` updates all clusters in one pass; these properties check
+``_update_centroids`` updates all clusters in one pass; these properties check
 it cluster by cluster against ``centroid_l2``/``centroid_l1`` (projected onto
 the unit sphere in normalized mode), check the normalized-mode guard and the
-reseeding of empty clusters, and check ``row_costs`` against a per-row
+reseeding of empty clusters, and check ``_row_costs`` against a per-row
 residual and against the distances the assignment chose, in all six
 (discrepancy, mode) cells. Memberships include unlabelled rows, labelled
 rows with coefficient 0 and binary memberships with coefficients outside
@@ -29,12 +29,11 @@ from onmfcluster import (
     RegularizationParams,
     centroid_l1,
     centroid_l2,
-    update_centroids,
 )
 from onmfcluster import scalar_prox
-from onmfcluster.centroid import _medians
-from onmfcluster.distance import pair_costs
-from onmfcluster.model import row_costs
+from onmfcluster.centroid import _medians, _update_centroids
+from onmfcluster.distance import _pair_costs
+from onmfcluster.model import _row_costs
 from onmfcluster.scalar_prox import _weighted_reg_medians
 from reference import plain_l2_update
 
@@ -130,10 +129,13 @@ def _empty_cluster_update(discrepancy, mode, lambda_v=0.0):
 @example(_empty_cluster_update("l1", "normalized"))
 @example(_empty_cluster_update("l2", "binary", lambda_v=1.0))
 @example(_empty_cluster_update("l2", "normalized", lambda_v=1.0))
+# No row labelled: every cluster is empty and takes a reseed.
+@example((np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]]), Membership([-1, -1, -1], np.zeros(3), 2),
+          ModelSpec("l2", "c1_free"), np.zeros((2, 2))))
 def test_update_matches_the_per_cluster_definitions(update):
     X, membership, spec, previous = update
     K, N = previous.shape
-    V = update_centroids(X, membership, spec, previous)
+    V = _update_centroids(X, membership, spec, previous)
     labels, coeffs = membership.labels, membership.coefficients
     normalized = spec.constraint_mode == "normalized"
     centroid = centroid_l2 if spec.discrepancy == "l2" else centroid_l1
@@ -177,7 +179,7 @@ def test_update_matches_the_per_cluster_definitions(update):
     # lower index first on ties, one per cluster. A cluster takes its row
     # where the row's centroid penalty, on the sphere in normalized mode, is
     # no larger than its previous row's, and keeps the previous row otherwise.
-    costs = row_costs(X, membership, previous, spec)
+    costs = _row_costs(X, membership, previous, spec)
     order = sorted(range(X.shape[0]), key=lambda m: (-costs[m], m))
     no_members = np.full(N, -lambda_v / 2.0)
     for i, k in enumerate(empty):
@@ -206,14 +208,18 @@ def test_update_matches_the_per_cluster_definitions(update):
 @example((np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), Membership([0, 0, 1], [0.5, 1.0, 1.0], 2),
           ModelSpec("l2", "binary"), np.zeros((2, 2))))
 @example(_empty_cluster_update("l2", "normalized", lambda_v=1.0))
+@example((np.array([[1.0, 2.0], [3.0, 4.0]]), Membership([0, 1], [1.0, 2.0], 2), ModelSpec(), np.zeros((2, 2))))
+@example((np.array([[5.0], [2.0]]), Membership([-1, 0], [0.0, 0.5], 1), ModelSpec(), np.zeros((1, 1))))
 def test_l2_update_is_the_plain_arithmetic_bit_for_bit(update):
     # One scatter, the member counts of a unit binary membership, and the
     # division in place must give the masked, copied arithmetic's bytes; a
     # binary membership whose coefficients are not all 1 keeps its sums of
-    # squares, where the counts would give [[1.75, 2.5], ...] above.
+    # squares, where the counts would give [[1.75, 2.5], ...] above. The
+    # scatter sends an unlabelled row's coefficient 0 to column K - 1, which
+    # the last example's one cluster must not feel.
     X, membership, spec, previous = update
     spec = ModelSpec("l2", spec.constraint_mode, spec.reg)
-    V = update_centroids(X, membership, spec, previous)
+    V = _update_centroids(X, membership, spec, previous)
     labels, coeffs = membership.labels, membership.coefficients
     expected = plain_l2_update(X, labels, coeffs, membership.n_clusters, spec, previous)
     full = np.bincount(labels[coeffs > 0], minlength=membership.n_clusters) > 0
@@ -231,7 +237,7 @@ def _zero_median_update():
 
 def test_l1_normalized_zero_rows_rank_by_the_product():
     X, membership, spec, previous = _zero_median_update()
-    V = update_centroids(X, membership, spec, previous)
+    V = _update_centroids(X, membership, spec, previous)
     # X^T u_k - lambda_v / 2 for clusters 0 and 1.
     A = np.array([1.0 * X[0] + 2.0 * X[1], 0.5 * X[2]]) - 50.0
     assert_array_equal(V[:2], np.eye(2)[A[:2].argmax(axis=1)])
@@ -253,14 +259,14 @@ def assignments(draw):
 @given(assignments())
 def test_row_costs_are_the_residuals_the_assignment_chose(problem):
     X, V, spec = problem
-    T, D = pair_costs(X, V, spec)
+    T, D = _pair_costs(X, V, spec)
     rows = np.arange(X.shape[0])
     labels = D.argmin(axis=1)
     assigned = np.isfinite(D[rows, labels])
     labels = np.where(assigned, labels, -1)
     coeffs = np.where(assigned, T[rows, np.maximum(labels, 0)], 0.0)
     membership = Membership(labels, coeffs, V.shape[0])
-    costs = row_costs(X, membership, V, spec)
+    costs = _row_costs(X, membership, V, spec)
     for m in rows:
         v = V[labels[m]] if labels[m] >= 0 else np.zeros(X.shape[1])
         assert abs(costs[m] - _row_cost(X[m], coeffs[m], v, spec)) <= 1e-12 * max(1.0, costs[m])
@@ -296,7 +302,7 @@ def test_unpenalized_l1_update_equals_the_sweep_bit_for_bit(update):
     # weighted sweep; both must give centroid_l1's value exactly.
     X, membership, _, previous = update
     K = previous.shape[0]
-    V = update_centroids(X, membership, ModelSpec("l1", "c1_free"), previous)
+    V = _update_centroids(X, membership, ModelSpec("l1", "c1_free"), previous)
     labels, coeffs = membership.labels, membership.coefficients
     for k in range(K):
         rows = (coeffs > 0) & (labels == k)
@@ -337,7 +343,7 @@ def test_batched_l1_update_equals_the_sweep_bit_for_bit(update):
     K = membership.n_clusters
     spec = ModelSpec("l1", "c1_free", RegularizationParams(lambda_v=lambda_v, mu_v=mu_v))
     with mock.patch.object(scalar_prox, "_CHUNK_ELEMENTS", budget):
-        V = update_centroids(X, membership, spec, np.zeros((K, X.shape[1])))
+        V = _update_centroids(X, membership, spec, np.zeros((K, X.shape[1])))
     labels, coeffs = membership.labels, membership.coefficients
     for k in range(K):
         rows = (coeffs > 0) & (labels == k)
@@ -362,7 +368,7 @@ def test_l1_update_peak_memory_stays_near_its_largest_cluster(skewed):
     previous = rng.uniform(0, 10, (K, N))
     tracemalloc.start()
     try:
-        update_centroids(X, membership, spec, previous)
+        _update_centroids(X, membership, spec, previous)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -373,20 +379,7 @@ def test_kmedian_update_equals_centroid_l1_with_positive_zero_medians():
     X = np.random.default_rng(0).choice([0.0, -0.0, 1.0, 2.0], size=(400, 8))
     labels = np.arange(400) % 3
     membership = Membership(labels, np.ones(400), 3)
-    V = update_centroids(X, membership, ModelSpec("l1", "binary"), np.zeros((3, 8)))
+    V = _update_centroids(X, membership, ModelSpec("l1", "binary"), np.zeros((3, 8)))
     expected = [centroid_l1(X_k, np.ones(X_k.shape[0])) for X_k in (X[labels == k] for k in range(3))]
     assert V.tobytes() == np.array(expected).tobytes()
     assert (V == 0.0).any() and not np.signbit(V).any()
-
-
-@pytest.mark.parametrize("discrepancy, mode", CELLS)
-@pytest.mark.parametrize("rows", [2, 6, None], ids=["short", "long", "1-D"])
-def test_update_rejects_data_that_does_not_fit_the_membership(discrepancy, mode, rows):
-    # Four member rows; six rows of X once gave l1 the first four rows'
-    # centroids and l2 a numpy error from inside the product, two rows an
-    # IndexError under l1.
-    rng = np.random.default_rng(0)
-    X = rng.uniform(0, 1, 3) if rows is None else rng.uniform(0, 1, (rows, 3))
-    membership = Membership(np.array([0, 0, 1, 1]), np.ones(4), 2)
-    with pytest.raises(ValueError, match="must be 2-D|do not fit a membership"):
-        update_centroids(X, membership, ModelSpec(discrepancy, mode), rng.uniform(0, 1, (2, 3)))
