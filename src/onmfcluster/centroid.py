@@ -19,8 +19,8 @@ keeps the previous row where it is not. Seeds and reseeds are unit rows too,
 and no entry is -0.0. An empty cluster's row enters the objective only through
 its centroid penalty, so it takes its farthest data row only where that penalty
 does not grow: the update never raises the objective. Reseeding and the guard
-read each row's cost from ``model._row_costs``, whose sum with the centroid
-penalties is the objective to rounding.
+read each row's cost from ``model._row_costs`` and each centroid row's penalty
+from ``model._penalty``, the objective's own terms by row.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import scalar_prox
-from .model import Membership, ModelSpec, RegularizationParams, _row_costs
-from .scalar_prox import _check_problem, _finite, _quadratic_min, _weighted_reg_medians
+from .model import Membership, ModelSpec, _penalty, _row_costs
+from .scalar_prox import _check_problem, _finite, _midpoints, _quadratic_min, _weighted_reg_medians
 
 
 def centroid_l2(X_k, u_k, lambda_v: float = 0.0, mu_v: float = 0.0) -> np.ndarray:
@@ -51,10 +51,10 @@ def centroid_l1(X_k, u_k, lambda_v: float = 0.0, mu_v: float = 0.0) -> np.ndarra
     with weights u_k; all components are solved in one batched sweep.
     """
     targets, u_k = _check_problem(np.atleast_2d(X_k).T, u_k, lambda_v=lambda_v, mu_v=mu_v)
-    with np.errstate(over="ignore"):
-        return _weighted_reg_medians(targets, u_k, lambda_v, mu_v)
+    return _weighted_reg_medians(targets, u_k, lambda_v, mu_v)
 
 
+@np.errstate(over="ignore")
 def _medians(P: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Column medians of each cluster stacked in P.
 
@@ -68,7 +68,7 @@ def _medians(P: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     lo, hi = (sizes - 1) // 2, sizes // 2
     out = S[b, hi]
     even = sizes % 2 == 0
-    out[even] = 0.5 * (S[b[even], lo[even]] + out[even])
+    out[even] = _midpoints(S[b[even], lo[even]], out[even])
     return out + 0.0
 
 
@@ -84,16 +84,6 @@ def _batches(sizes: np.ndarray, clusters: np.ndarray, width: int):
         n = max(1, int((padded <= width).sum()))
         yield clusters[:n]
         clusters = clusters[n:]
-
-
-def _add_penalties(costs: np.ndarray, W: np.ndarray, reg: RegularizationParams) -> np.ndarray:
-    """costs plus each row's lambda_v ||w||_1 + mu_v ||w||^2; zero weights skipped, overflow inf."""
-    with np.errstate(over="ignore"):
-        if reg.lambda_v:
-            costs = costs + reg.lambda_v * np.abs(W).sum(axis=1)
-        if reg.mu_v:
-            costs = costs + reg.mu_v * np.einsum("kn,kn->k", W, W)
-    return costs
 
 
 def _unit_rows(W: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -143,7 +133,6 @@ def _update_centroids(X: np.ndarray, membership: Membership, spec: ModelSpec, pr
     components.
     """
     n_clusters = membership.n_clusters
-
     reg = spec.reg
     labels, coeffs = membership.labels, membership.coefficients
     # A solver's binary membership labels every row with coefficient 1; only
@@ -207,17 +196,20 @@ def _update_centroids(X: np.ndarray, membership: Membership, spec: ModelSpec, pr
     if normalized:
         _unit_rows(V, A)
     if empty.size:
-        farthest = np.argsort(-_row_costs(X, membership, previous, spec), kind="stable")[: empty.size]
-        empty = empty[: farthest.size]
-        W = _data_rows(X, farthest, spec)
-        new, old = (_add_penalties(np.zeros(empty.size), R, reg) for R in (W, V[empty]))
+        # A cost or penalty that overflows is +inf: the farthest, and never taken.
+        with np.errstate(over="ignore"):
+            farthest = np.argsort(-_row_costs(X, membership, previous, spec), kind="stable")[: empty.size]
+            empty = empty[: farthest.size]
+            W = _data_rows(X, farthest, spec)
+            new, old = (_penalty(reg.lambda_v, R, reg.mu_v, axis=1) for R in (W, V[empty]))
         take = np.isfinite(new) & (new <= old)
         V[empty[take]] = W[take]
     if normalized and spec.discrepancy == "l1":
 
         def block_costs(W):
-            fit = np.bincount(labels[members], _row_costs(X, membership, W, spec)[members], n_clusters)
-            return _add_penalties(fit, W, reg)
+            with np.errstate(over="ignore"):
+                fit = np.bincount(labels[members], _row_costs(X, membership, W, spec)[members], n_clusters)
+                return fit + _penalty(reg.lambda_v, W, reg.mu_v, axis=1)
 
         # Normalized seeds are unit rows, so the guard holds from the first
         # update on; a previous row off the unit sphere is never kept.

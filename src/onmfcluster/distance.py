@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import scalar_prox
+from . import model, scalar_prox
 from .model import ModelSpec
 from .scalar_prox import _FLAT_SLOPE_TOL, _check_problem, _finite, _quadratic_min, _weighted_reg_medians
 
@@ -107,16 +107,17 @@ def distance_l2_angle_form(x, v, lambda_u: float = 0.0) -> float:
 def coefficient_l1(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     """Regularized weighted median coefficient of x onto v (l1 discrepancy)."""
     x, v = _check_problem(x, v, lambda_u=lambda_u, mu_u=mu_u)
-    with np.errstate(over="ignore"):
-        return float(_weighted_reg_medians(x, v, lambda_u, mu_u))
+    return float(_weighted_reg_medians(x, v, lambda_u, mu_u))
 
 
 def distance_l1(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     """Regularized l1 projection distance of x onto the ray of v."""
     x, v = _check_problem(x, v, lambda_u=lambda_u, mu_u=mu_u)
+    t = float(_weighted_reg_medians(x, v, lambda_u, mu_u))
+    if t == np.inf:
+        return t
     with np.errstate(over="ignore"):
-        t = float(_weighted_reg_medians(x, v, lambda_u, mu_u))
-    return t if t == np.inf else float(np.abs(x - t * v).sum()) + mu_u * t * t + lambda_u * t
+        return float(_finite("||x - t v||_1", np.abs(x - t * v).sum())) + mu_u * t * t + lambda_u * t
 
 
 def coefficient_and_distance(x, v, spec: ModelSpec) -> tuple[float, float]:
@@ -127,8 +128,8 @@ def coefficient_and_distance(x, v, spec: ModelSpec) -> tuple[float, float]:
             return coefficient_l2(x, v, lam, mu), distance_l2(x, v, lam, mu)
         return coefficient_l1(x, v, lam, mu), distance_l1(x, v, lam, mu)
     x, v = _check_problem(x, v)
-    r = x - v
-    return 1.0, float(r @ r) if spec.discrepancy == "l2" else float(np.abs(r).sum())
+    with np.errstate(over="ignore"):
+        return 1.0, float(_finite("the binary distance", model._residual_costs(x - v, spec)))
 
 
 def _l2_costs(
@@ -196,13 +197,12 @@ def _costs_at(X: np.ndarray, V: np.ndarray, pairs, spec: ModelSpec, out: np.ndar
     array or a ``range``, and pair i's distance goes to ``out[pairs[i]]``.
     Rows and centroids are gathered in chunks of ``scalar_prox._CHUNK_ELEMENTS``,
     each chunk's index is built on its own, and the distances are written in
-    place, so the call holds only the coefficients beyond one chunk. Binary
-    mode's coefficient is 1, and its distance sums the squared (l2) or
-    absolute (l1) differences. An l1 coefficient that overflows costs +inf
-    without a warning and enters no product, where 0 * inf would make a NaN.
+    place, so the call holds only the coefficients beyond one chunk. Each
+    chunk ends in ``model._residual_costs``, binary mode's at t = None. An
+    l1 coefficient that overflows costs +inf without a warning and enters no
+    product, where 0 * inf would make a NaN.
     """
     M, N = X.shape
-    lam, mu = spec.reg.lambda_u, spec.reg.mu_u
     T = np.ones(len(pairs))
     step = max(1, scalar_prox._CHUNK_ELEMENTS // N)
     for lo in range(0, len(pairs), step):
@@ -212,18 +212,13 @@ def _costs_at(X: np.ndarray, V: np.ndarray, pairs, spec: ModelSpec, out: np.ndar
         cols, rows = np.divmod(chunk, M)
         x, w = X.take(rows, axis=0), V.take(cols, axis=0)
         if spec.constraint_mode == "binary":
-            R = np.subtract(x, w, out=x)
-            R = np.multiply(R, R, out=R) if spec.discrepancy == "l2" else np.abs(R, out=R)
-            out[chunk] = R.sum(axis=-1)
+            out[chunk] = model._residual_costs(np.subtract(x, w, out=x), spec)
         else:
-            with np.errstate(over="ignore"):
-                t = _weighted_reg_medians(x, w, lam, mu)
+            t = _weighted_reg_medians(x, w, spec.reg.lambda_u, spec.reg.mu_u)
             over = np.isinf(t)
             s = np.where(over, 0.0, t)
-            R = s[:, None] * w
-            np.subtract(x, R, out=R)
             T[lo:lo + step] = t
-            out[chunk] = np.where(over, np.inf, np.abs(R, out=R).sum(axis=-1) + mu * s * s + lam * s)
+            out[chunk] = np.where(over, np.inf, model._residual_costs(np.subtract(x, s[:, None] * w, out=x), spec, s))
     return T
 
 

@@ -6,10 +6,12 @@ matrix (at most one nonzero per row) holds by construction and cannot be
 violated at runtime.
 
 ``objective`` is the paper's three terms, the discrepancy ||X - UV|| (squared
-l2 or l1) and the elastic nets on U and on V, each one flat reduction.
-``objective`` checks that X and V fit the membership; ``_row_costs``, which
-splits the discrepancy and the U penalty by row for the centroid update's
-guard and reseeding and for the CLI's distance column, takes rows that do.
+l2 or l1) and the elastic nets on U and on V, each one flat reduction, and
+checks that X and V fit the membership. By row, each term has one evaluation:
+``_residual_costs`` reduces residual rows to their discrepancy plus mu_u t^2,
+then lambda_u t, for ``_row_costs`` (the CLI's distance column, the centroid
+update's reseed and guard) and for ``distance._costs_at``, the binary and l1
+pair kernel; ``_penalty`` gives the elastic nets whole or per row.
 """
 
 from __future__ import annotations
@@ -213,23 +215,27 @@ def _residuals(X: np.ndarray, membership: Membership, V: np.ndarray) -> np.ndarr
 
 
 def _row_costs(X: np.ndarray, membership: Membership, V: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    """Each row's residual plus its membership penalty.
+    """Each row's ``_residual_costs`` at its label and coefficient, for X and V that fit the membership.
 
-    Row m with label k and coefficient u costs D(x_m, u v_k) + lambda_u u +
-    mu_u u^2 (squared norm for l2, absolute sum for l1); a row without an
-    assignment, or with coefficient 0, costs its full norm. For a membership
-    the solver assigned against V this is the distance the assignment chose.
-    Zero-weight penalty terms are skipped, never evaluated as 0 * inf. Their
-    sum with the centroid penalties is :func:`objective` to rounding. X and V
-    are float arrays that fit the membership, as ``objective`` checks.
+    A row without an assignment, or with coefficient 0, costs its full norm.
+    For a membership the solver assigned against V this is the distance the
+    assignment chose, bit for bit under l1 and in binary mode. The sum with
+    the centroid penalties is :func:`objective` to rounding.
     """
-    R = _residuals(X, membership, V)
-    coeffs = membership.coefficients
-    cost = (np.multiply(R, R, out=R) if spec.discrepancy == "l2" else np.abs(R, out=R)).sum(axis=1)
-    if spec.reg.lambda_u:
-        cost += spec.reg.lambda_u * coeffs
-    if spec.reg.mu_u:
-        cost += spec.reg.mu_u * coeffs * coeffs
+    return _residual_costs(_residuals(X, membership, V), spec, membership.coefficients)
+
+
+def _residual_costs(R: np.ndarray, spec: ModelSpec, t=None) -> np.ndarray:
+    """Each residual row's squared norm (l2) or absolute sum (l1), + mu_u t^2 + lambda_u t, overwriting R.
+
+    The terms are added in that order and skipped where their weight is 0,
+    never evaluated as 0 * inf; binary mode passes t = None.
+    """
+    cost = (np.multiply(R, R, out=R) if spec.discrepancy == "l2" else np.abs(R, out=R)).sum(axis=-1)
+    if t is not None and spec.reg.mu_u:
+        cost += spec.reg.mu_u * t * t
+    if t is not None and spec.reg.lambda_u:
+        cost += spec.reg.lambda_u * t
     return cost
 
 
@@ -244,18 +250,17 @@ def _objective_terms(X, membership: Membership, V, spec: ModelSpec) -> tuple[flo
             f"{membership.n_rows} rows and {membership.n_clusters} clusters"
         )
     R = _residuals(X, membership, V)
-    reg = spec.reg
     with np.errstate(over="ignore"):
         fit = float((np.square(R, out=R) if spec.discrepancy == "l2" else np.abs(R, out=R)).sum())
-        penalty_u = _penalty(reg.lambda_u, membership.coefficients, reg.mu_u)
-        return fit, penalty_u, _penalty(reg.lambda_v, V, reg.mu_v)
+        penalty_u = float(_penalty(spec.reg.lambda_u, membership.coefficients, spec.reg.mu_u))
+        return fit, penalty_u, float(_penalty(spec.reg.lambda_v, V, spec.reg.mu_v))
 
 
-def _penalty(lam: float, A: np.ndarray, mu: float) -> float:
-    """lam ||A||_1 + mu ||A||_F^2, each term skipped where its weight is 0."""
-    value = lam * float(np.abs(A).sum()) if lam else 0.0
+def _penalty(lam: float, A: np.ndarray, mu: float, axis=None):
+    """lam ||A||_1 + mu ||A||_F^2 over all of A, or per row with axis=1; a zero-weight term is skipped."""
+    value = lam * np.abs(A).sum(axis=axis) if lam else (0.0 if axis is None else np.zeros(len(A)))
     if mu:
-        value += mu * float((A * A).sum())
+        value = value + mu * (A * A).sum(axis=axis)
     return value
 
 

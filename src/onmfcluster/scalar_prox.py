@@ -104,6 +104,13 @@ def _quadratic_min(a, d: float, lam: float):
         return np.maximum(a - lam / 2.0, 0.0) / d
 
 
+def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """0.5 (lo + hi) for lo <= hi, but 0.5 lo + 0.5 hi where only the sum overflowed, the one case mid > hi."""
+    mid = 0.5 * (lo + hi)
+    return np.where(mid > hi, 0.5 * lo + 0.5 * hi, mid)
+
+
+@np.errstate(over="ignore")
 def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
     """Breakpoint sweep of :func:`weighted_reg_median`, batched over the last axis.
 
@@ -111,10 +118,11 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
     shape without the last axis. Inactive weights, +0 or -0, become +inf
     breakpoints, which sort behind every active one and add nothing to the
     slopes of the active pieces. A breakpoint past float64's range is +inf
-    too, with a warning, and a minimizer there is returned as +inf. Each
+    too, without a warning, and a minimizer there is returned as +inf. Each
     slice takes one count over its sorted breakpoints, which names the piece
-    that holds its minimizer, and then one value: that piece's midpoint or
-    left end (mu = 0), or its root clipped to the piece (mu > 0).
+    that holds its minimizer, and then one value: that piece's midpoint, by
+    ``_midpoints`` as in the K-median sort and finite between finite ends,
+    or left end (mu = 0), or its root clipped to the piece (mu > 0).
     """
     v, w = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(w, dtype=float))
     shape = v.shape
@@ -166,7 +174,7 @@ def _weighted_reg_medians(v, w, lam: float, mu: float) -> np.ndarray:
         at = j * S + columns
         flat = (np.abs(slopes.take(at)) <= tol) & (j < n_active)
         lo_j = B.take(at)
-        t = np.where(flat, 0.5 * (lo_j + B.take(at + S)), lo_j)
+        t = np.where(flat, _midpoints(lo_j, B.take(at + S)), lo_j)
     else:
         # The right derivative 2 mu t + slope at the sorted breakpoints is
         # nondecreasing, so the count of those below 0 indexes the interval
@@ -194,8 +202,7 @@ def weighted_reg_median(v, w, lam: float = 0.0, mu: float = 0.0) -> float:
     lengths).
     """
     v, w = _check_problem(v, w, lam=lam, mu=mu)
-    with np.errstate(over="ignore"):
-        return float(_weighted_reg_medians(v, w, lam, mu))
+    return float(_weighted_reg_medians(v, w, lam, mu))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Loud failure on float overflow and non-finite input, and termination that never hides a rise."""
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from onmfcluster import (
 from onmfcluster import solver
 from onmfcluster.centroid import _update_centroids
 from onmfcluster.cli import main
-from onmfcluster.distance import _pair_costs
+from onmfcluster.distance import _nearest, _pair_costs
 
 # Row 0's squared norm, 1e400, overflows float64; before it was rejected the
 # fit returned the trace [nan, nan] with converged=True.
@@ -318,6 +319,37 @@ def test_coefficient_l2_names_an_overflowing_inner_product(function, x, v, produ
     # closed form returned NaN or raised OverflowError, the angle form NaN.
     with pytest.raises(ValueError, match=re.escape(f"{product} overflows float64; rescale x or v")):
         function(x, v)
+
+
+@pytest.mark.parametrize(
+    "function, x, product",
+    [
+        (distance_l1, [1.7e308, 1.7e308], "||x - t v||_1"),
+        (partial(coefficient_and_distance, spec=ModelSpec("l1", "binary")), [1.7e308, 1.7e308], "the binary distance"),
+        (partial(coefficient_and_distance, spec=ModelSpec("l2", "binary")), [1e200], "the binary distance"),
+    ],
+)
+def test_scalar_distances_name_an_overflowing_residual(function, x, product):
+    # These returned inf after a RuntimeWarning, where distance_l2 raised.
+    with pytest.raises(ValueError, match=re.escape(f"{product} overflows float64; rescale x or v")):
+        function(x, np.zeros(len(x)))
+
+
+# The breakpoints 1 / 1e-308 sum past float64's range, and the midpoint of
+# their flat interval came out +inf, so centroid 0 lost to centroid 1 (cost
+# 1.0), though at t = 1 / 1e-308 it costs 2.2e-16.
+def test_a_flat_interval_between_huge_ends_has_a_finite_midpoint():
+    assert weighted_reg_median([1e308, 1e308], [1, 1]) == 1e308
+    assert centroid_l1([[1e308], [1.5e308]], [1, 1]).tolist() == [1.25e308]
+    V = np.array([[1e-308, 1e-308], [3.0, 0.0]])
+    t = coefficient_l1([1, 1], V[0])
+    assert t == weighted_reg_median([1, 1], V[0]) < np.inf
+    cost = ScalarProxProblem("weighted_l1", [1, 1], V[0]).value(t)
+    assert cost < 1e-15
+    assert assign([1, 1], V, ModelSpec("l1")) == (0, t, cost)
+    X = np.array([[1.0, 1.0], [3.0, 0.0]])
+    labels, coeffs, _ = _nearest(X, (X * X).sum(axis=1), V, ModelSpec("l1"))
+    assert labels.tolist() == [0, 1] and coeffs.tolist() == [t, 1.0]
 
 
 # 6.36961687 / 5e-324 overflows float64, so the l1 coefficient is +inf. Its
