@@ -470,10 +470,11 @@ def _argmin(T: np.ndarray, D: np.ndarray):
     return labels, T.T.take(labels * M + np.arange(M)), d
 
 
-def _nearest(X: np.ndarray, xx: np.ndarray, V: np.ndarray, spec: ModelSpec, state=None):
+def _nearest(X: np.ndarray, xx: np.ndarray | None, V: np.ndarray, spec: ModelSpec, state=None):
     """The U-block: each row's best centroid, its coefficient, and the state for the next call.
 
-    X holds validated rows and xx their squared norms. The labels and
+    X holds validated rows and xx their squared norms, or None under l1
+    outside normalized mode, whose kernels read none. The labels and
     coefficients are those of ``_argmin(*_pair_costs(X, V, spec, xx))`` bit
     for bit; l1 reads them off the bounded sweep and binary l2 off the
     certified product. ``state`` is None on a fit's first call and after
@@ -497,15 +498,19 @@ def assign(x, V, spec: ModelSpec) -> tuple[int, float, float]:
     A one-row view of ``_pair_costs``: returns the argmin over the
     centroid rows; ties break toward the lowest index. Degenerate rows are
     skipped; if every row is degenerate, :class:`NoValidCentroidError` is
-    raised. V is one centroid row or a 2-D matrix of them. Input is checked
-    as ``scalar_prox`` states, and an x whose ||x||^2 overflows (as ``fit``
-    checks its rows) or a centroid whose ||v||^2 does raises ``ValueError``.
+    raised. V is one centroid row or a nonempty 2-D matrix. Input is checked
+    as ``scalar_prox`` states, and, as ``fit`` checks its rows, an x or a
+    centroid whose squared norm (l1 norm under l1 c1_free and binary)
+    overflows raises ``ValueError``.
     """
     x, V = _check_problem(np.reshape(x, (1, -1)), np.atleast_2d(V))
-    if V.ndim != 2:
-        raise ValueError(f"centroids must be one row or a 2-D matrix, got shape {V.shape}")
+    if V.ndim != 2 or V.shape[0] < 1:
+        raise ValueError(f"centroids must be one row or a nonempty 2-D matrix, got shape {V.shape}")
+    norm = "^2" if model._squares(spec) else "_1"
     with np.errstate(over="ignore"):
-        xx = _finite("||x||^2", np.einsum("mn,mn->m", x, x))
-        _finite("||v||^2", np.einsum("...n,...n->...", V, V))
+        xx, _ = (
+            _finite(f"||{name}||{norm}", np.einsum("mn,mn->m", A, A) if norm == "^2" else A.sum(axis=1))
+            for name, A in (("x", x), ("v", V))
+        )
     k, t, d = _argmin(*_pair_costs(x, V, spec, xx))
     return int(k[0]), float(t[0]), float(d[0])

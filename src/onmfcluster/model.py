@@ -27,12 +27,17 @@ CONSTRAINT_MODES = ("c1_free", "normalized", "binary")
 
 
 def as_data_matrix(values) -> np.ndarray:
-    """Validate and return a 2-D nonnegative float array (rows = data points)."""
+    """Validate and return a 2-D nonnegative float array (rows = data points) of finite squared row norms."""
     return _data_matrix(values)[0]
 
 
-def _data_matrix(values) -> tuple[np.ndarray, np.ndarray]:
-    """``as_data_matrix`` and the squared row norms its check computes."""
+def _squares(spec: ModelSpec | None) -> bool:
+    """Whether a model squares data rows, as l2 and normalized mode's unit seeds do; None stands for any model."""
+    return spec is None or spec.discrepancy == "l2" or spec.constraint_mode == "normalized"
+
+
+def _data_matrix(values, spec: ModelSpec | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """``as_data_matrix`` for spec, and the squared row norms it checks where the model squares rows, else None."""
     X = np.asarray(values, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"data matrix must be 2-D, got shape {X.shape}")
@@ -43,16 +48,16 @@ def _data_matrix(values) -> tuple[np.ndarray, np.ndarray]:
     if (X < 0).any():
         m, n = np.argwhere(X < 0)[0]
         raise ValueError(f"data matrix must be nonnegative; entry ({m}, {n}) is {X[m, n]}")
-    # Every distance and objective term is bounded by squared row norms, so a
-    # row whose squared norm overflows would turn the run into inf and NaN.
+    # Every distance and objective term is bounded by the row norms the model
+    # takes, so a row whose norm overflows would turn the run into inf and NaN.
+    squares = _squares(spec)
     with np.errstate(over="ignore"):
-        xx = np.einsum("mn,mn->m", X, X)
-    overflow = np.flatnonzero(~np.isfinite(xx))
+        norms = np.einsum("mn,mn->m", X, X) if squares else X.sum(axis=1)
+    overflow = np.flatnonzero(~np.isfinite(norms))
     if overflow.size:
-        raise ValueError(
-            f"squared norm of data row {overflow[0]} (0-based) overflows float64; rescale the data"
-        )
-    return X, xx
+        norm = "squared norm" if squares else "l1 norm"
+        raise ValueError(f"{norm} of data row {overflow[0]} (0-based) overflows float64; rescale the data")
+    return X, norms if squares else None
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -152,6 +157,8 @@ class ModelSpec:
     reg: RegularizationParams = field(default_factory=RegularizationParams)
 
     def __post_init__(self):
+        if not isinstance(self.reg, RegularizationParams):
+            raise ValueError(f"reg must be a RegularizationParams, got {self.reg!r}")
         if self.discrepancy not in DISCREPANCIES:
             raise ValueError(f"discrepancy must be one of {DISCREPANCIES}")
         if self.constraint_mode not in CONSTRAINT_MODES:

@@ -12,8 +12,9 @@ trace, and ``fit_history`` alone keeps every step.
 
 Every assignment is one call of ``distance._nearest``, which picks the
 kernel for the model and returns the argmin, lowest index on ties, of the
-batched kernel ``distance._pair_costs`` bit for bit. A fit validates X and
-computes its squared row norms once, for seeding (``plusplus`` reads its
+batched kernel ``distance._pair_costs`` bit for bit. A fit validates X once,
+against each row's squared norm where the model squares rows and its l1 norm
+elsewhere, keeps the squared norms for seeding (``plusplus`` reads its
 distances from ``_pair_costs``) and every assignment, and hands each
 assignment the state the previous one returned. These private kernels and
 ``centroid._update_centroids`` take the validated rows and check nothing
@@ -77,21 +78,22 @@ def init_centroids(X, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
     """Seeded initial centroids: K distinct data rows, of unit norm in normalized mode.
 
     ``random_rows`` takes the first K pairwise distinct rows of a uniform
-    random permutation of the rows. ``plusplus`` draws each next row with
-    probability proportional to its distance (under the model's own distance
-    measure) to the nearest row chosen so far, never a row equal to a chosen
-    one. Rows at +inf from every chosen row are drawn first, uniformly: after
-    a degenerate draw, such as a zero row under an l2 sparsity penalty, that
-    is every other row. The drawn rows are copied without -0.0, and in
-    normalized mode divided by their l2 norms, so the first coefficients are
-    measured against feasible centroids; a row whose norm is 0 in float64
-    becomes e_j for its largest entry j. Deterministic given the seed.
+    random permutation, read one row at a time. ``plusplus`` draws each next
+    row with probability proportional to its distance (under the model's own
+    distance measure) to the nearest row chosen so far, never a row equal to
+    a chosen one. Rows at +inf from every chosen row are drawn first,
+    uniformly: after a degenerate draw, such as a zero row under an l2
+    sparsity penalty, that is every other row. The drawn rows are copied
+    without -0.0, and in normalized mode divided by their l2 norms, so the
+    first coefficients are measured against feasible centroids; a row whose
+    norm is 0 in float64 becomes e_j for its largest entry j. Deterministic
+    given the seed.
     """
-    return _init_centroids(*_data_matrix(X), config, spec)
+    return _init_centroids(*_data_matrix(X, spec), config, spec)
 
 
-def _init_centroids(X: np.ndarray, xx: np.ndarray, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
-    """``init_centroids`` on validated rows, with their squared norms xx."""
+def _init_centroids(X: np.ndarray, xx: np.ndarray | None, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
+    """``init_centroids`` on validated rows, with the xx ``_data_matrix`` returns for spec."""
     M = X.shape[0]
     K = config.n_clusters
     if K > M:
@@ -99,7 +101,14 @@ def _init_centroids(X: np.ndarray, xx: np.ndarray, config: SolverConfig, spec: M
     rng = np.random.default_rng(config.seed)
 
     if config.init == "random_rows":
-        return centroid._data_rows(X, _distinct_prefix(X, rng.permutation(M), K), spec)
+        # Adding 0.0 turns -0.0 into 0.0, after which rows that
+        # ``np.array_equal`` finds equal have equal bytes.
+        first: dict[bytes, np.int64] = {}
+        for m in rng.permutation(M):
+            first.setdefault((X[m] + 0.0).tobytes(), m)
+            if len(first) == K:
+                return centroid._data_rows(X, list(first.values()), spec)
+        raise DuplicateRowsError(f"only {len(first)} distinct rows for {K} centroids")
 
     def distances_to(m: int) -> np.ndarray:
         dist = _pair_costs(X, X[m:m + 1], spec, xx)[1][:, 0]
@@ -113,39 +122,15 @@ def _init_centroids(X: np.ndarray, xx: np.ndarray, config: SolverConfig, spec: M
     nearest = distances_to(chosen[0])
     for _ in range(K - 1):
         far = np.isinf(nearest)
-        weights = far if far.any() else nearest
-        with np.errstate(over="ignore"):
-            total = float(weights.sum())
-        if total == np.inf:  # finite distances whose sum overflows
-            weights = weights / weights.max()
-            total = float(weights.sum())
-        if total <= 0.0:
+        largest = nearest.max()
+        if largest <= 0.0:
             raise DuplicateRowsError("every remaining row lies at distance 0 from a chosen centroid")
-        nxt = int(rng.choice(M, p=weights / total))
+        # Scaled by their largest entry, the weights sum to at most M.
+        weights = far if far.any() else nearest / largest
+        nxt = int(rng.choice(M, p=weights / weights.sum()))
         chosen.append(nxt)
         nearest = np.minimum(nearest, distances_to(nxt))
     return centroid._data_rows(X, chosen, spec)
-
-
-def _distinct_prefix(X: np.ndarray, perm: np.ndarray, K: int) -> np.ndarray:
-    """The first K entries of ``perm`` whose rows differ from every earlier one.
-
-    Rows compare as ``np.array_equal`` does: adding 0.0 turns -0.0 into 0.0,
-    after which equal finite rows have equal bytes, and a dict keyed by them
-    keeps each row's first position. The rows are read in prefixes that
-    double until K distinct ones are found, so memory stays O(prefix x N)
-    whatever the duplicates.
-    """
-    first: dict[bytes, int] = {}
-    n = 0
-    while len(first) < K and n < perm.size:
-        end = min(max(2 * n, K), perm.size)
-        for i, row in enumerate(X[perm[n:end]] + 0.0, n):
-            first.setdefault(row.tobytes(), i)
-        n = end
-    if len(first) < K:
-        raise DuplicateRowsError(f"only {len(first)} distinct rows for {K} centroids")
-    return perm[list(first.values())[:K]]
 
 
 class FitStep(NamedTuple):
@@ -159,12 +144,12 @@ class FitStep(NamedTuple):
 def _steps(X, spec: ModelSpec, config: SolverConfig) -> Iterator[tuple[FitStep, bool]]:
     """Each iteration's step and whether it ends the run as converged.
 
-    X is validated once, and its squared row norms are kept for seeding and
-    every assignment; so is the state each assignment hands the next. Only
-    the previous step is kept, so a run's memory does not grow with its
-    iteration count.
+    X is validated once for spec, and the squared row norms ``_data_matrix``
+    returns are kept for seeding and every assignment; so is the state each
+    assignment hands the next. Only the previous step is kept, so a run's
+    memory does not grow with its iteration count.
     """
-    X, xx = _data_matrix(X)
+    X, xx = _data_matrix(X, spec)
     K = config.n_clusters
     V = _init_centroids(X, xx, config, spec)
     state = prev = None

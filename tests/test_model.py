@@ -1,6 +1,7 @@
 """Unit tests for the core data types and the objective."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,15 @@ class TestModelSpec:
             ModelSpec("l2", "binary", RegularizationParams(lambda_u=1.0))
         with pytest.raises(ValueError):
             ModelSpec("l2", "normalized", RegularizationParams(mu_u=0.5))
+
+    # A reg of None or a dict used to fail inside the fit, or in binary and
+    # normalized mode inside this constructor, on the AttributeError of
+    # reg.lambda_u.
+    @pytest.mark.parametrize("mode", ["c1_free", "normalized", "binary"])
+    @pytest.mark.parametrize("reg", [None, {"lambda_u": 1.0}], ids=["None", "dict"])
+    def test_reg_must_be_regularization_params(self, mode, reg):
+        with pytest.raises(ValueError, match=re.escape(f"reg must be a RegularizationParams, got {reg!r}")):
+            ModelSpec("l2", mode, reg)
 
     def test_binary_mode_allows_centroid_penalties(self):
         ModelSpec("l2", "binary", RegularizationParams(lambda_v=1.0, mu_v=2.0))

@@ -38,17 +38,64 @@ from onmfcluster.distance import _nearest, _pair_costs
 OVERFLOW = [[1e200, 1.0], [2.0, 3.0], [5.0, 5.0]]
 
 
-def test_fit_rejects_rows_whose_squared_norm_overflows():
-    with pytest.raises(ValueError, match="row 0"):
-        fit(OVERFLOW, ModelSpec("l2", "binary"), SolverConfig(n_clusters=2))
+# The cells that square a data row: l2, and normalized mode, whose unit seeds
+# do. The l1 c1_free and binary cells check each row's l1 norm instead.
+SQUARING = [("l2", "c1_free"), ("l2", "normalized"), ("l2", "binary"), ("l1", "normalized")]
+# Each row's squared norm overflows float64, its l1 norm does not.
+HUGE = np.random.default_rng(0).uniform(0, 1, (60, 3)) * 1e300
+
+
+@pytest.mark.parametrize(("discrepancy", "mode"), SQUARING)
+def test_fit_rejects_rows_whose_squared_norm_overflows(discrepancy, mode):
+    with pytest.raises(ValueError, match=re.escape("squared norm of data row 0 (0-based) overflows float64")):
+        fit(OVERFLOW, ModelSpec(discrepancy, mode), SolverConfig(n_clusters=2))
+
+
+# These fits used to be refused for squared norms no l1 kernel forms.
+@pytest.mark.parametrize("init", ["random_rows", "plusplus"])
+@pytest.mark.parametrize("mode", ["c1_free", "binary"])
+def test_l1_fits_take_rows_whose_squared_norm_overflows(mode, init):
+    trace = fit(HUGE, ModelSpec("l1", mode), SolverConfig(n_clusters=3, init=init)).objective_trace
+    assert np.isfinite(trace).all() and (np.diff(trace) <= 0).all()
+
+
+def test_l1_fits_name_a_row_whose_l1_norm_overflows():
+    with pytest.raises(ValueError, match=re.escape("l1 norm of data row 0 (0-based) overflows float64")):
+        fit(np.full((3, 4), 1e308), ModelSpec("l1", "binary"), SolverConfig(n_clusters=2))
+
+
+def test_cli_runs_an_l1_fit_on_rows_whose_squared_norm_overflows(tmp_path):
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, HUGE[:20], fmt="%.17g", delimiter=",")
+    out = tmp_path / "o"
+    argv = ["--input", str(path), "--out", str(out), "--k", "3", "--discrepancy", "l1", "--mode", "binary"]
+    assert main(argv) == 0
+    assert sorted(f.name for f in out.iterdir()) == ["assignments.csv", "centroids.csv", "run.json", "trace.csv"]
 
 
 # assign used to warn and return distance NaN for this row.
-@pytest.mark.parametrize("discrepancy", ["l1", "l2"])
-@pytest.mark.parametrize("mode", ["c1_free", "normalized", "binary"])
+@pytest.mark.parametrize(("discrepancy", "mode"), SQUARING)
 def test_assign_rejects_a_row_whose_squared_norm_overflows(discrepancy, mode):
     with pytest.raises(ValueError, match=re.escape("||x||^2 overflows float64")):
         assign([1e200, 1e200], [[1.0, 1.0], [2.0, 0.0]], ModelSpec(discrepancy, mode))
+
+
+@pytest.mark.parametrize("mode", ["c1_free", "binary"])
+def test_l1_assign_takes_a_row_whose_squared_norm_overflows(mode):
+    k, t, d = assign([1e300, 1e300], [[1e300, 2e300]], ModelSpec("l1", mode))
+    assert k == 0 and (t, d) == ((1.0, 1e300) if mode == "binary" else (0.5, 5e299))
+
+
+@pytest.mark.parametrize("mode", ["c1_free", "binary"])
+def test_l1_assign_rejects_a_row_whose_l1_norm_overflows(mode):
+    with pytest.raises(ValueError, match=re.escape("||x||_1 overflows float64")):
+        assign([1e308, 1e308], [[1.0, 1.0]], ModelSpec("l1", mode))
+
+
+def test_assign_rejects_zero_centroid_rows():
+    message = "centroids must be one row or a nonempty 2-D matrix, got shape (0, 2)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        assign([1.0, 1.0], np.zeros((0, 2)), ModelSpec())
 
 
 def test_cli_exits_2_on_rows_whose_squared_norm_overflows(tmp_path, capsys):
@@ -394,13 +441,18 @@ def test_l2_fit_runs_past_overflowing_coefficients(seed):
     assert np.isfinite(trace).all() and (np.diff(trace) <= 0).all()
 
 
-@pytest.mark.parametrize("mode", ["c1_free", "normalized", "binary"])
-@pytest.mark.parametrize("discrepancy", ["l1", "l2"])
+@pytest.mark.parametrize(("discrepancy", "mode"), SQUARING)
 def test_assign_names_an_overflowing_centroid_norm(discrepancy, mode):
     # Centroid 0 is parallel to x, but its ||v||^2 overflowed to inf, and l2
     # took label 1 at distance 1.0, silently.
     with pytest.raises(ValueError, match=re.escape("||v||^2 overflows float64; rescale x or v")):
         assign([1.0, 1.0], [[1e200, 1e200], [3.0, 0.0]], ModelSpec(discrepancy, mode))
+
+
+@pytest.mark.parametrize("mode", ["c1_free", "binary"])
+def test_l1_assign_names_an_overflowing_centroid_l1_norm(mode):
+    with pytest.raises(ValueError, match=re.escape("||v||_1 overflows float64; rescale x or v")):
+        assign([1.0, 1.0], [[1e308, 1e308], [3.0, 0.0]], ModelSpec("l1", mode))
 
 
 # Seeded from the row 5e-324, the other rows' l1 coefficients overflow, so

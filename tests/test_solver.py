@@ -28,7 +28,6 @@ from onmfcluster import solver
 from onmfcluster.centroid import _update_centroids
 from onmfcluster.distance import _pair_costs
 from onmfcluster.model import _row_costs
-from onmfcluster.solver import _distinct_prefix
 from reference import kmedian_history, lloyd_kmeans_history, plain_objective, random_rows_seeds
 
 CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
@@ -184,25 +183,24 @@ def test_random_rows_takes_the_rows_of_the_loop(problem):
         return
     # Byte for byte, so every zero of the chosen rows is +0.0.
     assert init_centroids(X, config, ModelSpec()).tobytes() == (X[expected] + 0.0).tobytes()
-    perm = np.random.default_rng(seed).permutation(X.shape[0])
-    assert_array_equal(_distinct_prefix(X, perm, K), expected)
 
 
 def test_random_rows_memory_is_linear_in_the_rows_it_scans():
     # 4000 copies of one row hide three distinct ones, so the scan reaches
-    # every row; a pairwise comparison of them would need 16 MB or more.
+    # every row; a pairwise comparison of them would need 16 MB or more. Rows
+    # are keyed one at a time, so the scan holds no gather of those it read.
     M, N = 4003, 8
     X = np.vstack([np.ones((M - 3, N)), np.arange(3.0 * N).reshape(3, N) + 2.0])
-    perm = np.random.default_rng(0).permutation(M)
-    _distinct_prefix(X, perm, 4)
+    config = SolverConfig(n_clusters=4, seed=0)
+    init_centroids(X, config, ModelSpec())
     tracemalloc.start()
     try:
-        chosen = _distinct_prefix(X, perm, 4)
+        V = init_centroids(X, config, ModelSpec())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sorted(chosen)[1:] == [M - 3, M - 2, M - 1]
-    assert peak < 4 * X.nbytes + 256 * 1024
+    assert sorted(map(tuple, V))[1:] == sorted(map(tuple, X[M - 3:]))
+    assert peak < X.nbytes // 2
 
 
 class TestFitBasics:
