@@ -1,8 +1,8 @@
 """Command-line front end: CSV in, clustering run, CSV/JSON out.
 
 Exit codes: 0 on success, 2 for input errors (unreadable or malformed CSV,
-invalid parameters, an output path that cannot be written), 3 for solver
-degeneracy (duplicate rows at seeding, no valid centroid).
+invalid parameters, data whose squared norms or pair costs overflow float64,
+an output path that cannot be written), 3 for duplicate rows at seeding.
 
 A command-line run (``python -m onmfcluster``, ``python -m onmfcluster.cli``
 or the ``onmfcluster`` script) goes through :func:`entry`. Once ``main`` has
@@ -33,7 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .distance import NoValidCentroidError
 from .model import FactorizationResult, ModelSpec, RegularizationParams, _row_costs
 from .solver import DuplicateRowsError, SolverConfig, fit
 
@@ -208,7 +207,7 @@ def run(input_path, output_dir, spec: ModelSpec, config: SolverConfig) -> int:
     started = time.perf_counter()
     try:
         result = fit(X, spec, config)
-    except (DuplicateRowsError, NoValidCentroidError) as exc:
+    except DuplicateRowsError as exc:
         print(f"error: solver degeneracy: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

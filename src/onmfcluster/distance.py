@@ -7,14 +7,12 @@ discrepancy, plain units for l1). Every cost reads lambda_u and mu_u from
 ``spec.reg``, which ``ModelSpec`` keeps at 0 outside ``c1_free``.
 
 Inputs, degenerate objectives and overflow follow ``scalar_prox``'s
-contract. The degenerate-centroid rule, for the kernel and the scalar
-functions alike: an l2 centroid with ||v||^2 + mu_u = 0 in float64 has
-coefficient 0 and costs +inf under a sparsity penalty, ||x||^2 (its limit)
-without one; an l1 zero centroid has coefficient 0 and costs ||x||_1 under
-any lambda_u; and an l1 or l2 coefficient past float64's range costs +inf.
-Every argmin skips a pair at +inf, ``NoValidCentroidError`` is raised where
-a row has no centroid at a finite distance, and ``plusplus`` seeding reads
-the same costs.
+contract. One rule holds for the kernel and the scalar functions alike: a
+centroid that admits no coefficient (||v||^2 + mu_u = 0 under l2, v = 0
+under l1) has coefficient +0.0 and costs the row's full norm, ||x||^2 or
+||x||_1, under every penalty. So a pair costs +inf only where float64
+overflows; every argmin skips such a pair, and a row whose every pair cost
+overflows raises ``NoValidCentroidError``.
 
 ``_pair_costs`` is the one batched cost kernel, and ``_nearest``, a fit's
 assignment, returns its argmin bit for bit: under l2 free and normalized
@@ -42,8 +40,11 @@ from .model import ModelSpec
 from .scalar_prox import _FLAT_SLOPE_TOL, _check_problem, _finite, _quadratic_min, _weighted_reg_medians
 
 
-class NoValidCentroidError(RuntimeError):
-    """Every centroid row was degenerate during an assignment."""
+class NoValidCentroidError(ValueError):
+    """A row's every pair cost overflows float64, the one way a cost is +inf; the data should be rescaled."""
+
+
+_OVERFLOW = "a row's pair costs to every centroid overflow float64; rescale the data"
 
 
 def _products(x: np.ndarray, v: np.ndarray) -> list[float]:
@@ -65,7 +66,7 @@ def distance_l2(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> float:
     with np.errstate(over="ignore"):
         denom = float(v @ v) + mu_u
         t = float(_quadratic_min(_finite("<x, v>", x @ v), denom, lambda_u))
-        if t == np.inf or (lambda_u > 0.0 and denom <= 0.0):
+        if t == np.inf:
             return np.inf
         r = x - t * v
         return float(_finite("||x - t v||^2", r @ r)) + mu_u * t * t + lambda_u * t
@@ -82,7 +83,7 @@ def distance_l2_closed_form(x, v, lambda_u: float = 0.0, mu_u: float = 0.0) -> f
     xv, xx, vv = _products(x, v)
     denom = vv + mu_u
     t = _quadratic_min(xv, denom, lambda_u)
-    if t == np.inf or (lambda_u > 0.0 and denom <= 0.0):
+    if t == np.inf:
         return np.inf
     if t == 0.0:
         return xx
@@ -146,7 +147,7 @@ def _l2_costs(
     denom = (np.einsum("kn,kn->k", V, V) + mu)[:, None]
     # A coefficient is at most ||x|| / sqrt(denom), so with ||x||^2 finite only
     # a row whose denom is below 2^-1022, the smallest normal float64, can
-    # overflow one. Such rows, degenerate ones included, are rare and are
+    # overflow one. Such rows, zero ones included, are rare and are
     # rewritten only when they exist.
     small = np.flatnonzero(denom < 2.0**-1022)
     A = V @ X.T
@@ -156,14 +157,12 @@ def _l2_costs(
         T = np.divide(A, denom)
     np.maximum(T, 0.0, out=T)
     if small.size:
-        degenerate = small[denom[small, 0] <= 0.0]
-        T[degenerate] = 0.0
+        T[small[denom[small, 0] <= 0.0]] = 0.0
     D = np.multiply(T, A, out=A)
     np.subtract(xx, D, out=D)
     np.maximum(D, 0.0, out=D)
     if small.size:
         D[small] = np.where(np.isinf(T[small]), np.inf, D[small])
-        D[degenerate] = np.inf if lam > 0.0 else xx
     return T, D
 
 
@@ -172,7 +171,7 @@ def _pair_costs(X: np.ndarray, V: np.ndarray, spec: ModelSpec, xx=None) -> tuple
 
     X and V are checked 2-D float arrays with equal column counts. Entry
     (m, k) equals ``coefficient_and_distance(X[m], V[k], spec)`` up to
-    rounding, degenerate centroids included. Every cell computes K x M
+    rounding, zero centroids included. Every cell computes K x M
     matrices and returns their transposed views, so that a reduction over the
     centroids runs along the long M axis. The l2 free and normalized modes
     take one product with ``X.T`` and read each row's ||x||^2 from xx when it
@@ -189,6 +188,7 @@ def _pair_costs(X: np.ndarray, V: np.ndarray, spec: ModelSpec, xx=None) -> tuple
     return T.reshape(D.shape).T, D.T
 
 
+@np.errstate(over="ignore")
 def _costs_at(X: np.ndarray, V: np.ndarray, pairs, spec: ModelSpec, out: np.ndarray) -> np.ndarray:
     """Binary or l1 costs of the pairs (m, k) with flat index k M + m: distances into out, coefficients returned.
 
@@ -198,9 +198,9 @@ def _costs_at(X: np.ndarray, V: np.ndarray, pairs, spec: ModelSpec, out: np.ndar
     Rows and centroids are gathered in chunks of ``scalar_prox._CHUNK_ELEMENTS``,
     each chunk's index is built on its own, and the distances are written in
     place, so the call holds only the coefficients beyond one chunk. Each
-    chunk ends in ``model._residual_costs``, binary mode's at t = None. An
-    l1 coefficient that overflows costs +inf without a warning and enters no
-    product, where 0 * inf would make a NaN.
+    chunk ends in ``model._residual_costs``, binary mode's at t = None. A
+    cost or l1 coefficient that overflows costs +inf without a warning; the
+    coefficient enters no product, where 0 * inf would make a NaN.
     """
     M, N = X.shape
     T = np.ones(len(pairs))
@@ -389,7 +389,7 @@ def _l1_labels(X: np.ndarray, V: np.ndarray, spec: ModelSpec, bounds: _L1Bounds)
     T = _costs_at(X, V, pairs, spec, flat)
     best, labels = _column_min(L)
     if np.isinf(best).any():
-        raise NoValidCentroidError("all centroid rows are degenerate for this model")
+        raise NoValidCentroidError(_OVERFLOW)
     coeffs = own_t
     moved = np.flatnonzero(labels != bounds.labels)
     coeffs[moved] = T[np.searchsorted(pairs, labels[moved] * M + moved)]
@@ -460,12 +460,12 @@ def _argmin(T: np.ndarray, D: np.ndarray):
 
     T and D are the M x K views ``_pair_costs`` returns; the labels come from
     ``_column_min`` on the K x M matrices beneath them, and the coefficients
-    from one flat ``take``. Raises :class:`NoValidCentroidError` where a row
-    has no centroid at a finite distance.
+    from one flat ``take``. Raises :class:`NoValidCentroidError` where a row's
+    every distance overflows.
     """
     d, labels = _column_min(D.T)
     if np.isinf(d).any():
-        raise NoValidCentroidError("all centroid rows are degenerate for this model")
+        raise NoValidCentroidError(_OVERFLOW)
     M = labels.size
     return labels, T.T.take(labels * M + np.arange(M)), d
 
@@ -496,9 +496,9 @@ def assign(x, V, spec: ModelSpec) -> tuple[int, float, float]:
     """Best cluster for a data point: (index, coefficient, distance).
 
     A one-row view of ``_pair_costs``: returns the argmin over the
-    centroid rows; ties break toward the lowest index. Degenerate rows are
-    skipped; if every row is degenerate, :class:`NoValidCentroidError` is
-    raised. V is one centroid row or a nonempty 2-D matrix. Input is checked
+    centroid rows; ties break toward the lowest index. A row whose cost
+    overflows is skipped; if every row's does, :class:`NoValidCentroidError`
+    is raised. V is one centroid row or a nonempty 2-D matrix. Input is checked
     as ``scalar_prox`` states, and, as ``fit`` checks its rows, an x or a
     centroid whose squared norm (l1 norm under l1 c1_free and binary)
     overflows raises ``ValueError``.

@@ -60,8 +60,8 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("n_clusters", "max_iter", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         if self.max_iter < 1:
@@ -81,13 +81,13 @@ def init_centroids(X, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
     random permutation, read one row at a time. ``plusplus`` draws each next
     row with probability proportional to its distance (under the model's own
     distance measure) to the nearest row chosen so far, never a row equal to
-    a chosen one. Rows at +inf from every chosen row are drawn first,
-    uniformly: after a degenerate draw, such as a zero row under an l2
-    sparsity penalty, that is every other row. The drawn rows are copied
-    without -0.0, and in normalized mode divided by their l2 norms, so the
-    first coefficients are measured against feasible centroids; a row whose
-    norm is 0 in float64 becomes e_j for its largest entry j. Deterministic
-    given the seed.
+    a chosen one. Rows whose distances to every chosen row overflow float64
+    are drawn first, uniformly. A zero centroid costs each row its full norm,
+    so after a zero draw the next row is drawn in proportion to that. The
+    drawn rows are copied without -0.0, and in normalized mode divided by
+    their l2 norms, so the first coefficients are measured against feasible
+    centroids; a row whose norm is 0 in float64 becomes e_j for its largest
+    entry j. Deterministic given the seed.
     """
     return _init_centroids(*_data_matrix(X, spec), config, spec)
 

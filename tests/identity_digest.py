@@ -21,8 +21,8 @@ row of 5e-324 entries whose l1 coefficients overflow and a row mixing such
 entries with data, then those rows with every entry scaled by a factor in
 [0.5, 2), which ``_nearest`` takes with the state of its first call.
 ``c1_free`` runs without membership penalties, with lambda_u alone (a zero
-centroid is then degenerate under l2) and with lambda_u and mu_u. A change
-in a pair that no row picks shows here only.
+centroid then admits no l2 coefficient and costs ||x||^2) and with lambda_u
+and mu_u. A change in a pair that no row picks shows here only.
 
 The hand line covers ``_update_centroids``, then ``_row_costs`` and
 ``objective`` at the centroids it returns, on memberships that no

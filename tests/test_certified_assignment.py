@@ -115,10 +115,10 @@ def test_overflowing_bound_rechecks_the_row_without_a_warning(rechecked):
 
 def test_a_nan_gap_is_rechecked(rechecked):
     # With K = 1 the entry overflows to +inf, its gap is inf - inf = NaN, and
-    # the exact kernel finds no finite distance.
+    # the exact kernel finds no finite distance, without a warning.
     X = np.array([[1.3e154, 0.0]])
     V = np.array([[0.0, 1.3e154]])
-    with np.errstate(over="ignore"), pytest.raises(NoValidCentroidError):
+    with pytest.raises(NoValidCentroidError, match="rescale the data"):
         _certified(X, V)
     assert rechecked == [1]
 

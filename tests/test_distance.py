@@ -1,5 +1,7 @@
 """Unit tests for coefficients, distance measures, and assignment."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -23,6 +25,7 @@ from onmfcluster import (
     fit,
     init_centroids,
 )
+from onmfcluster import distance
 from onmfcluster.distance import _argmin, _pair_costs
 
 
@@ -202,10 +205,9 @@ class TestAssign:
         k, _, _ = assign([2, 0], [[0, 0], [1, 0]], spec)
         assert k == 1
 
-    def test_all_degenerate_raises(self):
+    def test_all_zero_centroids_cost_the_full_norm(self):
         spec = ModelSpec("l2", "c1_free", RegularizationParams(lambda_u=1.0))
-        with pytest.raises(NoValidCentroidError):
-            assign([2, 0], [[0, 0], [0, 0]], spec)
+        assert assign([2, 0], [[0, 0], [0, 0]], spec) == (0, 0.0, 4.0)
 
     def test_zero_centroid_without_penalty_uses_limit(self):
         spec = ModelSpec("l2", "c1_free")
@@ -237,28 +239,42 @@ def test_malformed_pairs_rejected(call, error, message):
 
 # A zero centroid, and one whose ||v||^2 underflows to 0, admit no l2
 # coefficient: every function gives the pair kernel's coefficient 0 and its
-# distance, +inf under a sparsity penalty and ||x||^2 without one.
+# distance ||x||^2, with a sparsity penalty or without one.
 @pytest.mark.parametrize("v", [[0.0, 0.0], [1e-200, 0.0]])
-@pytest.mark.parametrize("lam, distance", [(1.0, np.inf), (0.0, 25.0)])
-def test_degenerate_l2_centroids_follow_the_kernel_rule(v, lam, distance):
+@pytest.mark.parametrize("lam", [1.0, 0.0])
+def test_degenerate_l2_centroids_follow_the_kernel_rule(v, lam):
     x = [3.0, 4.0]
     spec = ModelSpec("l2", "c1_free", RegularizationParams(lambda_u=lam))
     T, D = _pair_costs(np.array([x]), np.array([v]), spec)
     assert coefficient_l2(x, v, lam) == T[0, 0] == 0.0
-    assert distance_l2(x, v, lam) == distance_l2_closed_form(x, v, lam) == D[0, 0] == distance
-    assert coefficient_and_distance(x, v, spec) == (0.0, distance)
+    assert distance_l2(x, v, lam) == distance_l2_closed_form(x, v, lam) == D[0, 0] == 25.0
+    assert coefficient_and_distance(x, v, spec) == (0.0, 25.0)
 
 
-# An l1 zero centroid makes every weight inactive: coefficient 0 and
-# distance ||x||_1 under any lambda_u and mu_u.
-@pytest.mark.parametrize("lam, mu", [(0.0, 0.0), (1.0, 0.0), (0.0, 0.5), (1.0, 0.5)])
-def test_zero_l1_centroids_follow_the_kernel_rule(lam, mu):
-    x, v = [3.0, 4.0], [0.0, 0.0]
-    spec = ModelSpec("l1", "c1_free", RegularizationParams(lambda_u=lam, mu_u=mu))
-    T, D = _pair_costs(np.array([x]), np.array([v]), spec)
-    assert coefficient_l1(x, v, lam, mu) == T[0, 0] == 0.0 and not np.signbit(T[0, 0])
-    assert distance_l1(x, v, lam, mu) == D[0, 0] == 7.0
-    assert coefficient_and_distance(x, v, spec) == (0.0, 7.0)
+# The one rule of every cell: a zero centroid row has coefficient +0.0 (1 in
+# binary mode) and costs the row's full norm, ||x||^2 under l2 and ||x||_1
+# under l1, under any lambda_u and mu_u the mode admits.
+ZERO_CENTROID_CASES = [
+    (discrepancy, mode, lam, mu)
+    for discrepancy in ("l1", "l2")
+    for mode in ("c1_free", "normalized", "binary")
+    for lam, mu in ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)] if mode == "c1_free" else [(0.0, 0.0)])
+]
+
+
+@pytest.mark.parametrize("discrepancy, mode, lam, mu", ZERO_CENTROID_CASES)
+def test_a_zero_centroid_costs_the_full_norm_in_every_cell(discrepancy, mode, lam, mu):
+    x, V = np.array([[3.0, 4.0]]), np.zeros((2, 2))
+    spec = ModelSpec(discrepancy, mode, RegularizationParams(lambda_u=lam, mu_u=mu))
+    norm, coeff = (25.0 if discrepancy == "l2" else 7.0), (1.0 if mode == "binary" else 0.0)
+    T, D = _pair_costs(x, V, spec)
+    assert (T == coeff).all() and not np.signbit(T).any() and (D == norm).all()
+    labels, coeffs, _ = distance._nearest(x, np.array([25.0]), V, spec)
+    assert labels.tolist() == [0] and coeffs.tolist() == [coeff] and not np.signbit(coeffs).any()
+    k, t, d = assign(x[0], V, spec)
+    assert (k, t, d) == (0, coeff, norm) and not np.signbit(t)
+    t, d = coefficient_and_distance(x[0], V[0], spec)
+    assert (t, d) == (coeff, norm) and not np.signbit(t)
 
 
 def test_every_public_name_resolves():
@@ -282,6 +298,9 @@ def test_the_public_api_is_pinned():
         assert not any(hasattr(module, name) for module in modules), name
 
 
+OVERFLOW_MESSAGE = "a row's pair costs to every centroid overflow float64; rescale the data"
+
+
 # Seeded from the row 5e-324, the row 6.36961687's l1 coefficient overflows,
 # so that row has no centroid at a finite distance, in the bounded
 # assignment as in the full kernel. A normalized seed is a unit row, against
@@ -290,8 +309,8 @@ def test_an_l1_row_with_no_finite_centroid_raises():
     X = np.array([[5e-324], [6.36961687]])
     spec, config = ModelSpec("l1", "c1_free"), SolverConfig(n_clusters=1, seed=0)
     assert_array_equal(init_centroids(X, config, spec), X[:1])
-    with pytest.raises(NoValidCentroidError):
+    with pytest.raises(NoValidCentroidError, match=re.escape(OVERFLOW_MESSAGE)):
         fit(X, spec, config)
-    with pytest.raises(NoValidCentroidError):
+    with pytest.raises(NoValidCentroidError, match=re.escape(OVERFLOW_MESSAGE)):
         _argmin(*_pair_costs(X, X[:1], spec))
     assert fit(X, ModelSpec("l1", "normalized"), config).centroids.tolist() == [[1.0]]

@@ -1,6 +1,7 @@
 """Loud failure on float overflow and non-finite input, and termination that never hides a rise."""
 
 import re
+import warnings
 from functools import partial
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from onmfcluster import (
     Membership,
     ModelSpec,
+    NoValidCentroidError,
     RegularizationParams,
     ScalarProxProblem,
     SolverConfig,
@@ -439,6 +441,49 @@ def test_l2_fit_runs_past_overflowing_coefficients(seed):
     steps = fit_history([[1e-160], [1e150], [2e150]], ModelSpec("l2", "c1_free"), SolverConfig(2, seed=seed))
     trace = [step.objective for step in steps]
     assert np.isfinite(trace).all() and (np.diff(trace) <= 0).all()
+
+
+# Each row passes the data check, but a binary pair of two of them costs
+# about twice their norm, past float64, so the middle row's only pair cost
+# overflows. It used to warn and raise "all centroid rows are degenerate".
+BINARY_OVERFLOW = {
+    "l2": ([[1.3e154, 0.0], [0.0, 1.3e154], [1.3e154, 0.0]], [0.0, 1.2e154]),
+    "l1": ([[1.7e308, 0.0], [0.0, 1.7e308], [1.7e308, 0.0]], [0.0, 1.6e308]),
+}
+PAIR_OVERFLOW = re.escape("a row's pair costs to every centroid overflow float64; rescale the data")
+
+
+@pytest.mark.parametrize("discrepancy", ["l2", "l1"])
+def test_a_row_whose_every_binary_pair_cost_overflows_is_named(discrepancy):
+    X, _ = BINARY_OVERFLOW[discrepancy]
+    spec = ModelSpec(discrepancy, "binary")
+    with pytest.raises(NoValidCentroidError, match=PAIR_OVERFLOW) as fitting:
+        fit(X, spec, SolverConfig(1))
+    with pytest.raises(NoValidCentroidError, match=PAIR_OVERFLOW) as assigning:
+        assign(X[0], [X[1]], spec)
+    assert isinstance(fitting.value, ValueError) and isinstance(assigning.value, ValueError)
+
+
+@pytest.mark.parametrize("discrepancy", ["l2", "l1"])
+def test_a_binary_fit_runs_past_overflowing_pair_costs(discrepancy):
+    X, fourth = BINARY_OVERFLOW[discrepancy]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit(X + [fourth], ModelSpec(discrepancy, "binary"), SolverConfig(2))
+    assert result.membership.labels.tolist() == [0, 1, 0, 1]
+    assert np.isfinite(result.objective_trace).all()
+
+
+@pytest.mark.parametrize("discrepancy", ["l2", "l1"])
+def test_cli_exits_2_where_every_pair_cost_of_a_row_overflows(tmp_path, capsys, discrepancy):
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(",".join(repr(v) for v in row) for row in BINARY_OVERFLOW[discrepancy][0]) + "\n")
+    argv = ["--input", str(path), "--out", str(tmp_path / "o"), "--k", "1",
+            "--discrepancy", discrepancy, "--mode", "binary"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "rescale the data" in err and "degeneracy" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(("discrepancy", "mode"), SQUARING)

@@ -33,7 +33,7 @@ from reference import kmedian_history, lloyd_kmeans_history, plain_objective, ra
 CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
 # Under an l2 sparsity penalty with mu_u = 0 a zero centroid has no
-# coefficient, so the pair kernel costs every pair with it +inf.
+# coefficient, so the pair kernel costs every row its ||x||^2 there.
 LASSO = ModelSpec("l2", "c1_free", RegularizationParams(lambda_u=1.0))
 ZERO_ROWS = np.vstack([np.zeros((6, 2)), np.random.default_rng(1).uniform(1, 5, (6, 2))])
 
@@ -93,9 +93,10 @@ class TestInitCentroids:
     @pytest.mark.parametrize("init", ["random_rows", "plusplus"])
     @pytest.mark.parametrize("seed", [1, 6, 9, 11])
     def test_a_degenerate_draw_is_fit_through(self, init, seed):
-        # plusplus draws a zero row first at these seeds. Every other row is
-        # then at +inf, so the second draw is uniform over them, and the zero
-        # centroid's empty cluster is reseeded, as after a random_rows draw.
+        # plusplus draws a zero row first at these seeds. Every row then lies
+        # at its ||x||^2, so the second draw is in proportion to it and never
+        # a zero row, and the zero centroid's empty cluster is reseeded, as
+        # after a random_rows draw.
         config = SolverConfig(n_clusters=2, seed=seed, init=init)
         V = init_centroids(ZERO_ROWS, config, LASSO)
         if init == "plusplus":
@@ -110,12 +111,17 @@ class TestInitCentroids:
             fit(np.zeros((5, 3)), LASSO, SolverConfig(n_clusters=2, seed=0, init=init))
 
     @pytest.mark.parametrize("init, seed", [("plusplus", 1), ("random_rows", 0), ("random_rows", 1)])
-    def test_a_lone_zero_centroid_is_no_valid_centroid(self, init, seed):
+    def test_a_lone_zero_centroid_is_fit_through(self, init, seed):
+        # The zero centroid costs every row ||x||^2 at coefficient 0, so step
+        # 1 leaves all four rows unassigned at objective ||[1, 2]||^2 = 5. The
+        # empty cluster then takes its farthest row, [1, 2].
         X = np.vstack([np.zeros((3, 2)), [[1.0, 2.0]]])
         config = SolverConfig(n_clusters=1, seed=seed, init=init)
         assert_array_equal(init_centroids(X, config, LASSO), [[0.0, 0.0]])
-        with pytest.raises(NoValidCentroidError):
-            fit(X, LASSO, config)
+        steps = fit_history(X, LASSO, config)
+        assert steps[0].membership.labels.tolist() == [-1] * 4 and steps[0].objective == 5.0
+        assert_array_equal(steps[0].centroids, [[1.0, 2.0]])
+        assert (np.diff([step.objective for step in steps]) <= 0.0).all()
 
     def test_normalized_seeds_are_the_drawn_rows_over_their_norms(self):
         # 5e-324's square underflows, so that row's norm is 0 in float64; it
@@ -238,6 +244,15 @@ class TestFitBasics:
         # Caught at construction, not as a TypeError from slicing or range mid-fit.
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SolverConfig(**{"n_clusters": 2, field: value})
+
+    @pytest.mark.parametrize("field", ["n_clusters", "max_iter", "seed"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bools_are_not_integers(self, field, value):
+        # bool passes the Integral check, and n_clusters=True used to die in
+        # the centroid update with np.bincount's "an integer is required".
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+            SolverConfig(**{"n_clusters": 2, field: value})
+        assert SolverConfig(**{"n_clusters": 2, field: int(value) + 1})
 
     @pytest.mark.parametrize(
         "field, value, message",
