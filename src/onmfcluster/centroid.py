@@ -87,10 +87,13 @@ def _batches(sizes: np.ndarray, clusters: np.ndarray, width: int):
 
 
 def _unit_rows(W: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Project W's rows onto the unit sphere in place; a zero-norm row gets 1 at its largest A[k, j].
+    """Project W's rows onto the unit sphere in place; an all-zero row gets 1 at its largest A[k, j].
 
-    Every row is divided in one step, a zero-norm row by 1, which keeps its bytes, so A may be W.
+    Each row is first scaled exactly, by the power of two that puts its largest entry in [0.5, 1), so
+    that no nonzero row's square leaves float64's range. Then every row is divided in one step, an
+    all-zero row by 1, which keeps its bytes, so A may be W.
     """
+    np.ldexp(W, -np.frexp(W.max(axis=1))[1][:, None], out=W)
     norms = np.sqrt(np.einsum("kn,kn->k", W, W))
     zero = norms == 0.0
     W /= np.where(zero, 1.0, norms)[:, None]
@@ -100,7 +103,7 @@ def _unit_rows(W: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _data_rows(X: np.ndarray, rows, spec: ModelSpec) -> np.ndarray:
-    """Seeds or reseeds: X[rows] without -0.0, in normalized mode unit rows that rank their own entries."""
+    """Seeds or reseeds: X[rows] without -0.0, in normalized mode unit rows, e_0 for an all-zero row."""
     W = X[rows] + 0.0
     return _unit_rows(W, W) if spec.constraint_mode == "normalized" else W
 
@@ -114,16 +117,18 @@ def _update_centroids(X: np.ndarray, membership: Membership, spec: ModelSpec, pr
     cluster) and take them where the row's centroid penalty is finite and no
     larger than the previous row's, which they keep otherwise; without
     centroid penalties every pairing is taken. In normalized mode every row
-    is projected onto the unit sphere before penalties are compared; a zero
-    row becomes e_j for the largest component j of X^T u_k - lambda_v / 2, a
-    reseeded one for its own. Under l2 that is the exact minimizer over
-    nonnegative unit rows. Under l1 it is not, so there a unit-norm previous
-    row is kept whenever the candidate would increase its cluster's cost. No
-    entry is -0.0, given a ``previous`` without -0.0. X and ``previous`` are
-    float arrays that fit the membership. Under l2 a row whose ||u_k||^2 +
-    mu_v is 0 in float64 is zero, as ``centroid_l2`` gives it, also where
-    U^T X is not, and in normalized mode it then becomes e_j like any zero
-    row; ``ValueError`` is raised only where a weighted mean overflows.
+    is projected onto the unit sphere before penalties are compared, across
+    float64's range; an all-zero row becomes e_j for the largest component j
+    of X^T u_k - lambda_v / 2, a reseeded one e_0. Under l2 that is the exact
+    minimizer over nonnegative unit rows. Under l1 it is not, so there a
+    unit-norm previous row is kept whenever the candidate would increase its
+    cluster's cost. No entry is -0.0, given a ``previous`` without -0.0. X
+    and ``previous`` are float arrays that fit the membership. Under l2 a row
+    whose ||u_k||^2 + mu_v is 0 in float64 is zero, as ``centroid_l2`` gives
+    it, also where U^T X is not, and in normalized mode it then becomes e_j
+    like any zero row. ``ValueError`` is raised only where a weighted mean
+    (l2), or outside normalized mode its squared norm, or a weighted
+    regularized median (l1) overflows.
 
     Under l2 the rows are one product U^T X divided by each cluster's
     ||u_k||^2 + mu_v, in place outside normalized mode. In binary mode,
@@ -158,16 +163,18 @@ def _update_centroids(X: np.ndarray, membership: Membership, spec: ModelSpec, pr
         with np.errstate(all="ignore"):
             # In place, except where a normalized zero row still ranks its components by A.
             W = np.divide(A, denom[:, None], out=None if normalized else A)
-        # A zero denominator gives centroid_l2's zero row, also where the
-        # squared coefficients underflow and U^T X does not.
-        W[denom == 0.0] = 0.0
-        if not np.isfinite(W).all():
+            # A zero denominator gives centroid_l2's zero row, also where the
+            # squared coefficients underflow and U^T X does not.
+            W[denom == 0.0] = 0.0
+            np.maximum(W, 0.0, out=W)
+            # An empty cluster keeps its previous row until the reseeding below.
+            W[empty] = previous[empty]
+            # Outside normalized mode the next assignment divides by each row's squared norm.
+            finite = np.isfinite(W if normalized else np.einsum("kn,kn->k", W, W)).all()
+        if not finite:
             raise ValueError(
                 "the l2 centroid update (U^T X over the squared coefficient sums) overflows float64; rescale the data"
             )
-        np.maximum(W, 0.0, out=W)
-        # An empty cluster keeps its previous row until the reseeding below.
-        W[empty] = previous[empty]
         V = W
     else:
         V = previous.copy()
@@ -192,6 +199,8 @@ def _update_centroids(X: np.ndarray, membership: Membership, spec: ModelSpec, pr
                 u = coeffs[group]
                 u[pad] = 0.0
                 V[ks] = _weighted_reg_medians(P.transpose(0, 2, 1), u[:, None, :], reg.lambda_v, reg.mu_v)
+        if not np.isfinite(V).all():
+            raise ValueError("the l1 centroid update (the weighted medians) overflows float64; rescale the data")
 
     if normalized:
         _unit_rows(V, A)

@@ -397,6 +397,7 @@ def _l1_labels(X: np.ndarray, V: np.ndarray, spec: ModelSpec, bounds: _L1Bounds)
     return labels, coeffs
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _l1_decay(L: np.ndarray, s: np.ndarray, V0: np.ndarray, V: np.ndarray, spec: ModelSpec) -> None:
     """Turn L, bounds on the distances to V0, into bounds on those to V, in place.
 
@@ -410,19 +411,18 @@ def _l1_decay(L: np.ndarray, s: np.ndarray, V0: np.ndarray, V: np.ndarray, spec:
         return
     drift = drift[moved] * (1.0 + slack)
     B = L[moved]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if spec.constraint_mode == "binary":
-            _widen(B, s, slack, 0.0)
-            B -= drift[:, None]
-        else:
-            w0, w = V0[moved].sum(axis=1), V[moved].sum(axis=1)
-            c = slack + _FLAT_SLOPE_TOL * (2.0 + 1.0 / w0)
-            _widen(B, s, c[:, None], (N + 4) * (1.0 + w0[:, None]) * _TINY)
-            b = (drift / w)[:, None]
-            B -= b * s
-            B /= 1.0 + b
-            B[(c >= 0.5) | (w == 0.0)] = -np.inf
-        _widen(B, s, slack, (N + 4) * _TINY)
+    if spec.constraint_mode == "binary":
+        _widen(B, s, slack, 0.0)
+        B -= drift[:, None]
+    else:
+        w0, w = V0[moved].sum(axis=1), V[moved].sum(axis=1)
+        c = slack + _FLAT_SLOPE_TOL * (2.0 + 1.0 / w0)
+        _widen(B, s, c[:, None], (N + 4) * (1.0 + w0[:, None]) * _TINY)
+        b = (drift / w)[:, None]
+        B -= b * s
+        B /= 1.0 + b
+        B[(c >= 0.5) | (w == 0.0)] = -np.inf
+    _widen(B, s, slack, (N + 4) * _TINY)
     L[moved] = B
 
 
@@ -441,17 +441,15 @@ def _column_min(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Equals ``D.min(axis=0), D.argmin(axis=0)``, but every reduction runs
     along the long M axis, where numpy's loops are fast: one ``min``, then one
     ``max`` over the equality mask times the reversed indices K - 1 - k,
-    whose largest entry is the lowest index that attains the minimum. A
-    column that holds a NaN has a NaN minimum and no equal entry; it takes
-    ``argmin``'s answer, its first NaN.
+    whose largest entry is the lowest index that attains the minimum. D holds
+    no NaN: ``_l2_costs`` and ``_costs_at`` return finite costs or +inf (the
+    l2 update names a centroid whose squared norm overflows), and
+    ``_l1_labels`` costs every NaN bound before its argmin.
     """
     K = D.shape[0]
     best = D.min(axis=0)
     reverse = np.arange(K - 1, -1, -1, dtype=np.min_scalar_type(K))[:, None]
     labels = (K - 1) - np.max((D == best) * reverse, axis=0).astype(np.intp)
-    nan = np.flatnonzero(np.isnan(best))
-    if nan.size:
-        labels[nan] = D[:, nan].argmin(axis=0)
     return best, labels
 
 

@@ -16,6 +16,7 @@ pair kernel; ``_penalty`` gives the elastic nets whole or per row.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,8 @@ def _squares(spec: ModelSpec | None) -> bool:
 
 def _data_matrix(values, spec: ModelSpec | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """``as_data_matrix`` for spec, and the squared row norms it checks where the model squares rows, else None."""
+    if np.iscomplexobj(values):
+        raise ValueError("data matrix must be real, got complex entries")
     X = np.asarray(values, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"data matrix must be 2-D, got shape {X.shape}")
@@ -58,6 +61,13 @@ def _data_matrix(values, spec: ModelSpec | None = None) -> tuple[np.ndarray, np.
         norm = "squared norm" if squares else "l1 norm"
         raise ValueError(f"{norm} of data row {overflow[0]} (0-based) overflows float64; rescale the data")
     return X, norms if squares else None
+
+
+def _check_integers(**values) -> None:
+    """Raise ``ValueError`` unless every named value is an integer, not a bool."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -83,6 +93,9 @@ class Membership:
     n_clusters: int
 
     def __post_init__(self):
+        _check_integers(n_clusters=self.n_clusters)
+        if self.n_clusters < 1:
+            raise ValueError("n_clusters must be >= 1")
         raw = np.asarray(self.labels)
         # Float labels are checked before the cast truncates them; NaN fails ==.
         if raw.dtype.kind == "f" and not ((raw == np.trunc(raw)) & (abs(raw) <= self.n_clusters)).all():
@@ -93,8 +106,6 @@ class Membership:
         object.__setattr__(self, "coefficients", coeffs)
         if labels.ndim != 1 or coeffs.shape != labels.shape:
             raise ValueError("labels and coefficients must be 1-D of equal length")
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be >= 1")
         if labels.max(initial=-1) >= self.n_clusters or labels.min(initial=0) < -1:
             raise ValueError("cluster labels must lie in [-1, n_clusters)")
         # NaN fails both comparisons.

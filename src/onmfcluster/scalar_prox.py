@@ -19,9 +19,9 @@ One contract holds for every public pointwise function: the solvers here,
 the coefficients, distances and ``assign`` of ``distance`` (targets x,
 weights v) and the centroids of ``centroid`` (targets X_k[:, n], weights
 u_k). ``_check_problem`` checks each call's input once: penalties, targets
-and weights finite and nonnegative, the latter two broadcast along a last
-axis of length >= 1. Where no weight and no penalty make the objective grow
-in t, the minimizer is 0, silently. No minimizer is -0.0, also where a
+and weights real, finite and nonnegative, the latter two broadcast along a
+last axis of length >= 1. Where no weight and no penalty make the objective
+grow in t, the minimizer is 0, silently. No minimizer is -0.0, also where a
 target is. ``_quadratic_min`` is the one quadratic solve. A minimizer past
 float64's range is +inf. Where ||w||^2 overflows, the quadratic's is 0, as
 in the pair kernel; any other product of the inputs that overflows raises
@@ -31,6 +31,7 @@ in the pair kernel; any other product of the inputs that overflows raises
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +52,9 @@ _CHUNK_ELEMENTS = 8192
 
 
 def _check_penalties(**weights: float) -> None:
-    """Raise ``ValueError`` unless every named penalty weight is finite and nonnegative."""
+    """Raise ``ValueError`` unless every named penalty weight is a finite nonnegative real, not a bool."""
     for name, value in weights.items():
-        if not math.isfinite(value) or value < 0:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value) or value < 0:
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
@@ -72,6 +73,8 @@ def soft_threshold(gamma: float, x: float) -> float:
 def _check_problem(v, w, **penalties: float) -> tuple[np.ndarray, np.ndarray]:
     """Targets v and weights w as float arrays, checked as the module docstring states."""
     _check_penalties(**penalties)
+    if np.iscomplexobj(v) or np.iscomplexobj(w):
+        raise ValueError("targets and weights must be real")
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     if not (v.ndim and w.ndim and v.shape[-1] == w.shape[-1] >= 1):

@@ -29,8 +29,6 @@ they run its median sweep, whose oracle is ``brute_force_min``.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -39,7 +37,8 @@ import numpy as np
 from . import centroid
 from .centroid import _update_centroids
 from .distance import _nearest, _pair_costs
-from .model import FactorizationResult, Membership, ModelSpec, _data_matrix, objective
+from .model import FactorizationResult, Membership, ModelSpec, _check_integers, _data_matrix, objective
+from .scalar_prox import _check_penalties
 
 INIT_METHODS = ("random_rows", "plusplus")
 
@@ -59,15 +58,12 @@ class SolverConfig:
     init: str = "random_rows"
 
     def __post_init__(self):
-        for name in ("n_clusters", "max_iter", "seed"):
-            if isinstance(value := getattr(self, name), bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integers(n_clusters=self.n_clusters, max_iter=self.max_iter, seed=self.seed)
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not math.isfinite(self.tol) or self.tol < 0:
-            raise ValueError(f"tol must be finite and nonnegative, got {self.tol}")
+        _check_penalties(tol=self.tol)
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.init not in INIT_METHODS:
@@ -85,9 +81,10 @@ def init_centroids(X, config: SolverConfig, spec: ModelSpec) -> np.ndarray:
     are drawn first, uniformly. A zero centroid costs each row its full norm,
     so after a zero draw the next row is drawn in proportion to that. The
     drawn rows are copied without -0.0, and in normalized mode divided by
-    their l2 norms, so the first coefficients are measured against feasible
-    centroids; a row whose norm is 0 in float64 becomes e_j for its largest
-    entry j. Deterministic given the seed.
+    their l2 norms, taken at a power-of-two scale so that every nonzero row
+    comes out a unit row across float64's range, and the first coefficients
+    are measured against feasible centroids; an all-zero row becomes e_0.
+    Deterministic given the seed.
     """
     return _init_centroids(*_data_matrix(X, spec), config, spec)
 
@@ -119,17 +116,16 @@ def _init_centroids(X: np.ndarray, xx: np.ndarray | None, config: SolverConfig, 
         return dist
 
     chosen = [int(rng.integers(M))]
-    nearest = distances_to(chosen[0])
+    nearest = np.inf
     for _ in range(K - 1):
+        nearest = np.minimum(nearest, distances_to(chosen[-1]))
         far = np.isinf(nearest)
         largest = nearest.max()
         if largest <= 0.0:
             raise DuplicateRowsError("every remaining row lies at distance 0 from a chosen centroid")
         # Scaled by their largest entry, the weights sum to at most M.
         weights = far if far.any() else nearest / largest
-        nxt = int(rng.choice(M, p=weights / weights.sum()))
-        chosen.append(nxt)
-        nearest = np.minimum(nearest, distances_to(nxt))
+        chosen.append(int(rng.choice(M, p=weights / weights.sum())))
     return centroid._data_rows(X, chosen, spec)
 
 

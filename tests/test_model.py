@@ -66,6 +66,13 @@ class TestMembership:
         with pytest.raises(ValueError, match="integers"):
             Membership(labels, [1.0, 1.0], 2)
 
+    @pytest.mark.parametrize("n_clusters", [2.5, 2.0, True, "2"])
+    def test_n_clusters_must_be_an_integer(self, n_clusters):
+        # 2.5 was accepted, and empty_clusters then raised TypeError; True
+        # counted as one cluster.
+        with pytest.raises(ValueError, match=f"n_clusters must be an integer, got {n_clusters!r}"):
+            Membership([0, 1], [1.0, 1.0], n_clusters)
+
     def test_integral_float_labels_accepted(self):
         assert_array_equal(Membership([1.0, -1.0], [2.0, 0.0], 2).labels, [1, -1])
 

@@ -12,10 +12,11 @@ occur.
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
@@ -25,14 +26,17 @@ from onmfcluster import (
     NoValidCentroidError,
     RegularizationParams,
     ScalarProxProblem,
+    SolverConfig,
     assign,
     brute_force_min,
     centroid_l1,
     coefficient_and_distance,
+    fit,
     weighted_reg_median,
 )
-from onmfcluster import distance, scalar_prox
+from onmfcluster import centroid, distance, scalar_prox
 from onmfcluster.distance import _pair_costs
+from onmfcluster.model import _data_matrix
 from onmfcluster.scalar_prox import _weighted_reg_medians
 
 CELLS = list(itertools.product(["l1", "l2"], ["c1_free", "normalized", "binary"]))
@@ -249,14 +253,15 @@ def test_pair_costs_do_not_depend_on_the_chunk_budget(discrepancy, mode, seed, m
 
 @st.composite
 def column_matrices(draw):
-    """K x M matrices of few values, with ties, signed zeros, +inf and NaN; K runs past 255.
+    """K x M matrices of few values, with ties, signed zeros and +inf; K runs past 255.
 
     The values include the neighbours of 0.0 and 1.0 one ulp up and down,
-    so a tie is exact or not one.
+    so a tie is exact or not one. No cost matrix holds a NaN (see
+    ``test_pair_costs_hold_no_nan_at_float64s_extremes``), so none is drawn.
     """
     K = draw(st.one_of(st.integers(1, 6), st.sampled_from([255, 256, 257, 300])))
     M = draw(st.integers(1, 6))
-    values = [0.0, -0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0, 2.5, np.inf, np.nan]
+    values = [0.0, -0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 2.5, np.inf]
     pool = draw(st.lists(st.sampled_from(values), min_size=1, max_size=4))
     D = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(pool, size=(K, M))
     # Rows above head hold a larger value, so that a column's least entry
@@ -300,3 +305,87 @@ def test_l2_nearest_is_the_row_major_argmin_of_pair_costs(mode, seed):
         assert 0 < cut.sum() < X.shape[0]
         assert (D[cut] == xx[cut, None]).all() and (D[:, 5] == xx).all() and (T[:, 5] == 0.0).all()
         assert (labels[cut] == 0).all()
+
+
+# Entries and penalty weights at float64's extremes: the least subnormal, a
+# square that underflows, a square near the top of the range, the largest
+# entry whose square is finite (the l2 edge) and the largest float (the l1
+# edge).
+L2_EDGE = float(np.sqrt(np.finfo(float).max))
+L1_EDGE = float(np.finfo(float).max)
+EXTREMES = [0.0, 5e-324, 1e-160, 1.0, 1e150, L2_EDGE, L1_EDGE]
+
+
+@st.composite
+def extreme_specs(draw):
+    discrepancy, mode = draw(st.sampled_from(CELLS))
+    reg = RegularizationParams()
+    if mode == "c1_free" and draw(st.booleans()):
+        weights = st.sampled_from(EXTREMES)
+        reg = RegularizationParams(lambda_u=draw(weights), mu_u=draw(weights))
+    return ModelSpec(discrepancy, mode, reg)
+
+
+def _extreme_rows(draw, rows: int, N: int, spec: ModelSpec):
+    """Rows of EXTREMES that pass the data check for spec, with the norms it returns."""
+    X = draw(arrays(float, (rows, N), elements=st.sampled_from(EXTREMES)))
+    try:
+        return _data_matrix(X, spec)
+    except ValueError:
+        reject()
+
+
+@st.composite
+def extreme_pair_problems(draw):
+    spec = draw(extreme_specs())
+    N = draw(st.integers(1, 3))
+    X, xx = _extreme_rows(draw, draw(st.integers(1, 5)), N, spec)
+    # Centroids pass the data check too, as seeds do, and normalized ones are
+    # unit rows; the l2 update names a row whose squared norm overflows.
+    V, _ = _extreme_rows(draw, draw(st.integers(1, 4)), N, spec)
+    if spec.constraint_mode == "normalized":
+        V = centroid._unit_rows(V, V)
+    return X, xx, V, spec
+
+
+@PROPERTY
+@given(extreme_pair_problems())
+def test_pair_costs_hold_no_nan_at_float64s_extremes(problem):
+    # ``_column_min`` has no NaN branch: the matrices it reads hold finite
+    # costs or +inf, which this property checks where they are made. Penalty
+    # weights near float64's top still warn in the median sweep, so warnings
+    # are not errors here; the values are what is checked.
+    X, xx, V, spec = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        T, D = _pair_costs(X, V, spec, xx)
+    assert not np.isnan(T).any() and not np.isnan(D).any()
+    assert (D >= 0.0).all() and (T >= 0.0).all()
+
+
+@settings(max_examples=500, deadline=None)
+@given(extreme_specs(), st.data())
+def test_no_fit_hands_the_argmin_a_nan(spec, data):
+    X, _ = _extreme_rows(data.draw, data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3)), spec)
+    config = SolverConfig(
+        data.draw(st.integers(1, X.shape[0])),
+        max_iter=6,
+        seed=data.draw(st.integers(0, 2**16)),
+        init=data.draw(st.sampled_from(["random_rows", "plusplus"])),
+    )
+    column_min, received = distance._column_min, []
+
+    def recording(D):
+        received.append(np.isnan(D).any())
+        return column_min(D)
+
+    # Warnings are not errors here, as outside the test suite, so a NaN that
+    # an overflow made would reach the argmin instead of stopping at one.
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(distance, "_column_min", recording)
+        warnings.simplefilter("ignore")
+        try:
+            fit(X, spec, config)
+        except ValueError:
+            pass
+    assert not any(received)

@@ -24,13 +24,15 @@ from onmfcluster import (
     distance_l2,
     distance_l2_angle_form,
     distance_l2_closed_form,
+    as_data_matrix,
     fit,
     fit_history,
+    init_centroids,
     objective,
     soft_threshold,
     weighted_reg_median,
 )
-from onmfcluster import solver
+from onmfcluster import centroid, solver
 from onmfcluster.centroid import _update_centroids
 from onmfcluster.cli import main
 from onmfcluster.distance import _nearest, _pair_costs
@@ -215,6 +217,113 @@ def test_cli_exits_2_on_an_overflowing_centroid_update(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_an_l2_centroid_whose_squared_norm_overflows_is_named():
+    # Seeded at 1e-160 under mu_u = 0.5, the first update's centroid is about
+    # 5e159, finite but with a square past float64's range. The next
+    # assignment's product then overflowed (a RuntimeWarning) into a NaN cost,
+    # which the argmin read.
+    spec = ModelSpec("l2", "c1_free", RegularizationParams(mu_u=0.5))
+    with pytest.raises(ValueError, match=UPDATE_OVERFLOW):
+        fit([[1e-160], [1e150]], spec, SolverConfig(n_clusters=1, seed=0))
+
+
+def test_a_thresholded_l2_mean_below_float64s_range_is_zero():
+    # -lambda_v / 2 over a subnormal mu_v is -inf for the empty cluster 1,
+    # and the update raised on it, although that row is thresholded to 0 and
+    # replaced; cluster 1 takes the farthest row, whose penalty is smaller.
+    spec = ModelSpec("l2", "c1_free", RegularizationParams(lambda_v=1.0, mu_v=1e-320))
+    V = _update_centroids(np.array([[2.0]]), Membership([0], [1.0], 2), spec, np.array([[1.0], [3.0]]))
+    assert V.tolist() == [[1.5], [2.0]]
+
+
+# Two fits whose first l1 update takes a weighted regularized median past
+# float64's range, +inf. The update passed it on, as [0.0, nan] after the
+# normalized projection and as [1e153, inf] in c1_free; the fit then let a
+# RuntimeWarning out and failed on "objective is nan".
+L1_UPDATE_OVERFLOWS = [
+    ([[0.0, 0.0], [1e-160, 1e150]], ModelSpec("l1", "normalized"), SolverConfig(1, seed=0, max_iter=5)),
+    (
+        [[1e153, 0.0], [2.0, 1e-300], [0.0, 1e200], [1.0, 1e200], [1e300, 1.0]],
+        ModelSpec("l1", "c1_free", RegularizationParams(lambda_u=1e-300, mu_u=0.5)),
+        SolverConfig(3, seed=1998, max_iter=6),
+    ),
+]
+L1_UPDATE_OVERFLOW = r"the l1 centroid update \(the weighted medians\) overflows float64; rescale the data"
+
+
+@pytest.mark.parametrize("X, spec, config", L1_UPDATE_OVERFLOWS)
+def test_an_overflowing_l1_centroid_update_is_named(X, spec, config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=L1_UPDATE_OVERFLOW):
+            fit(X, spec, config)
+
+
+def test_cli_exits_2_on_an_overflowing_l1_centroid_update(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    np.savetxt(path, L1_UPDATE_OVERFLOWS[0][0], fmt="%.17g", delimiter=",")
+    argv = ["--input", str(path), "--out", str(tmp_path / "o"), "--k", "1", "--discrepancy", "l1",
+            "--mode", "normalized", "--seed", "0", "--max-iter", "5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the l1 centroid update") and "Warning" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode, K, seed", [("binary", 1, 1), ("c1_free", 2, 0)])
+def test_an_l1_centroid_that_moves_past_float64s_range_is_fit_through(mode, K, seed):
+    # A centroid moving between 0 and the largest float drifts by an l1
+    # distance that, rounded up for the bounds, overflows; the bounds became
+    # -inf as meant, but an overflow RuntimeWarning got out first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit([[1.7976931348623157e308], [0.0], [0.0]], ModelSpec("l1", mode), SolverConfig(K, seed=seed))
+    assert np.isfinite(result.objective_trace).all()
+
+
+# Rows whose squares leave float64's normal range: 1e-160 squares to a
+# subnormal, so its unit row came out 1.0000056; [3e-162, 1e-161] lost
+# digits, to a squared norm of 1.0028; and [1e-170, 2e-170] squares to 0 and
+# was taken for a zero row, [1e-170, 1.0]. An update's mean or median can
+# pass the data's 1.3e154, where the square overflows and [1e155] and
+# [1e200, 1e200] became all zeros.
+SMALL_ROWS = [[[1e-160]], [[3e-162, 1e-161]], [[1e-170, 2e-170]]]
+LARGE_ROWS = [[[1e155]], [[1e200, 1e200]]]
+
+
+def _assert_unit_rows(V, rows):
+    assert (np.abs(np.einsum("kn,kn->k", V, V) - 1.0) <= 1e-15).all()
+    # Scaled by 2^600 or 2^-700 the rows square within range.
+    W = np.ldexp(rows, 600 if np.max(rows) < 1.0 else -700)
+    np.testing.assert_allclose(V, W / np.linalg.norm(W, axis=1, keepdims=True), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("row", SMALL_ROWS + LARGE_ROWS)
+def test_unit_rows_hold_across_float64s_range(row):
+    W = np.array(row)
+    _assert_unit_rows(centroid._unit_rows(W.copy(), W.copy()), W)
+
+
+@pytest.mark.parametrize("discrepancy", ["l1", "l2"])
+@pytest.mark.parametrize("row", SMALL_ROWS)
+def test_normalized_seeds_are_unit_rows_across_float64s_range(discrepancy, row):
+    for init in ("random_rows", "plusplus"):
+        V = init_centroids(row, SolverConfig(1, init=init), ModelSpec(discrepancy, "normalized"))
+        _assert_unit_rows(V, np.array(row))
+
+
+@pytest.mark.parametrize(
+    "discrepancy, X",
+    [("l1", [[1e-160, 0.0], [1e-170, 2e-170], [1.0, 2.0]]), ("l2", [[1e-160, 0.0], [1e-170, 2e-170]])],
+)
+def test_normalized_fits_keep_unit_rows_across_float64s_range(discrepancy, X):
+    spec, config = ModelSpec(discrepancy, "normalized"), SolverConfig(len(X), seed=0, max_iter=4)
+    for V in [step.centroids for step in fit_history(X, spec, config)] + [fit(X, spec, config).centroids]:
+        assert (np.abs(np.einsum("kn,kn->k", V, V) - 1.0) <= 1e-15).all()
+
+
 @pytest.mark.parametrize("tol", [0.0, 0.5])
 def test_a_rising_step_never_reports_convergence(monkeypatch, tol):
     # The solver's updates never raise the objective, so step 2 is forced to
@@ -273,6 +382,25 @@ def test_non_finite_tol_and_penalty_weights_are_rejected(value):
     for name in ("lambda_u", "lambda_v", "mu_u", "mu_v"):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             RegularizationParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", [True, False, "1", None, 1j])
+def test_tol_and_penalty_weights_must_be_real_numbers(value):
+    # A bool was taken as 0 or 1, and a string, None or a complex raised
+    # TypeError from math.isfinite.
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        SolverConfig(n_clusters=2, tol=value)
+    for name in ("lambda_u", "lambda_v", "mu_u", "mu_v"):
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            RegularizationParams(**{name: value})
+
+
+@pytest.mark.parametrize("data", [[[1.0 + 1.0j, 2.0]], np.array([[1.0, 2.0]], dtype=complex)])
+def test_complex_data_is_rejected(data):
+    # numpy's float cast dropped the imaginary part with a ComplexWarning.
+    for check in (as_data_matrix, lambda X: fit(X, ModelSpec(), SolverConfig(1))):
+        with pytest.raises(ValueError, match="data matrix must be real"):
+            check(data)
 
 
 @pytest.mark.parametrize(
@@ -337,6 +465,15 @@ def test_pointwise_functions_reject_negative_input(name, position):
     args = [np.array(a, dtype=float) for a in args]
     args[position].flat[-1] = -1.0
     with pytest.raises(ValueError, match="must be nonnegative"):
+        function(*args)
+
+
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("name", sorted(name for name, entry in POINTWISE.items() if entry[1]))
+def test_pointwise_functions_reject_complex_input(name, position):
+    function, args, _ = POINTWISE[name]
+    args = [np.array(a, dtype=complex) if i == position else a for i, a in enumerate(args)]
+    with pytest.raises(ValueError, match="must be real"):
         function(*args)
 
 

@@ -142,6 +142,8 @@ class TestInitCentroids:
     def test_plusplus_reads_the_fits_squared_norms(self, mode, monkeypatch):
         # The fit hands seeding the ||x||^2 it computed when it checked X, so
         # no draw recomputes them, and the draws are the public function's.
+        # Each of the K - 1 draws after the first reads one column; the last
+        # seed is never costed, so K = 1 costs none.
         X = np.random.default_rng(4).uniform(0, 10, (300, 5))
         spec = ModelSpec("l2", mode, RegularizationParams(lambda_u=1.0 if mode == "c1_free" else 0.0))
         config = SolverConfig(n_clusters=4, seed=2, init="plusplus", max_iter=1)
@@ -154,9 +156,12 @@ class TestInitCentroids:
 
         monkeypatch.setattr(solver, "_pair_costs", recording)
         step = fit_history(X, spec, config)[0]
-        assert len(norms) == 4
+        assert len(norms) == 3
         for xx in norms:
             assert xx is not None and xx.tobytes() == np.einsum("mn,mn->m", X, X).tobytes()
+        norms.clear()
+        fit_history(X, spec, dataclasses.replace(config, n_clusters=1))
+        assert norms == []
         monkeypatch.undo()
         T, D = _pair_costs(X, init_centroids(X, config, spec), spec)
         labels = D.argmin(axis=1)

@@ -347,22 +347,31 @@ def l1_updates(draw):
 
 @PROPERTY
 @given(l1_updates())
+# 1e308 over the coefficient 0.5 is past float64's range.
+@example((np.array([[1e308], [1e308]]), Membership([0, 0], [0.5, 0.5], 1), 0.0, 0.0, 8192))
 def test_batched_l1_update_equals_the_sweep_bit_for_bit(update):
     # The batches pad clusters to a common width, which must not change a bit.
     # Sweep or K-median sort, over -0.0 targets, zero weights and mu_v = 0 or
-    # > 0, no entry of a cluster with members is -0.0.
+    # > 0, no entry of a cluster with members is -0.0. A weighted median past
+    # float64's range is +inf, and the update names that overflow instead.
     X, membership, lambda_v, mu_v, budget = update
     K = membership.n_clusters
     spec = ModelSpec("l1", "c1_free", RegularizationParams(lambda_v=lambda_v, mu_v=mu_v))
-    with mock.patch.object(scalar_prox, "_CHUNK_ELEMENTS", budget):
-        V = _update_centroids(X, membership, spec, np.zeros((K, X.shape[1])))
     labels, coeffs = membership.labels, membership.coefficients
+    expected = {}
     for k in range(K):
         rows = (coeffs > 0) & (labels == k)
         if rows.any():
-            expected = centroid_l1(X[rows], coeffs[rows], lambda_v, mu_v)
-            assert V[k].tobytes() == expected.tobytes()
-            assert not np.signbit(V[k]).any()
+            expected[k] = centroid_l1(X[rows], coeffs[rows], lambda_v, mu_v)
+    with mock.patch.object(scalar_prox, "_CHUNK_ELEMENTS", budget):
+        if not all(np.isfinite(row).all() for row in expected.values()):
+            with pytest.raises(ValueError, match="the l1 centroid update .* overflows float64; rescale the data"):
+                _update_centroids(X, membership, spec, np.zeros((K, X.shape[1])))
+            return
+        V = _update_centroids(X, membership, spec, np.zeros((K, X.shape[1])))
+    for k, row in expected.items():
+        assert V[k].tobytes() == row.tobytes()
+        assert not np.signbit(V[k]).any()
 
 
 @pytest.mark.parametrize("skewed", [False, True])
